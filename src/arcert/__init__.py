@@ -33,6 +33,7 @@ from .errors import (
     ConvergenceError,
     EventImplicationError,
     InfeasibleCertificateError,
+    NumericalFailureError,
     StabilityError,
 )
 from .estimation import OlsEstimate, RegressorSet, build_regressors, ols_fit, weighted_deviation
@@ -64,6 +65,7 @@ from .process import (
     characteristic_roots,
     check_schur_stable,
     simulate_batch,
+    simulate_chunks,
     simulate_stationary,
     simulation_spec_from_json,
     substream,

@@ -35,6 +35,7 @@ from .errors import (
     ConvergenceError,
     EventImplicationError,
     InfeasibleCertificateError,
+    NumericalFailureError,
     StabilityError,
 )
 from .montecarlo import CampaignConfig, resolve_direction, run_campaign
@@ -309,22 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="path to the JSON configuration")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides config)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Monte Carlo campaigns")
-
-    for name, func, blurb in (
-        ("certify", cmd_certify, "evaluate certificates for one configuration"),
-        ("montecarlo", cmd_montecarlo, "run a Monte Carlo coverage campaign"),
-        ("rate-sweep", cmd_rate_sweep, "decay-rate table over a horizon grid"),
-        ("simulate", cmd_simulate, "simulate and dump one trajectory"),
+    for name, func, blurb, seeded in (
+        ("certify", cmd_certify, "evaluate certificates for one configuration", False),
+        ("montecarlo", cmd_montecarlo, "run a Monte Carlo coverage campaign", True),
+        ("rate-sweep", cmd_rate_sweep, "decay-rate table over a horizon grid", False),
+        ("simulate", cmd_simulate, "simulate and dump one trajectory", True),
     ):
         p = sub.add_parser(name, help=blurb)
-        add_common(p)
+        p.add_argument("--config", required=True, help="path to the JSON configuration")
+        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="master seed (overrides config)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads; only montecarlo uses them")
         p.set_defaults(func=func)
     return parser
 
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, InfeasibleCertificateError, EventImplicationError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+            NumericalFailureError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

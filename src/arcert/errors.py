@@ -17,6 +17,10 @@ class InfeasibleCertificateError(ArcertError):
     """Operation requires a strictly positive definite lower sandwich matrix."""
 
 
+class NumericalFailureError(ArcertError):
+    """Too many Monte Carlo trials failed numerically for the campaign to stand."""
+
+
 class ConfigError(ArcertError):
     """An experiment configuration failed validation."""
 

@@ -10,9 +10,22 @@ trial, not just in aggregate:
 * boundary and noise-energy and cross-term  =>  sandwich holds;
 * sandwich and self-normalized              =>  the deviation radius holds.
 
+The campaign kernel never materialises a trajectory.  Each batch of trials is
+simulated CHUNK time steps at a time (:func:`arcert.process.simulate_chunks`)
+and only per-trial sufficient statistics are carried between chunks: the
+normal matrix Y^T Y, the regressor-innovation sums over the residual and the
+event windows, the innovation energy, and the first and last lag windows.
+Every event is a function of those, and the least-squares error follows from
+the normal equations, theta_hat - theta = (Y^T Y)^{-1} Y^T e.  Memory is
+therefore O(threads * batch * CHUNK) whatever the horizon.  The per-trial
+checkers below (:func:`evaluate_trial`) work on a whole :class:`Trajectory`
+and are the reference the kernel is tested against.
+
 Trials are embarrassingly parallel: trial i draws from the RNG substream
 ``substream(master_seed, i)`` and aggregation is an order-independent sum of
-counts, so reports are bit-identical across batch sizes and thread counts.
+counts.  Chunk boundaries are fixed in time, so every per-trial sum is added
+up in the same order whatever the batch; reports are bit-identical across
+batch sizes and thread counts.
 """
 
 from __future__ import annotations
@@ -30,7 +43,12 @@ from .certificates import (
     covariance_certificate,
     deviation_radius,
 )
-from .errors import ConfigError, EventImplicationError, InfeasibleCertificateError
+from .errors import (
+    ConfigError,
+    EventImplicationError,
+    InfeasibleCertificateError,
+    NumericalFailureError,
+)
 from .estimation import RegressorSet, build_regressors, ols_fit
 from .linalg import PSD_ORDER_RTOL, psd_order_holds, symmetric_sqrt
 from .process import (
@@ -38,7 +56,8 @@ from .process import (
     CompanionStateSpace,
     Trajectory,
     build_companion,
-    simulate_batch,
+    simulate_batch,  # noqa: F401  (the benchmark's span tracer wraps it in this namespace)
+    simulate_chunks,
     substream,
 )
 from .stationary import stationary_stats
@@ -428,26 +447,61 @@ def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInp
     sigma2 = process.noise_variance
     coeffs = process.coeffs
     threshold = event_threshold(inputs)
+    batch = stop - start
+
+    # Per-trial sufficient statistics.  With x[f] entry f = 0 .. N + n - 1 of
+    # the path (y_{1-n}, ..., y_N) and e[f] the innovation that drives it:
+    #   normal[j, k] = sum_{f=2n}^{N+n-1} x[f-1-j] x[f-1-k]   (Y^T Y)
+    #   s_sn[k]      = sum_{f=2n}^{N+n-1} e[f] x[f-1-k]       (Y^T e, residual window)
+    #   s_tail[k]    = sum_{f=2n-1}^{N+n-2} e[f] x[f-1-k]     (event window)
+    #   energy       = sum_{f=2n-1}^{N+n-2} e[f]^2
+    # plus the lag windows x[n-1 .. 2n-2] and x[N-1 .. N+n-2], in time order.
+    normal = np.zeros((batch, n, n))
+    s_sn = np.zeros((batch, n))
+    s_tail = np.zeros((batch, n))
+    energy = np.zeros(batch)
+    first = np.empty((batch, n))
+    last = np.empty((batch, n))
+    finite = np.ones(batch, dtype=bool)
 
     seeds = [substream(config.master_seed, i) for i in range(start, stop)]
-    pre, noise, y = simulate_batch(process, horizon, seeds, _factor=factor)
-    full = np.concatenate([pre, y], axis=1)
+    for lo, window, noise in simulate_chunks(process, horizon, seeds, factor):
+        # window column p is x[lo + p]; noise column p is e[lo + n + p].
+        hi = lo + window.shape[1]
+        finite &= np.isfinite(window[:, n:]).all(axis=1)
+        reg_lo, evt_lo = max(2 * n, lo + n) - lo, max(2 * n - 1, lo + n) - lo
+        reg_hi, evt_hi = hi - lo, min(horizon + n - 1, hi) - lo
+        cols = [window[:, reg_lo - 1 - k : reg_hi - 1 - k] for k in range(n)]
+        e_reg = noise[:, reg_lo - n : reg_hi - n]
+        e_evt = noise[:, evt_lo - n : evt_hi - n]
+        for j in range(n):
+            for k in range(j, n):
+                normal[:, j, k] += np.einsum("bi,bi->b", cols[j], cols[k])
+            s_sn[:, j] += np.einsum("bi,bi->b", e_reg, cols[j])
+            s_tail[:, j] += np.einsum(
+                "bi,bi->b", e_evt, window[:, evt_lo - 1 - j : evt_hi - 1 - j]
+            )
+        energy += np.einsum("bi,bi->b", e_evt, e_evt)
+        for dst, f0 in ((first, n - 1), (last, horizon - 1)):
+            a, b = max(f0, lo), min(f0 + n, hi)
+            if a < b:
+                dst[:, a - f0 : b - f0] = window[:, a - lo : b - lo]
+    upper_tri = np.triu_indices(n, 1)
+    normal[:, upper_tri[1], upper_tri[0]] = normal[:, upper_tri[0], upper_tri[1]]
 
-    errored = ~np.isfinite(y).all(axis=1)
-
-    # Design columns: column k stacks y_{i-k} over rows i = n .. N-1.
-    cols = [y[:, n - 1 - k : horizon - 1 - k] for k in range(n)]
-    targets = y[:, n:]
-    normal = np.empty((y.shape[0], n, n))
-    for j in range(n):
-        for k in range(j, n):
-            val = np.einsum("bi,bi->b", cols[j], cols[k])
-            normal[:, j, k] = val
-            normal[:, k, j] = val
+    # Stand-in statistics keep the batched LAPACK calls defined on errored
+    # trials; their events are never counted.
+    errored = ~finite
+    normal[errored] = np.eye(n)
+    first[errored] = last[errored] = 0.0
+    eig = np.linalg.eigvalsh(normal)
+    # The square of the 1e-12 diagonal ratio of a triangular factor of Y.
+    errored |= eig[:, 0] <= 1e-24 * eig[:, -1]
+    normal[errored] = np.eye(n)
 
     # Boundary event from the first and last usable lag windows.
-    first_window = full[:, n - 1 : 2 * n - 1][:, ::-1]
-    last_window = full[:, horizon - 1 : horizon + n - 1][:, ::-1]
+    first_window = first[:, ::-1]
+    last_window = last[:, ::-1]
     u = np.concatenate([(first_window @ coeffs)[:, None], first_window], axis=1)
     v = np.concatenate([(last_window @ coeffs)[:, None], last_window], axis=1)
     rank_two = u[:, :, None] * u[:, None, :] - v[:, :, None] * v[:, None, :]
@@ -455,16 +509,9 @@ def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInp
     boundary_ok = boundary_radius <= threshold
 
     # Innovation energy event on the state-driving window (e_n .. e_{N-1}).
-    window = noise[:, n - 1 : horizon - 1]
-    energy = np.einsum("bi,bi->b", window, window)
     noise_ok = np.abs(energy - rows * sigma2) <= threshold
 
     # Cross-term event; rank-2 closed-form spectral radius.
-    s_tail = np.empty((y.shape[0], n))
-    for k in range(n):
-        s_tail[:, k] = np.einsum(
-            "bi,bi->b", window, full[:, 2 * n - 2 - k : horizon + n - 2 - k]
-        )
     s_head = s_tail @ coeffs
     cross_radius = np.abs(s_head) + np.sqrt(
         s_head ** 2 + np.einsum("bi,bi->b", s_tail, s_tail)
@@ -472,34 +519,23 @@ def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInp
     cross_ok = cross_radius <= threshold
 
     # Sandwich event, mirroring psd_order_holds semantics per trial.
-    mid_scale = np.maximum(np.abs(np.linalg.eigvalsh(normal)).max(axis=1), 1e-300)
+    mid_scale = np.maximum(np.abs(eig).max(axis=1), 1e-300)
     tol = PSD_ORDER_RTOL * mid_scale
     lo_gap = np.linalg.eigvalsh(normal - cert.lower[None]).min(axis=1)
     hi_gap = np.linalg.eigvalsh(cert.upper[None] - normal).min(axis=1)
     sandwich_ok = (lo_gap >= -tol) & (hi_gap >= -tol)
 
     # Self-normalized event on the regression residual window (e_{n+1} .. e_N).
-    resid = noise[:, n:]
-    s_sn = np.empty((y.shape[0], n))
-    for k in range(n):
-        s_sn[:, k] = np.einsum("bi,bi->b", resid, cols[k])
     m_sn = normal + cert.lower[None]
     lhs_sq = np.einsum("bi,bi->b", s_sn, np.linalg.solve(m_sn, s_sn[..., None])[..., 0])
     sign_m, logdet_m = np.linalg.slogdet(m_sn)
     log_argument = 0.5 * (logdet_m - logdet_lower) - cert.log_delta
     sn_ok = (sign_m > 0) & (log_argument > 0.0) & (lhs_sq <= 2.0 * sigma2 * log_argument)
 
-    # Least squares through a batched orthogonal factorisation.
-    design = np.stack(cols, axis=2)
-    q_fac, r_fac = np.linalg.qr(design)
-    r_diag = np.abs(np.diagonal(r_fac, axis1=1, axis2=2))
-    errored |= r_diag.min(axis=1) <= 1e-12 * np.maximum(r_diag.max(axis=1), 1e-300)
-    if errored.any():
-        r_fac = r_fac.copy()
-        r_fac[errored] = np.eye(n)
-    rhs = np.einsum("bij,bi->bj", q_fac, targets)
-    theta = np.linalg.solve(r_fac, rhs[..., None])[..., 0]
-    errored |= ~np.isfinite(theta).all(axis=1)
+    # Least-squares error from the normal equations: theta_hat - theta
+    # = (Y^T Y)^{-1} Y^T e over the residual window.
+    error = np.linalg.solve(normal, s_sn[..., None])[..., 0]
+    errored |= ~np.isfinite(error).all(axis=1)
 
     valid = ~errored
     counts = _BatchCounts(
@@ -523,7 +559,7 @@ def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInp
             dev_fail.append(0)
             chain_dev.append(int((sandwich_ok & sn_ok & valid).sum()))
             continue
-        deviation = np.abs((theta - coeffs[None, :]) @ w)
+        deviation = np.abs(error @ w)
         dev_ok = deviation <= radius
         dev_fail.append(int((~dev_ok & valid).sum()))
         chain_dev.append(int((sandwich_ok & sn_ok & ~dev_ok & valid).sum()))
@@ -549,8 +585,8 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     """Run the full campaign and aggregate per-event coverage.
 
     Deterministic given the master seed.  Trials that fail numerically are
-    counted and excluded from frequencies; the campaign aborts if more than
-    MAX_ERROR_FRACTION of trials error out.
+    counted and excluded from frequencies; the campaign raises
+    NumericalFailureError if more than MAX_ERROR_FRACTION of trials error out.
     """
     process = config.process
     ss = build_companion(process)
@@ -591,7 +627,7 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     evaluated = sum(p.evaluated for p in partials)
     errors = sum(p.errors for p in partials)
     if errors > MAX_ERROR_FRACTION * config.trials:
-        raise ConfigError(
+        raise NumericalFailureError(
             f"{errors} of {config.trials} trials failed numerically "
             f"(limit {MAX_ERROR_FRACTION:.1%})"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -21,6 +21,12 @@ from .linalg import solve_discrete_lyapunov, symmetric_sqrt
 #: Lyapunov solves degrade as roots approach the circle, so exact unit-modulus
 #: roots are rejected with room to spare.
 STABILITY_MARGIN = 1e-9
+
+#: Time steps simulated per chunk by :func:`simulate_chunks`.  A fixed
+#: constant, not a setting: chunk boundaries fix the order in which campaign
+#: statistics are summed, so reports stay independent of batch size and
+#: thread count.
+CHUNK = 4096
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -257,15 +263,14 @@ def stationary_state_covariance(process: ArProcess) -> np.ndarray:
     )
 
 
-def _draw_initial_and_noise(process: ArProcess, horizon: int, chol_like: np.ndarray,
-                            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Shared draw order: first the stationary state, then the innovation vector."""
+def _draw_initial_state(process: ArProcess, chol_like: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
+    """First draw of every stream, before the innovations: the stationary
+    state, returned as the pre-samples (y_{1-n}, ..., y_0)."""
     n = process.order
     state = chol_like @ rng.standard_normal(n + 1)
     # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0), drop y_{-n}.
-    pre = state[:n][::-1].copy()
-    noise = np.sqrt(process.noise_variance) * rng.standard_normal(horizon)
-    return pre, noise
+    return state[:n][::-1].copy()
 
 
 def simulate_stationary(process: ArProcess, horizon: int, seed: SeedLike) -> Trajectory:
@@ -281,33 +286,68 @@ def simulate_stationary(process: ArProcess, horizon: int, seed: SeedLike) -> Tra
         raise ValueError("horizon must exceed the process order")
     factor = symmetric_sqrt(stationary_state_covariance(process))
     rng = np.random.default_rng(seed)
-    pre, noise = _draw_initial_and_noise(process, horizon, factor, rng)
+    pre = _draw_initial_state(process, factor, rng)
+    noise = np.sqrt(process.noise_variance) * rng.standard_normal(horizon)
     y = ar_recursion(process.coeffs, pre, noise)
     samples = np.concatenate([pre, y])
     return Trajectory(samples=samples, noise=noise, order=process.order,
                       horizon=horizon, seed=seed)
 
 
-def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
-                   _factor: np.ndarray | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate one trajectory per seed; returns (pre, noise, observed) row-stacked.
+def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
+                    factor: np.ndarray | None = None,
+                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Simulate one trajectory per seed, CHUNK time steps at a time.
 
-    Row i reproduces simulate_stationary(process, horizon, seeds[i]) exactly.
-    ``_factor`` lets campaign code reuse a precomputed symmetric square root of
-    the stationary state covariance.
+    Yields ``(start, window, noise)`` per chunk, rows indexed by seed.  With
+    the path written as (y_{1-n}, ..., y_N) and indexed from 0, ``window``
+    holds its entries start, ..., start + n + L - 1: the n samples carried
+    over from the previous chunk (the stationary pre-samples for the first),
+    then the chunk's L new samples.  ``noise`` holds the L innovations that
+    drive those new samples.  Only O(len(seeds) * CHUNK) floats are alive at
+    once, whatever the horizon.
+
+    Each seed's stream is drawn in the order simulate_stationary draws it, and
+    chunked ``standard_normal`` calls continue one stream bit for bit, so the
+    concatenated chunks reproduce simulate_stationary exactly.  ``factor`` lets
+    campaign code reuse a precomputed symmetric square root of the stationary
+    state covariance.
     """
     horizon = int(horizon)
     if horizon <= process.order:
         raise ValueError("horizon must exceed the process order")
     n = process.order
-    factor = symmetric_sqrt(stationary_state_covariance(process)) if _factor is None else _factor
-    pre = np.empty((len(seeds), n))
-    noise = np.empty((len(seeds), horizon))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        pre[i], noise[i] = _draw_initial_and_noise(process, horizon, factor, rng)
-    y = ar_recursion(process.coeffs, pre, noise)
+    if factor is None:
+        factor = symmetric_sqrt(stationary_state_covariance(process))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    tail = np.empty((len(rngs), n))
+    for i, rng in enumerate(rngs):
+        tail[i] = _draw_initial_state(process, factor, rng)
+    scale = np.sqrt(process.noise_variance)
+    for start in range(0, horizon, CHUNK):
+        noise = np.empty((len(rngs), min(CHUNK, horizon - start)))
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[i])
+        noise *= scale
+        window = np.concatenate([tail, ar_recursion(process.coeffs, tail, noise)], axis=1)
+        yield start, window, noise
+        tail = window[:, -n:].copy()
+
+
+def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate one trajectory per seed; returns (pre, noise, observed) row-stacked.
+
+    Row i reproduces simulate_stationary(process, horizon, seeds[i]) exactly.
+    This is the concatenation of :func:`simulate_chunks`, so its memory grows
+    with len(seeds) * horizon; the Monte Carlo campaign consumes the chunks
+    directly instead.
+    """
+    chunks = list(simulate_chunks(process, horizon, seeds))
+    n = process.order
+    pre = chunks[0][1][:, :n]
+    noise = np.concatenate([noise for _, _, noise in chunks], axis=1)
+    y = np.concatenate([window[:, n:] for _, window, _ in chunks], axis=1)
     return pre, noise, y
 
 

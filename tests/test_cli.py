@@ -57,6 +57,19 @@ class TestCertify:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_seed_flag_rejected_threads_accepted(self, tmp_path):
+        # certify and rate-sweep draw nothing, so they take no --seed; every
+        # subcommand takes --threads.
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0, epsilon=0.5,
+                           horizon=5000, horizon_grid=[1000])
+        for command in ("certify", "rate-sweep"):
+            assert run([command, "--config", cfg, "--out", str(tmp_path / command),
+                        "--threads", "1"]) == 0
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--config", cfg, "--out", str(tmp_path / command),
+                     "--seed", "5"])
+            assert exc.value.code == 2
+
     def test_round_trip_certificate(self, tmp_path):
         from arcert import CovarianceCertificate
 
@@ -114,6 +127,14 @@ class TestMontecarlo:
         cfg = write_config(tmp_path, **AR1_MC)
         assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_too_many_trial_errors_exit_three(self, tmp_path, monkeypatch, capsys):
+        import arcert.montecarlo as montecarlo_module
+
+        monkeypatch.setattr(montecarlo_module, "MAX_ERROR_FRACTION", -1.0)
+        cfg = write_config(tmp_path, **AR1_MC)
+        assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "failed numerically" in capsys.readouterr().err
 
 
 class TestRateSweep:

@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import arcert.montecarlo as montecarlo_module
+import arcert.process as process_module
 from arcert import (
+    ArProcess,
     BoundInputs,
     CampaignConfig,
     ConfigError,
     CoverageReport,
     EventImplicationError,
     InfeasibleCertificateError,
+    NumericalFailureError,
     TrialOutcome,
     Trajectory,
     build_companion,
@@ -22,9 +28,11 @@ from arcert import (
     evaluate_trial,
     event_noise_window,
     event_threshold,
+    max_feasible_epsilon,
     resolve_direction,
     run_campaign,
     simulate_stationary,
+    stationary_stats,
     substream,
 )
 
@@ -223,6 +231,42 @@ class TestCampaignConfigValidation:
         assert report.event("sandwich").verdict == "vacuous"
 
 
+def reference_failures(config: CampaignConfig) -> dict:
+    """Failure counts of every event, re-run trial by trial through the
+    single-trial reference checkers on the substreams the campaign uses."""
+    process = config.process
+    ss = build_companion(process)
+    stats = stationary_stats(ss, process.noise_variance)
+    inputs = BoundInputs(process=process, stats=stats, epsilon=config.epsilon,
+                         horizon=config.horizon)
+    cert = covariance_certificate(inputs)
+    dev_certs = {label: deviation_radius(cert, w, process.noise_variance)
+                 for label, w in config.directions}
+    fails = dict.fromkeys(
+        ("boundary", "noise_energy", "cross_term", "sandwich", "self_normalized"), 0)
+    for label, dev_cert in dev_certs.items():
+        fails[f"deviation:{label}"] = None if dev_cert.vacuous else 0
+    for i in range(config.trials):
+        traj = simulate_stationary(process, config.horizon,
+                                   substream(config.master_seed, i))
+        outcomes = {label: evaluate_trial(process, ss, inputs, cert, dev_cert, traj)
+                    for label, dev_cert in dev_certs.items()}
+        for label, outcome in outcomes.items():
+            if outcome.deviation_ok is not None:
+                fails[f"deviation:{label}"] += not outcome.deviation_ok
+        fails["boundary"] += not outcome.boundary_ok
+        fails["noise_energy"] += not outcome.noise_energy_ok
+        fails["cross_term"] += not outcome.cross_term_ok
+        fails["sandwich"] += not outcome.sandwich_ok
+        fails["self_normalized"] += not outcome.self_normalized_ok
+    return fails
+
+
+def report_failures(report: CoverageReport) -> dict:
+    assert report.trial_errors == 0
+    return {row.event: row.failures for row in report.events}
+
+
 @pytest.fixture(scope="module")
 def small_config(ar1):
     return CampaignConfig(process=ar1, horizon=3000, epsilon=0.5, trials=100,
@@ -236,30 +280,8 @@ def small_report(small_config):
 
 
 class TestCampaign:
-    def test_matches_single_trial_reference_path(self, ar1, ar1_stats, small_config,
-                                                 small_report):
-        # Re-run every trial through the scalar checkers and compare aggregates.
-        ss = build_companion(ar1)
-        inputs = BoundInputs(process=ar1, stats=ar1_stats, epsilon=0.5, horizon=3000)
-        cert = covariance_certificate(inputs)
-        dev_cert = deviation_radius(cert, [1.0], 1.0)
-        fails = dict(boundary=0, noise_energy=0, cross_term=0, sandwich=0,
-                     self_normalized=0, deviation=0)
-        for i in range(small_config.trials):
-            traj = simulate_stationary(ar1, 3000, substream(314, i))
-            outcome = evaluate_trial(ar1, ss, inputs, cert, dev_cert, traj)
-            fails["boundary"] += not outcome.boundary_ok
-            fails["noise_energy"] += not outcome.noise_energy_ok
-            fails["cross_term"] += not outcome.cross_term_ok
-            fails["sandwich"] += not outcome.sandwich_ok
-            fails["self_normalized"] += not outcome.self_normalized_ok
-            fails["deviation"] += outcome.deviation_ok is False
-        assert small_report.event("boundary").failures == fails["boundary"]
-        assert small_report.event("noise_energy").failures == fails["noise_energy"]
-        assert small_report.event("cross_term").failures == fails["cross_term"]
-        assert small_report.event("sandwich").failures == fails["sandwich"]
-        assert small_report.event("self_normalized").failures == fails["self_normalized"]
-        assert small_report.event("deviation:e1").failures == fails["deviation"]
+    def test_matches_single_trial_reference_path(self, small_config, small_report):
+        assert reference_failures(small_config) == report_failures(small_report)
 
     def test_deterministic_across_runs_and_threads(self, small_config, small_report):
         rerun = run_campaign(small_config)
@@ -330,3 +352,82 @@ class TestCampaign:
         assert names[-3:] == ["deviation:e1", "deviation:e2", "deviation:uniform"]
         assert set(report.deviation_chain_violations) == {"e1", "e2", "uniform"}
         assert all(v == 0 for v in report.deviation_chain_violations.values())
+
+
+AR3 = ArProcess(coeffs=[0.5, -0.3, 0.2], noise_variance=1.0)
+
+
+def half_ceiling_config(process, horizon, **kwargs) -> CampaignConfig:
+    stats = stationary_stats(build_companion(process), process.noise_variance)
+    n = process.order
+    return CampaignConfig(
+        process=process, horizon=horizon,
+        epsilon=0.5 * max_feasible_epsilon(process, stats), trials=100, master_seed=2718,
+        directions=(("e1", np.eye(n)[0]), ("uniform", np.full(n, n ** -0.5))),
+        allow_vacuous=True, **kwargs,
+    )
+
+
+class TestStreamingKernel:
+    """The campaign streams each batch through fixed time chunks; these
+    horizons cross chunk boundaries, which the small campaigns above do not."""
+
+    @pytest.mark.parametrize("coeffs", [[0.5], [0.5, -0.3, 0.2]])
+    def test_multichunk_matches_reference(self, coeffs):
+        config = half_ceiling_config(ArProcess(coeffs=coeffs),
+                                     2 * process_module.CHUNK + 37)
+        assert reference_failures(config) == report_failures(run_campaign(config))
+
+    def test_multichunk_independent_of_batch_and_threads(self):
+        horizon = 2 * process_module.CHUNK + 37
+        one = run_campaign(half_ceiling_config(AR3, horizon, batch_size=100))
+        split = run_campaign(half_ceiling_config(AR3, horizon, batch_size=7, threads=2))
+        assert split.csv_text() == one.csv_text()
+        assert split.to_dict() == one.to_dict()
+
+    @pytest.mark.parametrize("chunk", [2, 16])
+    @pytest.mark.parametrize("coeffs", [[0.5], [0.5, -0.3, 0.2]])
+    def test_edge_horizons_match_reference(self, monkeypatch, chunk, coeffs):
+        # A chunk of 2 is shorter than the AR(3) lag windows, so those span chunks.
+        monkeypatch.setattr(process_module, "CHUNK", chunk)
+        process = ArProcess(coeffs=coeffs)
+        shortest = 2 * process.order + 1
+        for horizon in sorted({chunk, chunk + 1, shortest}):
+            if horizon < shortest:
+                continue
+            config = half_ceiling_config(process, horizon)
+            assert reference_failures(config) == report_failures(run_campaign(config)), horizon
+
+    def test_memory_independent_of_horizon(self, ar1):
+        # A materialised 100 x 200 000 path alone would take 160 MB.
+        config = CampaignConfig(process=ar1, horizon=200_000, epsilon=0.5, trials=100,
+                                master_seed=5, directions=(("e1", np.array([1.0])),))
+        tracemalloc.start()
+        try:
+            report = run_campaign(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.trial_errors == 0
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("fill", [np.nan, 0.0])
+    def test_degenerate_trials_counted_as_errors(self, monkeypatch, fill):
+        # A non-finite path, or an all-zero one with a singular normal matrix,
+        # must be counted as a trial error without breaking the batch.
+        def spoiled(*args):
+            for lo, window, noise in process_module.simulate_chunks(*args):
+                window[0] = fill
+                noise[0] = fill
+                yield lo, window, noise
+
+        monkeypatch.setattr(montecarlo_module, "simulate_chunks", spoiled)
+        monkeypatch.setattr(montecarlo_module, "MAX_ERROR_FRACTION", 1.0)
+        report = run_campaign(half_ceiling_config(AR3, 300, batch_size=50))
+        assert report.trial_errors == 2
+        assert report.event("sandwich").evaluated == 98
+
+    def test_too_many_errors_is_a_numerical_failure(self, monkeypatch, small_config):
+        monkeypatch.setattr(montecarlo_module, "MAX_ERROR_FRACTION", -1.0)
+        with pytest.raises(NumericalFailureError):
+            run_campaign(small_config)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import arcert.process as process_module
 from arcert import (
     ArProcess,
     StabilityError,
@@ -168,6 +169,19 @@ class TestSimulation:
             np.testing.assert_array_equal(traj.pre_samples, pre[i])
             np.testing.assert_array_equal(traj.noise, noise[i])
             np.testing.assert_array_equal(traj.observed, y[i])
+
+    def test_chunked_rows_match_single_runs(self, ar2, monkeypatch):
+        # Chunks shorter than the order and a ragged last chunk: the carried
+        # samples and the chunked draws must continue each stream exactly.
+        seeds = [substream(6, i) for i in range(3)]
+        reference = [simulate_stationary(ar2, 23, seed) for seed in seeds]
+        for chunk in (1, 5):
+            monkeypatch.setattr(process_module, "CHUNK", chunk)
+            pre, noise, y = simulate_batch(ar2, 23, seeds)
+            for i, traj in enumerate(reference):
+                np.testing.assert_array_equal(traj.pre_samples, pre[i])
+                np.testing.assert_array_equal(traj.noise, noise[i])
+                np.testing.assert_array_equal(traj.observed, y[i])
 
     def test_substreams_are_distinct(self):
         a = np.random.default_rng(substream(1, 0)).standard_normal(8)
