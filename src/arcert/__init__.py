@@ -58,7 +58,6 @@ from .montecarlo import (
 from .process import (
     ArProcess,
     CompanionStateSpace,
-    SimulationSpec,
     Trajectory,
     ar_recursion,
     build_companion,
@@ -67,7 +66,6 @@ from .process import (
     simulate_batch,
     simulate_chunks,
     simulate_stationary,
-    simulation_spec_from_json,
     substream,
 )
 from .stationary import (

@@ -205,33 +205,6 @@ class CovarianceCertificate:
     def order(self) -> int:
         return int(self.lower.shape[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "delta": self.delta,
-            "failure_terms": list(self.failure_terms),
-            "energy_scale": self.energy_scale,
-            "log_delta": self.log_delta,
-            "feasible": self.feasible,
-            "epsilon": self.epsilon,
-            "horizon": self.horizon,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CovarianceCertificate":
-        return cls(
-            lower=np.asarray(data["lower"], dtype=float),
-            upper=np.asarray(data["upper"], dtype=float),
-            delta=float(data["delta"]),
-            failure_terms=tuple(float(t) for t in data["failure_terms"]),
-            energy_scale=float(data["energy_scale"]),
-            log_delta=float(data["log_delta"]),
-            feasible=bool(data["feasible"]),
-            epsilon=float(data["epsilon"]),
-            horizon=int(data["horizon"]),
-        )
-
 
 def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
     """Evaluate the sandwich matrices, the failure bound and the feasibility flag.
@@ -308,24 +281,6 @@ class DeviationCertificate:
         w.flags.writeable = False
         object.__setattr__(self, "direction", w)
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction.tolist(),
-            "radius": self.radius,
-            "total_failure": self.total_failure,
-            "vacuous": self.vacuous,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeviationCertificate":
-        radius = data["radius"]
-        return cls(
-            direction=np.asarray(data["direction"], dtype=float),
-            radius=None if radius is None else float(radius),
-            total_failure=float(data["total_failure"]),
-            vacuous=bool(data["vacuous"]),
-        )
-
 
 def _unit_direction(direction, order: int) -> np.ndarray:
     w = np.atleast_1d(np.asarray(direction, dtype=float))
@@ -398,16 +353,6 @@ class RatePoint:
     radius: float | None
     feasible: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "log_delta": self.log_delta,
-            "radius": self.radius,
-            "feasible": self.feasible,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class RateAnalysis:
@@ -434,15 +379,6 @@ class RateAnalysis:
         basis = np.asarray(self.slow_directions, dtype=float).copy()
         basis.flags.writeable = False
         object.__setattr__(self, "slow_directions", basis)
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon_ceiling": self.epsilon_ceiling,
-            "multiplicity": self.multiplicity,
-            "slow_directions": self.slow_directions.tolist(),
-            "points": [p.to_dict() for p in self.points],
-            "slope": self.slope,
-        }
 
 
 def rate_analysis(process: ArProcess, stats: StationaryStatistics,

@@ -15,6 +15,7 @@ not a tool failure), 2 on configuration errors, 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
@@ -39,7 +40,7 @@ from .errors import (
     StabilityError,
 )
 from .montecarlo import CampaignConfig, resolve_direction, run_campaign
-from .process import ArProcess, build_companion, simulate_stationary, simulation_spec_from_json
+from .process import ArProcess, build_companion, simulate_stationary
 from .stationary import stationary_stats
 
 
@@ -89,6 +90,13 @@ def _parse_horizon(config: dict, order: int) -> int:
     return horizon
 
 
+def _parse_seed(args, config: dict) -> int:
+    seed = args.seed if args.seed is not None else _int_field(config, "seed")
+    if seed < 0:
+        raise ConfigError("field 'seed': must be a nonnegative integer")
+    return seed
+
+
 def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | None]:
     """Resolve the epsilon policy to a value (None when infeasible).
 
@@ -108,7 +116,10 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
         value = ceiling - horizon ** -0.5
         return "ceiling-rule", (value if value > 0.0 else None)
     if isinstance(spec, dict) and set(spec) == {"fraction_of_ceiling"}:
-        fraction = float(spec["fraction_of_ceiling"])
+        try:
+            fraction = float(spec["fraction_of_ceiling"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field 'epsilon': fraction_of_ceiling: {exc}") from exc
         if not np.isfinite(fraction) or fraction <= 0.0:
             raise ConfigError("field 'epsilon': fraction_of_ceiling must be positive")
         return f"fraction_of_ceiling:{fraction}", fraction * ceiling
@@ -119,6 +130,8 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
 def _parse_directions(config: dict, order: int) -> list[tuple[str, np.ndarray]]:
     raw = config.get("direction", "e1")
     specs = raw if isinstance(raw, list) and not _is_vector(raw) else [raw]
+    if not specs:
+        raise ConfigError("field 'direction': at least one direction is required")
     out = []
     for idx, spec in enumerate(specs):
         label, w = resolve_direction(spec, order, fallback_label=f"w{idx + 1}")
@@ -133,8 +146,8 @@ def _is_vector(value: list) -> bool:
 
 def _out_dir(args, config: dict) -> Path:
     target = args.out or config.get("output_dir")
-    if not target:
-        raise ConfigError("field 'output_dir': missing (or pass --out)")
+    if not target or not isinstance(target, str):
+        raise ConfigError("field 'output_dir': missing or not a path string (or pass --out)")
     path = Path(target)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -147,8 +160,19 @@ def _meta() -> dict:
     }
 
 
+def _json_default(obj):
+    """JSON form of the result objects: arrays as nested lists, dataclasses as
+    {field name: value} in field order."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, allow_nan=False, default=_json_default)
+    path.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
 
@@ -169,7 +193,7 @@ def cmd_certify(args) -> int:
 
     out = _out_dir(args, config)
     payload: dict = {
-        "process": process.to_dict(),
+        "process": process,
         "horizon": horizon,
         "epsilon_policy": policy,
         "epsilon_ceiling": ceiling,
@@ -191,7 +215,7 @@ def cmd_certify(args) -> int:
             BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
         )
         payload.update({"epsilon": epsilon, "feasible": cert.feasible,
-                        "covariance": cert.to_dict()})
+                        "covariance": cert})
         lines.append(f"epsilon ({policy}): {epsilon!r}")
         lines.append(f"feasible: {cert.feasible}")
         lines.append(f"delta: {cert.delta!r} (log: {cert.log_delta!r})")
@@ -199,7 +223,7 @@ def cmd_certify(args) -> int:
         if cert.feasible:
             for label, w in directions:
                 dev = deviation_radius(cert, w, process.noise_variance)
-                deviations[label] = dev.to_dict()
+                deviations[label] = dev
                 shown = "vacuous" if dev.vacuous else repr(dev.radius)
                 lines.append(f"radius[{label}]: {shown} (failure <= {dev.total_failure!r})")
         else:
@@ -217,11 +241,7 @@ def cmd_montecarlo(args) -> int:
     horizon = _parse_horizon(config, process.order)
     directions = _parse_directions(config, process.order)
     trials = _int_field(config, "trials")
-    if trials <= 0:
-        raise ConfigError("field 'trials': must be a positive integer")
-    seed = args.seed if args.seed is not None else _int_field(config, "seed")
-    if seed < 0:
-        raise ConfigError("field 'seed': must be a nonnegative integer")
+    seed = _parse_seed(args, config)
 
     stats = stationary_stats(build_companion(process), process.noise_variance)
     ceiling = max_feasible_epsilon(process, stats)
@@ -243,7 +263,7 @@ def cmd_montecarlo(args) -> int:
 
     out = _out_dir(args, config)
     _write_json(out / "coverage.json",
-                {"report": report.to_dict(), "epsilon_policy": policy, "meta": _meta()})
+                {"report": report, "epsilon_policy": policy, "meta": _meta()})
     _write_text(out / "coverage.csv", report.csv_text())
     for row in report.events:
         shown = "n/a" if row.frequency is None else repr(row.frequency)
@@ -280,7 +300,7 @@ def cmd_rate_sweep(args) -> int:
         ]))
     _write_text(out / "rate_sweep.csv", "\n".join(csv_lines) + "\n")
     _write_json(out / "rate_analysis.json",
-                {"direction": label, "analysis": analysis.to_dict(), "meta": _meta()})
+                {"direction": label, "analysis": analysis, "meta": _meta()})
     if analysis.slope is not None:
         print(f"fitted slope of log(2 delta) vs sqrt(N): {analysis.slope!r} "
               f"(epsilon ceiling {analysis.epsilon_ceiling!r})")
@@ -289,12 +309,9 @@ def cmd_rate_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    try:
-        spec = simulation_spec_from_json(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    seed = args.seed if args.seed is not None else spec.seed
-    traj = simulate_stationary(spec.process, spec.horizon, seed)
+    process = _parse_process(config)
+    horizon = _parse_horizon(config, process.order)
+    traj = simulate_stationary(process, horizon, _parse_seed(args, config))
     out = _out_dir(args, config)
     path = out / "trajectory.csv"
     traj.to_csv(path)
@@ -332,16 +349,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (StabilityError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so the numerical clause comes first.
     except (ConvergenceError, InfeasibleCertificateError, EventImplicationError,
             NumericalFailureError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except (ConfigError, StabilityError, ValueError, KeyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -95,12 +95,12 @@ def symmetric_sqrt(m, clip_rtol: float = 1e-12) -> np.ndarray:
     """Symmetric square root of a symmetric PSD matrix via eigendecomposition.
 
     Eigenvalues within ``clip_rtol`` of zero (relative to the largest) are
-    clipped to zero; genuinely negative eigenvalues raise ValueError.
+    clipped to zero; genuinely negative eigenvalues raise ``np.linalg.LinAlgError``.
     """
     m = np.asarray(m, dtype=float)
     _require_square(m, "m")
     lam, u = np.linalg.eigh(0.5 * (m + m.T))
     floor = -clip_rtol * max(float(lam[-1]), 1e-300)
     if lam[0] < floor:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lam[0]:.3e}")
+        raise np.linalg.LinAlgError(f"matrix is not PSD: smallest eigenvalue {lam[0]:.3e}")
     return (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T

@@ -250,7 +250,10 @@ def resolve_direction(spec, order: int, fallback_label: str = "custom") -> tuple
             w[idx - 1] = 1.0
             return token, w
         raise ConfigError(f"direction '{spec}': expected 'e<i>', 'uniform' or a vector")
-    w = np.atleast_1d(np.asarray(spec, dtype=float))
+    try:
+        w = np.atleast_1d(np.asarray(spec, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"direction: expected 'e<i>', 'uniform' or a vector ({exc})") from exc
     if w.shape != (order,):
         raise ConfigError(f"direction: expected a vector of length {order}")
     norm = float(np.linalg.norm(w))
@@ -332,29 +335,6 @@ class EventCoverage:
     stderr: float | None
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "event": self.event,
-            "bound": self.bound,
-            "failures": self.failures,
-            "evaluated": self.evaluated,
-            "frequency": self.frequency,
-            "stderr": self.stderr,
-            "verdict": self.verdict,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EventCoverage":
-        return cls(
-            event=str(data["event"]),
-            bound=float(data["bound"]),
-            failures=None if data["failures"] is None else int(data["failures"]),
-            evaluated=int(data["evaluated"]),
-            frequency=None if data["frequency"] is None else float(data["frequency"]),
-            stderr=None if data["stderr"] is None else float(data["stderr"]),
-            verdict=str(data["verdict"]),
-        )
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -377,34 +357,6 @@ class CoverageReport:
             if row.event == name:
                 return row
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "horizon": self.horizon,
-            "epsilon": self.epsilon,
-            "process": dict(self.process),
-            "events": [row.to_dict() for row in self.events],
-            "sandwich_chain_violations": self.sandwich_chain_violations,
-            "deviation_chain_violations": dict(self.deviation_chain_violations),
-            "trial_errors": self.trial_errors,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoverageReport":
-        return cls(
-            trials=int(data["trials"]),
-            master_seed=int(data["master_seed"]),
-            horizon=int(data["horizon"]),
-            epsilon=float(data["epsilon"]),
-            process=dict(data["process"]),
-            events=tuple(EventCoverage.from_dict(row) for row in data["events"]),
-            sandwich_chain_violations=int(data["sandwich_chain_violations"]),
-            deviation_chain_violations={str(k): int(v) for k, v in
-                                        data["deviation_chain_violations"].items()},
-            trial_errors=int(data["trial_errors"]),
-        )
 
     def csv_text(self) -> str:
         """Flat CSV, one row per event; deterministic byte-for-byte."""
@@ -661,7 +613,7 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
         master_seed=config.master_seed,
         horizon=config.horizon,
         epsilon=config.epsilon,
-        process=process.to_dict(),
+        process={"coeffs": process.coeffs.tolist(), "noise_variance": process.noise_variance},
         events=tuple(events),
         sandwich_chain_violations=sum(p.chain_sandwich for p in partials),
         deviation_chain_violations=deviation_chain,

@@ -8,7 +8,6 @@ of batch size or thread count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -64,7 +63,8 @@ class ArProcess:
 
     ``coeffs`` holds (c_1, ..., c_n); ``noise_variance`` is the variance of the
     i.i.d. Gaussian innovations e_t.  Construction rejects unstable coefficient
-    vectors, so every instance describes a stationary process.
+    vectors (and, through :func:`characteristic_roots`, empty, multi-axis or
+    non-finite ones), so every instance describes a stationary process.
     """
 
     coeffs: np.ndarray
@@ -72,10 +72,6 @@ class ArProcess:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float)).copy()
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
         sigma2 = float(self.noise_variance)
         if not np.isfinite(sigma2) or sigma2 <= 0.0:
             raise ValueError(f"noise_variance must be a positive finite real, got {sigma2!r}")
@@ -91,9 +87,6 @@ class ArProcess:
     @property
     def order(self) -> int:
         return int(self.coeffs.size)
-
-    def to_dict(self) -> dict:
-        return {"coeffs": self.coeffs.tolist(), "noise_variance": self.noise_variance}
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,12 +248,10 @@ def substream(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial_index),))
 
 
-def stationary_state_covariance(process: ArProcess) -> np.ndarray:
-    """Stationary covariance of the companion state (solves V = A V A^T + s2 B B^T)."""
-    ss = build_companion(process)
-    return solve_discrete_lyapunov(
-        ss.a_matrix, process.noise_variance * np.outer(ss.b_vector, ss.b_vector)
-    )
+def stationary_state_covariance(ss: CompanionStateSpace, sigma2: float) -> np.ndarray:
+    """Stationary covariance V of the companion state: the solution of
+    V = A V A^T + sigma2 B B^T.  The one place V is solved for."""
+    return solve_discrete_lyapunov(ss.a_matrix, sigma2 * np.outer(ss.b_vector, ss.b_vector))
 
 
 def _draw_initial_state(process: ArProcess, chol_like: np.ndarray,
@@ -284,7 +275,8 @@ def simulate_stationary(process: ArProcess, horizon: int, seed: SeedLike) -> Tra
     horizon = int(horizon)
     if horizon <= process.order:
         raise ValueError("horizon must exceed the process order")
-    factor = symmetric_sqrt(stationary_state_covariance(process))
+    factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
+                                                       process.noise_variance))
     rng = np.random.default_rng(seed)
     pre = _draw_initial_state(process, factor, rng)
     noise = np.sqrt(process.noise_variance) * rng.standard_normal(horizon)
@@ -318,7 +310,8 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
         raise ValueError("horizon must exceed the process order")
     n = process.order
     if factor is None:
-        factor = symmetric_sqrt(stationary_state_covariance(process))
+        factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
+                                                           process.noise_variance))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     tail = np.empty((len(rngs), n))
     for i, rng in enumerate(rngs):
@@ -349,35 +342,3 @@ def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
     noise = np.concatenate([noise for _, _, noise in chunks], axis=1)
     y = np.concatenate([window[:, n:] for _, window, _ in chunks], axis=1)
     return pre, noise, y
-
-
-@dataclass(frozen=True)
-class SimulationSpec:
-    """Parsed simulation request: which process, how long, which stream."""
-
-    process: ArProcess
-    horizon: int
-    seed: int
-
-
-def simulation_spec_from_json(doc: str | dict) -> SimulationSpec:
-    """Parse {"coeffs": [...], "noise_variance": ..., "horizon": ..., "seed": ...}.
-
-    Raises ValueError naming the offending field on any validation failure.
-    """
-    data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-    for field in ("coeffs", "noise_variance", "horizon", "seed"):
-        if field not in data:
-            raise ValueError(f"field '{field}': missing from simulation spec")
-    try:
-        process = ArProcess(coeffs=np.asarray(data["coeffs"], dtype=float),
-                            noise_variance=float(data["noise_variance"]))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field 'coeffs'/'noise_variance': {exc}") from exc
-    horizon = data["horizon"]
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon <= process.order:
-        raise ValueError("field 'horizon': must be an integer exceeding the process order")
-    seed = data["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError("field 'seed': must be a nonnegative integer")
-    return SimulationSpec(process=process, horizon=horizon, seed=seed)

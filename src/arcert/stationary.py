@@ -9,21 +9,20 @@ matrices.  These are the deterministic ingredients of every certificate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .errors import StabilityError
 from .linalg import solve_discrete_lyapunov
-from .process import ArProcess, CompanionStateSpace, build_companion, check_schur_stable
-
-#: Grid density for the transfer-gain maximisation; brackets every minimum of
-#: the degree-n trigonometric polynomial for orders up to about 64.
-GAIN_GRID_POINTS = 4096
-
-#: Documented order limit for the default grid density.
-GAIN_MAX_ORDER = 64
+from .process import (
+    ArProcess,
+    CompanionStateSpace,
+    build_companion,
+    check_schur_stable,
+    stationary_state_covariance,
+)
 
 
 def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -35,49 +34,29 @@ def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def peak_transfer_gain(coeffs, grid_points: int = GAIN_GRID_POINTS) -> float:
+def peak_transfer_gain(coeffs) -> float:
     """Peak squared magnitude of the AR transfer function 1/p(e^{j w}).
 
-    Equals 1 / min_w |p(e^{j w})|^2 over w in [0, pi] (the gain is even in w).
-    Computed on a uniform grid followed by golden-section refinement of the
-    bracketing cell; the result is stable to relative 1e-8 under grid-density
-    doubling.  Scaled by the innovation variance it bounds every eigenvalue of
-    the Toeplitz autocovariance matrices.
+    Equals 1 / min_w |p(e^{j w})|^2, taken over its exact critical points (the
+    scalar case of the Boyd-Balakrishnan / Bruinsma-Steinbuch H-infinity norm
+    computation).  With r the autocorrelation of (1, -c_1, ..., -c_n),
+    |p(e^{j w})|^2 = r_0 + 2 sum_m r_m cos(m w) = h(cos w) for a Chebyshev
+    series h, so the critical points are w = 0, w = pi and the arccosines of
+    the roots of h'.  Root-finding error enters only to second order at a
+    critical point.  Scaled by the innovation variance the result bounds every
+    eigenvalue of the Toeplitz autocovariance matrices.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if not check_schur_stable(c):
         raise StabilityError("peak gain is unbounded or meaningless for unstable coefficients")
-    if c.size > GAIN_MAX_ORDER:
-        warnings.warn(
-            f"order {c.size} exceeds the validated limit {GAIN_MAX_ORDER}; "
-            "the default grid may miss narrow spectral peaks",
-            RuntimeWarning,
-        )
-
-    omega = np.linspace(0.0, math.pi, int(grid_points))
-    values = _char_poly_sq_modulus(c, omega)
-    best = int(np.argmin(values))
-    lo = omega[max(best - 1, 0)]
-    hi = omega[min(best + 1, omega.size - 1)]
-
-    # Golden-section refinement of the bracketing cell.
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1 = float(_char_poly_sq_modulus(c, np.array([x1]))[0])
-    f2 = float(_char_poly_sq_modulus(c, np.array([x2]))[0])
-    while b - a > 1e-12:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = float(_char_poly_sq_modulus(c, np.array([x1]))[0])
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = float(_char_poly_sq_modulus(c, np.array([x2]))[0])
-    f_min = min(float(values[best]), f1, f2)
-    return 1.0 / f_min
+    a = np.concatenate(([1.0], -c))
+    dh = chebyshev.chebder(np.correlate(a, a, mode="full")[c.size:])
+    # Leading coefficients at rounding level (a near-zero c_n) would put huge
+    # roots into the colleague matrix and spoil the accuracy of the others.
+    dh = chebyshev.chebtrim(dh, np.finfo(float).eps * np.abs(dh).max())
+    x = chebyshev.chebroots(dh)
+    omega = np.concatenate(([0.0, math.pi], np.arccos(np.clip(x.real, -1.0, 1.0))))
+    return 1.0 / float(np.min(_char_poly_sq_modulus(c, omega)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +104,8 @@ def stationary_stats(ss: CompanionStateSpace, sigma2: float) -> StationaryStatis
     sigma2 = float(sigma2)
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
-    a, b = ss.a_matrix, ss.b_vector
-    state_cov = solve_discrete_lyapunov(a, sigma2 * np.outer(b, b))
-    gramian = solve_discrete_lyapunov(a, np.eye(a.shape[0]))
+    state_cov = stationary_state_covariance(ss, sigma2)
+    gramian = solve_discrete_lyapunov(ss.a_matrix, np.eye(ss.a_matrix.shape[0]))
     y_var = float(state_cov[0, 0])
     if y_var <= 0.0:
         raise ValueError("stationary output variance must be positive")
@@ -149,9 +127,7 @@ def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     ss = build_companion(process)
-    cur = solve_discrete_lyapunov(
-        ss.a_matrix, process.noise_variance * np.outer(ss.b_vector, ss.b_vector)
-    )
+    cur = stationary_state_covariance(ss, process.noise_variance)
     gamma = np.empty(max_lag + 1)
     gamma[0] = cur[0, 0]
     for k in range(1, max_lag + 1):

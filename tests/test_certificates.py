@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -189,16 +188,6 @@ class TestCovarianceCertificate:
             make_inputs(ar1, ar1_stats, ceiling * (1 - 1e-7), 100)).feasible
         assert not covariance_certificate(
             make_inputs(ar1, ar1_stats, ceiling * (1 + 1e-7), 100)).feasible
-
-    def test_json_round_trip(self, ar1, ar1_stats):
-        cert = covariance_certificate(make_inputs(ar1, ar1_stats, 0.5, 5000))
-        restored = CovarianceCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
-        np.testing.assert_array_equal(restored.lower, cert.lower)
-        np.testing.assert_array_equal(restored.upper, cert.upper)
-        assert restored.delta == cert.delta
-        assert restored.log_delta == cert.log_delta
-        assert restored.failure_terms == cert.failure_terms
-        assert restored.feasible == cert.feasible
 
 
 class TestMaxFeasibleEpsilon:

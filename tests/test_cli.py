@@ -1,8 +1,29 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from arcert import ConvergenceError, CoverageReport
+from arcert import (
+    ArProcess,
+    BoundInputs,
+    CampaignConfig,
+    ConvergenceError,
+    CovarianceCertificate,
+    CoverageReport,
+    DeviationCertificate,
+    EventCoverage,
+    RateAnalysis,
+    RatePoint,
+    build_companion,
+    covariance_certificate,
+    deviation_radius,
+    max_feasible_epsilon,
+    rate_analysis,
+    run_campaign,
+    simulate_stationary,
+    stationary_stats,
+)
 from arcert.cli import main
 
 
@@ -70,15 +91,18 @@ class TestCertify:
                      "--seed", "5"])
             assert exc.value.code == 2
 
-    def test_round_trip_certificate(self, tmp_path):
-        from arcert import CovarianceCertificate
+    def test_numerical_error_exit_three(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which alone would mean exit 2.
+        import arcert.cli as cli_module
 
-        cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=2.0,
-                           epsilon=0.2, horizon=4000)
-        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
-        cert = CovarianceCertificate.from_dict(payload["covariance"])
-        assert cert.to_dict() == payload["covariance"]
+        def boom(*args):
+            raise np.linalg.LinAlgError("synthetic non-PSD covariance")
+
+        monkeypatch.setattr(cli_module, "covariance_certificate", boom)
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0,
+                           epsilon=0.5, horizon=5000)
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "numerical error" in capsys.readouterr().err
 
 
 class TestMontecarlo:
@@ -86,11 +110,9 @@ class TestMontecarlo:
         cfg = write_config(tmp_path, **AR1_MC)
         code = run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
-        report = CoverageReport.from_dict(
-            json.loads((tmp_path / "out" / "coverage.json").read_text())["report"]
-        )
-        assert report.trials == 150
-        assert report.sandwich_chain_violations == 0
+        report = json.loads((tmp_path / "out" / "coverage.json").read_text())["report"]
+        assert report["trials"] == 150
+        assert report["sandwich_chain_violations"] == 0
 
     def test_missing_trials_named(self, tmp_path, capsys):
         payload = dict(AR1_MC)
@@ -192,6 +214,149 @@ class TestSimulate:
                            horizon=1, seed=8)
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_config_fields_parsed(self, tmp_path):
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=2.0, horizon=10, seed=3)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        simulate_stationary(ArProcess(coeffs=[0.5], noise_variance=2.0), 10, 3).to_csv(
+            tmp_path / "direct.csv")
+        assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+                == (tmp_path / "direct.csv").read_bytes())
+
+    @pytest.mark.parametrize("missing", ["coeffs", "noise_variance", "horizon", "seed"])
+    def test_missing_field_named(self, tmp_path, capsys, missing):
+        doc = {"coeffs": [0.5], "noise_variance": 1.0, "horizon": 10, "seed": 3}
+        doc.pop(missing)
+        cfg = write_config(tmp_path, **doc)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"'{missing}'" in capsys.readouterr().err
+
+    def test_unstable_coeffs_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, coeffs=[1.5], noise_variance=1.0, horizon=10, seed=3)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "Schur" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_negative_seed_named(self, tmp_path, capsys, source):
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0, horizon=10,
+                           seed=-1 if source == "config" else 3)
+        flag = ["--seed", "-1"] if source == "flag" else []
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")] + flag) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_seed_flag_without_config_seed(self, tmp_path):
+        # As for montecarlo, --seed stands in for a missing config seed.
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0, horizon=40)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "a"),
+                    "--seed", "9"]) == 0
+        full = write_config(tmp_path, "full.json", coeffs=[0.5], noise_variance=1.0,
+                            horizon=40, seed=9)
+        assert run(["simulate", "--config", full, "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
+                == (tmp_path / "b" / "trajectory.csv").read_bytes())
+
+
+def plain(value):
+    """Reference JSON form written out independently of the CLI: dataclasses
+    as field dicts, arrays and tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+class TestJsonOutputs:
+    """The JSON outputs are the result dataclasses, field for field."""
+
+    def test_certificate_json(self, tmp_path):
+        cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=2.0,
+                           epsilon=0.2, horizon=4000, direction=["e1", "uniform"])
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        assert list(payload) == ["process", "horizon", "epsilon_policy", "epsilon_ceiling",
+                                 "meta", "epsilon", "feasible", "covariance", "deviations"]
+        assert field_names(ArProcess) == list(payload["process"]) \
+            == ["coeffs", "noise_variance"]
+        assert field_names(CovarianceCertificate) == list(payload["covariance"]) == [
+            "lower", "upper", "delta", "failure_terms", "energy_scale", "log_delta",
+            "feasible", "epsilon", "horizon"]
+        assert field_names(DeviationCertificate) == list(payload["deviations"]["e1"]) \
+            == ["direction", "radius", "total_failure", "vacuous"]
+
+        process = ArProcess(coeffs=[0.3, 0.4], noise_variance=2.0)
+        stats = stationary_stats(build_companion(process), 2.0)
+        cert = covariance_certificate(BoundInputs(process=process, stats=stats,
+                                                  epsilon=0.2, horizon=4000))
+        assert payload["process"] == {"coeffs": [0.3, 0.4], "noise_variance": 2.0}
+        assert payload["epsilon_ceiling"] == max_feasible_epsilon(process, stats)
+        assert payload["covariance"] == plain(cert)
+        half = 1.0 / np.sqrt(2.0)  # the CLI's "uniform" direction
+        for label, w in (("e1", [1.0, 0.0]), ("uniform", [half, half])):
+            assert payload["deviations"][label] == plain(deviation_radius(cert, w, 2.0))
+
+    def test_coverage_json(self, tmp_path):
+        cfg = write_config(tmp_path, **AR1_MC)
+        assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "coverage.json").read_text())
+        assert list(payload) == ["report", "epsilon_policy", "meta"]
+        assert field_names(CoverageReport) == list(payload["report"]) == [
+            "trials", "master_seed", "horizon", "epsilon", "process", "events",
+            "sandwich_chain_violations", "deviation_chain_violations", "trial_errors"]
+        assert field_names(EventCoverage) == list(payload["report"]["events"][0]) == [
+            "event", "bound", "failures", "evaluated", "frequency", "stderr", "verdict"]
+
+        process = ArProcess(coeffs=[0.5], noise_variance=1.0)
+        stats = stationary_stats(build_companion(process), 1.0)
+        report = run_campaign(CampaignConfig(
+            process=process, horizon=3000, epsilon=0.5 * max_feasible_epsilon(process, stats),
+            trials=150, master_seed=99, directions=(("e1", np.array([1.0])),)))
+        assert payload["report"] == plain(report)
+
+    def test_rate_analysis_json(self, tmp_path):
+        cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=1.0,
+                           horizon_grid=[3, 100, 1000, 10_000], direction="uniform")
+        assert run(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "rate_analysis.json").read_text())
+        assert list(payload) == ["direction", "analysis", "meta"]
+        assert field_names(RateAnalysis) == list(payload["analysis"]) == [
+            "epsilon_ceiling", "multiplicity", "slow_directions", "points", "slope"]
+        assert field_names(RatePoint) == list(payload["analysis"]["points"][0]) == [
+            "horizon", "epsilon", "delta", "log_delta", "radius", "feasible"]
+
+        process = ArProcess(coeffs=[0.3, 0.4], noise_variance=1.0)
+        stats = stationary_stats(build_companion(process), 1.0)
+        half = 1.0 / np.sqrt(2.0)  # the CLI's "uniform" direction
+        analysis = rate_analysis(process, stats, [3, 100, 1000, 10_000], [half, half])
+        assert payload["analysis"] == plain(analysis)
+        assert payload["analysis"]["points"][0]["feasible"] is False
+
+
+@pytest.mark.parametrize("command, field, value", [
+    pytest.param("certify", "epsilon", {"fraction_of_ceiling": None}, id="null-fraction"),
+    pytest.param("certify", "epsilon", {"fraction_of_ceiling": [0.5]}, id="list-fraction"),
+    pytest.param("certify", "direction", {"x": 1}, id="certify-dict-direction"),
+    pytest.param("montecarlo", "direction", {"x": 1}, id="montecarlo-dict-direction"),
+    pytest.param("montecarlo", "direction", [1.0, None], id="null-in-vector"),
+    pytest.param("rate-sweep", "direction", {"x": 1}, id="sweep-dict-direction"),
+    pytest.param("rate-sweep", "direction", [], id="no-direction"),
+    pytest.param("simulate", "output_dir", 5, id="number-output-dir"),
+    pytest.param("certify", "output_dir", ["out"], id="list-output-dir"),
+])
+def test_malformed_field_named(tmp_path, capsys, command, field, value):
+    doc = dict(AR1_MC, horizon_grid=[1000], output_dir=str(tmp_path / "out"))
+    doc[field] = value
+    cfg = write_config(tmp_path, **doc)
+    assert run([command, "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_two(tmp_path, capsys):

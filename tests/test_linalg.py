@@ -120,5 +120,6 @@ class TestSymmetricSqrt:
         np.testing.assert_allclose(root, root.T)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
+        # A numerical failure (CLI exit 3), not a config error.
+        with pytest.raises(np.linalg.LinAlgError):
             symmetric_sqrt([[1.0, 0.0], [0.0, -1.0]])

@@ -285,12 +285,12 @@ class TestCampaign:
 
     def test_deterministic_across_runs_and_threads(self, small_config, small_report):
         rerun = run_campaign(small_config)
-        assert rerun.to_dict() == small_report.to_dict()
+        assert rerun == small_report
         threaded = CampaignConfig(process=small_config.process, horizon=3000, epsilon=0.5,
                                   trials=100, master_seed=314,
                                   directions=small_config.directions,
                                   threads=2, batch_size=16)
-        assert run_campaign(threaded).to_dict() == small_report.to_dict()
+        assert run_campaign(threaded) == small_report
 
     def test_report_totals(self, small_report):
         for row in small_report.events:
@@ -316,12 +316,6 @@ class TestCampaign:
                 assert row.verdict == "respected", row.event
             if row.frequency is not None:
                 assert row.frequency - 3.0 * row.stderr <= max(row.bound, 1.0)
-
-    def test_report_round_trip(self, small_report):
-        import json
-
-        restored = CoverageReport.from_dict(json.loads(json.dumps(small_report.to_dict())))
-        assert restored.to_dict() == small_report.to_dict()
 
     def test_csv_shape(self, small_report):
         lines = small_report.csv_text().splitlines()
@@ -383,7 +377,7 @@ class TestStreamingKernel:
         one = run_campaign(half_ceiling_config(AR3, horizon, batch_size=100))
         split = run_campaign(half_ceiling_config(AR3, horizon, batch_size=7, threads=2))
         assert split.csv_text() == one.csv_text()
-        assert split.to_dict() == one.to_dict()
+        assert split == one
 
     @pytest.mark.parametrize("chunk", [2, 16])
     @pytest.mark.parametrize("coeffs", [[0.5], [0.5, -0.3, 0.2]])

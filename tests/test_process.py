@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from arcert import (
     check_schur_stable,
     simulate_batch,
     simulate_stationary,
-    simulation_spec_from_json,
     substream,
 )
 from arcert.process import stationary_state_covariance
@@ -58,6 +55,13 @@ class TestArProcess:
             ArProcess(coeffs=[0.5], noise_variance=-1.0)
         with pytest.raises(StabilityError):
             ArProcess(coeffs=[1.2])
+        # Shape and finiteness come from characteristic_roots.
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ArProcess(coeffs=[])
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ArProcess(coeffs=[[0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            ArProcess(coeffs=[np.nan])
 
     def test_coeffs_immutable(self, ar1):
         with pytest.raises(ValueError):
@@ -133,7 +137,8 @@ class TestSimulation:
         # Closed form sigma^2/(1-theta^2) = 4/3, cross-checked against the
         # Lyapunov route before comparing with the simulation.
         closed_form = 1.0 / (1.0 - 0.25)
-        assert stationary_state_covariance(ar1)[0, 0] == pytest.approx(closed_form, rel=1e-12)
+        v = stationary_state_covariance(build_companion(ar1), ar1.noise_variance)
+        assert v[0, 0] == pytest.approx(closed_form, rel=1e-12)
         traj = simulate_stationary(ar1, 1_000_000, 2024)
         sample_var = float(np.mean(traj.observed ** 2))
         assert sample_var == pytest.approx(closed_form, rel=0.01)
@@ -217,25 +222,3 @@ class TestTrajectoryAccessors:
         assert lines[0] == "y"
         assert len(lines) == 5
         assert float(lines[1]) == 1.0
-
-
-class TestSimulationSpec:
-    def test_roundtrip(self):
-        doc = json.dumps({"coeffs": [0.5], "noise_variance": 2.0, "horizon": 10, "seed": 3})
-        spec = simulation_spec_from_json(doc)
-        assert spec.process.order == 1
-        assert spec.process.noise_variance == 2.0
-        assert spec.horizon == 10
-        assert spec.seed == 3
-
-    @pytest.mark.parametrize("missing", ["coeffs", "noise_variance", "horizon", "seed"])
-    def test_missing_fields_named(self, missing):
-        doc = {"coeffs": [0.5], "noise_variance": 1.0, "horizon": 10, "seed": 3}
-        doc.pop(missing)
-        with pytest.raises(ValueError, match=missing):
-            simulation_spec_from_json(doc)
-
-    def test_unstable_coeffs_rejected(self):
-        doc = {"coeffs": [1.5], "noise_variance": 1.0, "horizon": 10, "seed": 3}
-        with pytest.raises(StabilityError):
-            simulation_spec_from_json(doc)
