@@ -14,18 +14,13 @@ from .certificates import (
     BoundInputs,
     CovarianceCertificate,
     DeviationCertificate,
-    FailureBudget,
     RateAnalysis,
     RatePoint,
-    boundary_failure_bound,
     covariance_certificate,
-    cross_term_failure_bound,
     deviation_radius,
     max_feasible_epsilon,
-    noise_energy_failure_bound,
     rate_analysis,
     regressor_energy_scale,
-    total_failure_bound,
 )
 from .errors import (
     ArcertError,
@@ -36,7 +31,7 @@ from .errors import (
     NumericalFailureError,
     StabilityError,
 )
-from .estimation import OlsEstimate, RegressorSet, build_regressors, ols_fit, weighted_deviation
+from .estimation import RegressorSet, build_regressors, ols_fit
 from .linalg import psd_order_holds, solve_discrete_lyapunov, spectral_radius, symmetric_sqrt
 from .montecarlo import (
     CampaignConfig,
@@ -70,7 +65,6 @@ from .process import (
 )
 from .stationary import (
     StationaryStatistics,
-    ToeplitzCovariance,
     autocovariance_sequence,
     peak_transfer_gain,
     stationary_stats,

@@ -89,87 +89,36 @@ def regressor_energy_scale(inputs: BoundInputs) -> float:
 
 
 def _boundary_exponent(inputs: BoundInputs) -> float:
+    """Exponent of the initial/final-state event's failure term.
+
+    Bounds P( rho[A (x_first x_first^T - x_last x_last^T) A^T] > eps s2 (N-n)/3 )
+    by 2 sqrt(2) exp(- (N-n) s2 eps / (24 n E{y^2})).
+    """
     return (inputs.effective_samples * inputs.process.noise_variance * inputs.epsilon
             / (24.0 * inputs.process.order * inputs.stats.output_variance))
 
 
 def _noise_energy_exponent(inputs: BoundInputs) -> float:
+    """Exponent of the innovation second-moment event's failure term.
+
+    Bounds P( |sum e^2 / (N-n) - s2| > s2 eps / 3 ) by
+    2 exp(- (N-n)/2 * (1 + eps/3 - sqrt(1 + 2 eps/3))).
+    """
     eps = inputs.epsilon
     return 0.5 * inputs.effective_samples * (1.0 + eps / 3.0 - math.sqrt(1.0 + 2.0 * eps / 3.0))
 
 
 def _cross_term_exponents(inputs: BoundInputs, energy_scale: float) -> tuple[float, float]:
-    theta_gain = (np.linalg.norm(inputs.process.coeffs) + 1.0) ** 2
-    first = inputs.effective_samples * inputs.epsilon / (72.0 * theta_gain * energy_scale)
-    second = inputs.epsilon * math.sqrt(inputs.horizon)
-    return first, second
-
-
-def boundary_failure_bound(inputs: BoundInputs) -> float:
-    """Failure probability bound for the initial/final-state event.
-
-    Bounds P( rho[A (x_first x_first^T - x_last x_last^T) A^T] > eps s2 (N-n)/3 )
-    by 2 sqrt(2) exp(- (N-n) s2 eps / (24 n E{y^2})).
-    """
-    return 2.0 * math.sqrt(2.0) * math.exp(-_boundary_exponent(inputs))
-
-
-def noise_energy_failure_bound(inputs: BoundInputs) -> float:
-    """Failure probability bound for the innovation second-moment event.
-
-    Bounds P( |sum e^2 / (N-n) - s2| > s2 eps / 3 ) by
-    2 exp(- (N-n)/2 * (1 + eps/3 - sqrt(1 + 2 eps/3))).
-    """
-    return 2.0 * math.exp(-_noise_energy_exponent(inputs))
-
-
-def cross_term_failure_bound(inputs: BoundInputs) -> float:
-    """Failure probability bound for the state-innovation cross-term event.
+    """Exponents of the state-innovation cross-term event's two failure terms.
 
     Two-term bound: a martingale term 2 exp(-(N-n) eps / (72 (||c||+1)^2 beta))
     plus a regressor-energy term 2 exp(-eps sqrt(N)), with beta the regressor
     energy scale.
     """
-    first, second = _cross_term_exponents(inputs, regressor_energy_scale(inputs))
-    return 2.0 * math.exp(-first) + 2.0 * math.exp(-second)
-
-
-@dataclass(frozen=True)
-class FailureBudget:
-    """Total sandwich failure bound delta and its four exponential terms.
-
-    ``terms`` are (boundary, noise-energy, cross-martingale, regressor-energy),
-    each including its outer factor of 2; ``total`` is their sum and
-    ``log_total`` its logarithm computed in log space, which stays finite long
-    after ``total`` underflows.
-    """
-
-    total: float
-    terms: tuple[float, float, float, float]
-    energy_scale: float
-    log_total: float
-
-
-def total_failure_bound(inputs: BoundInputs) -> FailureBudget:
-    """delta(epsilon, N): the sum of the four per-event failure terms."""
-    scale = regressor_energy_scale(inputs)
-    a1 = _boundary_exponent(inputs)
-    a2 = _noise_energy_exponent(inputs)
-    a3, a4 = _cross_term_exponents(inputs, scale)
-    terms = (
-        2.0 * math.sqrt(2.0) * math.exp(-a1),
-        2.0 * math.exp(-a2),
-        2.0 * math.exp(-a3),
-        2.0 * math.exp(-a4),
-    )
-    log_total = float(np.logaddexp.reduce([
-        math.log(2.0 * math.sqrt(2.0)) - a1,
-        math.log(2.0) - a2,
-        math.log(2.0) - a3,
-        math.log(2.0) - a4,
-    ]))
-    return FailureBudget(total=float(sum(terms)), terms=terms,
-                         energy_scale=scale, log_total=log_total)
+    theta_gain = (np.linalg.norm(inputs.process.coeffs) + 1.0) ** 2
+    first = inputs.effective_samples * inputs.epsilon / (72.0 * theta_gain * energy_scale)
+    second = inputs.epsilon * math.sqrt(inputs.horizon)
+    return first, second
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +130,12 @@ class CovarianceCertificate:
     lower <= Y^T Y <= upper holds with probability at least 1 - delta.
     ``feasible`` records whether lower is strictly positive definite, i.e.
     whether epsilon sits below the feasibility ceiling.
+
+    ``failure_terms`` are (boundary, noise-energy, cross-martingale,
+    regressor-energy), each including its outer factor; ``delta`` is their sum
+    and ``log_delta`` its logarithm computed in log space, which stays finite
+    long after ``delta`` underflows.  ``energy_scale`` is the regressor energy
+    scale beta.
     """
 
     lower: np.ndarray
@@ -209,11 +164,12 @@ class CovarianceCertificate:
 def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
     """Evaluate the sandwich matrices, the failure bound and the feasibility flag.
 
-    An infeasible epsilon (lower not positive definite) is reported through the
+    delta(epsilon, N) is the sum of the four per-event failure terms
+    c exp(-a), with c = 2 sqrt(2) for the boundary event and 2 otherwise.  An
+    infeasible epsilon (lower not positive definite) is reported through the
     flag, not an error, so sweeps can chart where certificates become
     informative.
     """
-    n = inputs.process.order
     rows = inputs.effective_samples
     spread = inputs.epsilon * inputs.process.noise_variance * inputs.stats.gramian_block
     v_block = inputs.stats.state_covariance_block
@@ -221,16 +177,20 @@ def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
     upper = rows * (v_block + spread)
     lower = 0.5 * (lower + lower.T)
     upper = 0.5 * (upper + upper.T)
-    budget = total_failure_bound(inputs)
-    feasible = bool(np.linalg.eigvalsh(lower)[0] > 0.0)
+    scale = regressor_energy_scale(inputs)
+    exponents = (_boundary_exponent(inputs), _noise_energy_exponent(inputs),
+                 *_cross_term_exponents(inputs, scale))
+    leads = (2.0 * math.sqrt(2.0), 2.0, 2.0, 2.0)
+    terms = tuple(c * math.exp(-a) for c, a in zip(leads, exponents))
+    log_delta = float(np.logaddexp.reduce([math.log(c) - a for c, a in zip(leads, exponents)]))
     return CovarianceCertificate(
         lower=lower,
         upper=upper,
-        delta=budget.total,
-        failure_terms=budget.terms,
-        energy_scale=budget.energy_scale,
-        log_delta=budget.log_total,
-        feasible=feasible,
+        delta=float(sum(terms)),
+        failure_terms=terms,
+        energy_scale=scale,
+        log_delta=log_delta,
+        feasible=bool(np.linalg.eigvalsh(lower)[0] > 0.0),
         epsilon=inputs.epsilon,
         horizon=inputs.horizon,
     )

@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import ArProcess, Trajectory
-
-#: Condition-number limit (on the normal matrix) for a trustworthy solve.
-NORMAL_CONDITION_LIMIT = 1e12
+from .process import Trajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,63 +45,24 @@ class RegressorSet:
         return int(self.design.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
-class OlsEstimate:
-    """Least-squares coefficient estimate with a trust flag.
+def build_regressors(traj: Trajectory) -> RegressorSet:
+    """Assemble the design matrix and targets of the trajectory's own order.
 
-    rank_ok is False when the design was rank deficient or the normal matrix
-    too ill-conditioned; coeffs then holds the minimum-norm pseudo-inverse
-    solution rather than the unique solve.
+    A trajectory has horizon > order, so there is at least one row.
     """
-
-    coeffs: np.ndarray
-    rank_ok: bool
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-
-def build_regressors(traj: Trajectory, order: int | None = None) -> RegressorSet:
-    """Assemble the design matrix and targets from a trajectory.
-
-    ``order`` defaults to the trajectory's own order; passing a different value
-    fits a model of that order to the same data.
-    """
-    m = traj.order if order is None else int(order)
-    horizon = traj.horizon
-    if m < 1:
-        raise ValueError("order must be >= 1")
-    if horizon - m < 1:
-        raise ValueError(f"horizon {horizon} leaves no regression rows for order {m}")
     obs = traj.observed
-    windows = np.lib.stride_tricks.sliding_window_view(obs[: horizon - 1], m)
+    windows = np.lib.stride_tricks.sliding_window_view(obs[: traj.horizon - 1], traj.order)
     design = np.ascontiguousarray(windows[:, ::-1])
-    target = obs[m:].copy()
+    target = obs[traj.order:].copy()
     return RegressorSet(design=design, target=target, normal_matrix=design.T @ design)
 
 
-def ols_fit(reg: RegressorSet) -> OlsEstimate:
-    """Least squares via an orthogonal (SVD) factorisation, never an explicit inverse.
+def ols_fit(reg: RegressorSet) -> np.ndarray:
+    """Least-squares coefficient estimate via an orthogonal (SVD) factorisation,
+    never an explicit inverse.
 
     The normal-equation route squares the condition number, so it is kept out
-    of the production path and used only as a test oracle.
+    of the production path and used only as a test oracle.  A rank-deficient
+    design yields the minimum-norm solution.
     """
-    theta, _, rank, singular = np.linalg.lstsq(reg.design, reg.target, rcond=None)
-    if rank < reg.order or singular[-1] == 0.0:
-        return OlsEstimate(coeffs=theta, rank_ok=False)
-    normal_condition = (singular[0] / singular[-1]) ** 2
-    return OlsEstimate(coeffs=theta, rank_ok=bool(normal_condition < NORMAL_CONDITION_LIMIT))
-
-
-def weighted_deviation(est: OlsEstimate, truth: ArProcess, direction) -> float:
-    """Signed deviation w^T (theta_hat - theta) for a unit direction w."""
-    w = np.atleast_1d(np.asarray(direction, dtype=float))
-    if w.shape != (truth.order,):
-        raise ValueError(f"direction must have length {truth.order}")
-    if abs(np.linalg.norm(w) - 1.0) > 1e-12:
-        raise ValueError("direction must have unit 2-norm")
-    if est.coeffs.shape != (truth.order,):
-        raise ValueError("estimate and process orders differ")
-    return float(w @ (est.coeffs - truth.coeffs))
+    return np.linalg.lstsq(reg.design, reg.target, rcond=None)[0]

@@ -8,10 +8,10 @@ import numpy as np
 
 from .errors import ConvergenceError, StabilityError
 
-#: Default relative residual tolerance for Lyapunov solutions.
+#: Relative residual tolerance for Lyapunov solutions.
 LYAPUNOV_TOL = 1e-10
 
-#: Default relative slack when testing positive-semidefinite ordering.
+#: Relative slack when testing positive-semidefinite ordering.
 PSD_ORDER_RTOL = 1e-8
 
 
@@ -29,16 +29,16 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def solve_discrete_lyapunov(a, q, tol: float = LYAPUNOV_TOL, max_doublings: int = 100) -> np.ndarray:
+def solve_discrete_lyapunov(a, q) -> np.ndarray:
     """Solve X = A X A^T + Q for symmetric PSD Q and rho(A) < 1.
 
-    Uses the squared Smith iteration: starting from X_0 = Q,
-    X_{k+1} = X_k + A_k X_k A_k^T with A_{k+1} = A_k^2, so that X_k equals
-    the partial series sum_{i<2^k} A^i Q (A^T)^i.  Convergence is quadratic
-    for any rho(A) < 1.
+    Solves the Kronecker form (I - A (x) A) vec X = vec Q directly (one dense
+    LU solve of order n^2) and symmetrises the result.  The matrix is
+    nonsingular exactly when no product of two eigenvalues of A equals 1,
+    which rho(A) < 1 guarantees.
 
     Raises StabilityError when rho(A) >= 1 and ConvergenceError when the
-    final relative residual exceeds ``tol``.
+    relative residual exceeds ``LYAPUNOV_TOL``.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -51,31 +51,26 @@ def solve_discrete_lyapunov(a, q, tol: float = LYAPUNOV_TOL, max_doublings: int 
     if rho >= 1.0:
         raise StabilityError(f"spectral radius {rho:.6g} >= 1; Lyapunov series diverges")
 
-    x = q.copy()
-    apow = a.copy()
-    for _ in range(max_doublings):
-        update = apow @ x @ apow.T
-        x = x + update
-        if np.linalg.norm(update) <= 1e-16 * max(np.linalg.norm(x), 1e-300):
-            break
-        apow = apow @ apow
+    n = a.shape[0]
+    # Row-major vec: vec(A X A^T) = (A (x) A) vec X.
+    x = np.linalg.solve(np.eye(n * n) - np.kron(a, a), q.reshape(n * n)).reshape(n, n)
     x = 0.5 * (x + x.T)
 
     scale = max(np.linalg.norm(x), np.linalg.norm(q), 1e-300)
     residual = np.linalg.norm(x - a @ x @ a.T - q) / scale
-    if residual > tol:
+    if residual > LYAPUNOV_TOL:
         raise ConvergenceError(
-            f"Lyapunov residual {residual:.3e} above tolerance {tol:.1e} "
+            f"Lyapunov residual {residual:.3e} above tolerance {LYAPUNOV_TOL:.1e} "
             f"(rho(A) = {rho:.12g})"
         )
     return x
 
 
-def psd_order_holds(lower, middle, upper, rtol: float = PSD_ORDER_RTOL) -> bool:
+def psd_order_holds(lower, middle, upper) -> bool:
     """True iff lower <= middle <= upper in the PSD order, up to a relative slack.
 
-    The slack is ``rtol`` times the spectral norm of ``middle``, so exact
-    boundary cases (equal matrices) pass.
+    The slack is ``PSD_ORDER_RTOL`` times the spectral norm of ``middle``, so
+    exact boundary cases (equal matrices) pass.
     """
     lower = np.asarray(lower, dtype=float)
     middle = np.asarray(middle, dtype=float)
@@ -85,22 +80,23 @@ def psd_order_holds(lower, middle, upper, rtol: float = PSD_ORDER_RTOL) -> bool:
     if lower.shape != middle.shape or upper.shape != middle.shape:
         raise ValueError("psd_order_holds requires matrices of identical shape")
 
-    tol = rtol * max(float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (middle + middle.T))))), 1e-300)
+    tol = PSD_ORDER_RTOL * max(
+        float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (middle + middle.T))))), 1e-300)
     lo_gap = float(np.min(np.linalg.eigvalsh(0.5 * ((middle - lower) + (middle - lower).T))))
     hi_gap = float(np.min(np.linalg.eigvalsh(0.5 * ((upper - middle) + (upper - middle).T))))
     return lo_gap >= -tol and hi_gap >= -tol
 
 
-def symmetric_sqrt(m, clip_rtol: float = 1e-12) -> np.ndarray:
+def symmetric_sqrt(m) -> np.ndarray:
     """Symmetric square root of a symmetric PSD matrix via eigendecomposition.
 
-    Eigenvalues within ``clip_rtol`` of zero (relative to the largest) are
-    clipped to zero; genuinely negative eigenvalues raise ``np.linalg.LinAlgError``.
+    Eigenvalues within 1e-12 of zero (relative to the largest) are clipped to
+    zero; genuinely negative eigenvalues raise ``np.linalg.LinAlgError``.
     """
     m = np.asarray(m, dtype=float)
     _require_square(m, "m")
     lam, u = np.linalg.eigh(0.5 * (m + m.T))
-    floor = -clip_rtol * max(float(lam[-1]), 1e-300)
+    floor = -1e-12 * max(float(lam[-1]), 1e-300)
     if lam[0] < floor:
         raise np.linalg.LinAlgError(f"matrix is not PSD: smallest eigenvalue {lam[0]:.3e}")
     return (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T

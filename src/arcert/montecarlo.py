@@ -65,6 +65,15 @@ from .stationary import stationary_stats
 #: Maximum tolerated fraction of trials lost to numerical failures.
 MAX_ERROR_FRACTION = 1e-3
 
+#: Trials per batch.  A batch is the unit of work of one thread; reports do
+#: not depend on it.
+BATCH = 256
+
+#: Largest accepted campaign.  ``run_campaign`` holds one (start, stop) pair
+#: and, with threads, one future per batch: at this ceiling 39 063 of each,
+#: about 65 MB.
+MAX_TRIALS = 10 ** 7
+
 
 def event_threshold(inputs: BoundInputs) -> float:
     """Per-event spectral-radius budget epsilon * s2 * (N - n) / 3.
@@ -214,8 +223,7 @@ def evaluate_trial(process: ArProcess, ss: CompanionStateSpace,
                    dev_cert: DeviationCertificate, traj: Trajectory) -> TrialOutcome:
     """Reference single-trial evaluation (the campaign uses a vectorised twin)."""
     reg = build_regressors(traj)
-    est = ols_fit(reg)
-    deviation = abs(float(dev_cert.direction @ (est.coeffs - process.coeffs)))
+    deviation = abs(float(dev_cert.direction @ (ols_fit(reg) - process.coeffs)))
     boundary_ok, boundary_r = check_boundary_event(traj, ss, inputs)
     noise_ok, noise_r = check_noise_energy_event(event_noise_window(traj), inputs)
     cross_ok, cross_r = check_cross_term_event(traj, event_noise_window(traj), ss, inputs)
@@ -279,7 +287,6 @@ class CampaignConfig:
     master_seed: int
     directions: tuple[tuple[str, np.ndarray], ...]
     threads: int = 1
-    batch_size: int = 256
     allow_vacuous: bool = False
 
     def __post_init__(self):
@@ -288,6 +295,8 @@ class CampaignConfig:
             raise ConfigError("horizon: must be at least 2 * order + 1 for a full-rank design")
         if int(self.trials) < 100:
             raise ConfigError("trials: at least 100 trials are required")
+        if int(self.trials) > MAX_TRIALS:
+            raise ConfigError(f"trials: at most {MAX_TRIALS} trials are supported")
         eps = float(self.epsilon)
         if not np.isfinite(eps) or eps <= 0.0:
             raise ConfigError("epsilon: must be a positive finite real")
@@ -305,15 +314,14 @@ class CampaignConfig:
                 raise ConfigError(f"direction '{label}': must be a unit vector of length {n}")
             vec.flags.writeable = False
             resolved.append((str(label), vec))
-        if int(self.threads) < 1 or int(self.batch_size) < 1:
-            raise ConfigError("threads/batch_size: must be >= 1")
+        if int(self.threads) < 1:
+            raise ConfigError("threads: must be >= 1")
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "master_seed", int(self.master_seed))
         object.__setattr__(self, "directions", tuple(resolved))
         object.__setattr__(self, "threads", int(self.threads))
-        object.__setattr__(self, "batch_size", int(self.batch_size))
 
 
 @dataclass(frozen=True)
@@ -563,8 +571,8 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     factor = symmetric_sqrt(stats.state_covariance)
     _, logdet_lower = np.linalg.slogdet(cert.lower)
 
-    batches = [(lo, min(lo + config.batch_size, config.trials))
-               for lo in range(0, config.trials, config.batch_size)]
+    batches = [(lo, min(lo + BATCH, config.trials))
+               for lo in range(0, config.trials, BATCH)]
 
     def work(bounds: tuple[int, int]) -> _BatchCounts:
         return _run_batch(config, ss, inputs, cert, factor, radii,

@@ -136,33 +136,15 @@ def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
     return gamma
 
 
-@dataclass(frozen=True, eq=False)
-class ToeplitzCovariance:
-    """Symmetric Toeplitz covariance matrix of consecutive process outputs.
+def toeplitz_covariance(process: ArProcess, dimension: int) -> np.ndarray:
+    """Covariance matrix of (y_1, ..., y_D) for a stationary run.
 
     Every eigenvalue is bounded by noise_variance * peak_gain, the supremum of
     the spectral density.
     """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float).copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.matrix.shape[0])
-
-
-def toeplitz_covariance(process: ArProcess, dimension: int) -> ToeplitzCovariance:
-    """Covariance matrix of (y_1, ..., y_D) for a stationary run."""
     dimension = int(dimension)
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     gamma = autocovariance_sequence(process, dimension - 1)
     idx = np.arange(dimension)
-    return ToeplitzCovariance(matrix=gamma[np.abs(idx[:, None] - idx[None, :])])
+    return gamma[np.abs(idx[:, None] - idx[None, :])]

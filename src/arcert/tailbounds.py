@@ -66,8 +66,8 @@ def weierstrass_lower_bound(lambdas) -> float:
     return float(1.0 - lam.sum())
 
 
-def spectral_radius_subadditive_check(a, b, tol: float = 1e-10) -> bool:
-    """True iff rho(a + b) <= rho(a) + rho(b) + tol for symmetric a, b.
+def spectral_radius_subadditive_check(a, b) -> bool:
+    """True iff rho(a + b) <= rho(a) + rho(b) + 1e-10 for symmetric a, b.
 
     Subadditivity holds for all Hermitian pairs; this checker backs the step
     that combines the three per-event spectral-radius bounds into one.
@@ -79,7 +79,7 @@ def spectral_radius_subadditive_check(a, b, tol: float = 1e-10) -> bool:
     for name, m in (("a", a), ("b", b)):
         if not np.allclose(m, m.T, atol=1e-10 * max(1.0, float(np.abs(m).max(initial=0.0)))):
             raise ValueError(f"{name} must be symmetric")
-    return spectral_radius(a + b) <= spectral_radius(a) + spectral_radius(b) + tol
+    return spectral_radius(a + b) <= spectral_radius(a) + spectral_radius(b) + 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,11 @@ def chi2_tail_frequencies(dof: int, x: float, samples: int = DEFAULT_FALSIFICATI
 
 def weighted_chi2_tail_frequency(weights, x: float,
                                  samples: int = DEFAULT_FALSIFICATION_SAMPLES,
-                                 seed=0, chunk: int = 100_000) -> ExceedanceResult:
+                                 seed=0) -> ExceedanceResult:
     """Empirical upper-tail frequency of Z = sum a_i (V_i^2 - 1).
 
-    Draws are processed in chunks to keep the (samples x len(weights)) normal
-    matrix out of memory.
+    Draws are processed in chunks of 100 000 rows to keep the
+    (samples x len(weights)) normal matrix out of memory.
     """
     a = np.atleast_1d(np.asarray(weights, dtype=float))
     threshold = weighted_chi2_upper_threshold(a, x)
@@ -130,7 +130,7 @@ def weighted_chi2_tail_frequency(weights, x: float,
     hits = 0
     done = 0
     while done < total:
-        size = min(chunk, total - done)
+        size = min(100_000, total - done)
         z = rng.standard_normal((size, a.size))
         stat = (z * z) @ a - a.sum()
         hits += int(np.count_nonzero(stat >= threshold))

@@ -16,14 +16,11 @@ from arcert import (
     ArProcess,
     BoundInputs,
     CampaignConfig,
-    boundary_failure_bound,
     build_companion,
     build_regressors,
     chi2_tail_frequencies,
     covariance_certificate,
-    cross_term_failure_bound,
     max_feasible_epsilon,
-    noise_energy_failure_bound,
     ols_fit,
     rate_analysis,
     run_campaign,
@@ -32,7 +29,6 @@ from arcert import (
     spectral_radius_subadditive_check,
     stationary_stats,
     toeplitz_covariance,
-    total_failure_bound,
     weierstrass_lower_bound,
     weighted_chi2_tail_frequency,
 )
@@ -50,7 +46,7 @@ def _campaign(coeffs, directions, master_seed, allow_vacuous):
     config = CampaignConfig(
         process=process, horizon=HORIZON, epsilon=epsilon, trials=TRIALS,
         master_seed=master_seed, directions=directions, threads=2,
-        batch_size=256, allow_vacuous=allow_vacuous,
+        allow_vacuous=allow_vacuous,
     )
     cert = covariance_certificate(
         BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=HORIZON)
@@ -148,17 +144,16 @@ def test_criterion_6_oracle_equivalences(ar2, ar2_stats):
         assert np.abs(solved - oracle).max() <= 1e-10 * np.abs(solved).max()
 
     # Failure bound equals the sum of its per-event terms.
-    inputs = BoundInputs(process=ar2, stats=ar2_stats, epsilon=0.2, horizon=HORIZON)
-    budget = total_failure_bound(inputs)
-    parts = (boundary_failure_bound(inputs) + noise_energy_failure_bound(inputs)
-             + cross_term_failure_bound(inputs))
-    assert budget.total == pytest.approx(parts, rel=1e-15)
+    cert = covariance_certificate(
+        BoundInputs(process=ar2, stats=ar2_stats, epsilon=0.2, horizon=HORIZON))
+    assert cert.delta == pytest.approx(sum(cert.failure_terms), rel=1e-15)
+    assert cert.log_delta == pytest.approx(math.log(cert.delta), rel=1e-12)
 
     # Orthogonal-factorisation least squares against the normal-equation oracle.
     traj = simulate_stationary(ar2, 20_000, 1144)
     reg = build_regressors(traj)
     normal_solution = np.linalg.solve(reg.normal_matrix, reg.design.T @ reg.target)
-    np.testing.assert_allclose(ols_fit(reg).coeffs, normal_solution, rtol=1e-8)
+    np.testing.assert_allclose(ols_fit(reg), normal_solution, rtol=1e-8)
     print("PASS criterion 6: Lyapunov/series, delta-sum and OLS/normal-equation "
           "oracle equivalences hold")
 
@@ -173,7 +168,7 @@ def test_criterion_7_tail_falsification():
             assert lower.respected, (dof, x, "lower")
             cells += 1
 
-    weights = np.linalg.eigvalsh(toeplitz_covariance(ArProcess(coeffs=[0.5]), 64).matrix)
+    weights = np.linalg.eigvalsh(toeplitz_covariance(ArProcess(coeffs=[0.5]), 64))
     for x in (1.0, 5.0):
         result = weighted_chi2_tail_frequency(weights, x, samples=1_000_000,
                                               seed=int(100 * x))

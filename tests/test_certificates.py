@@ -8,23 +8,38 @@ from arcert import (
     BoundInputs,
     CovarianceCertificate,
     InfeasibleCertificateError,
-    boundary_failure_bound,
     build_companion,
     covariance_certificate,
-    cross_term_failure_bound,
     deviation_radius,
     max_feasible_epsilon,
-    noise_energy_failure_bound,
     rate_analysis,
     regressor_energy_scale,
     stationary_stats,
-    total_failure_bound,
 )
 from conftest import truncated_lyapunov_series
 
 
 def make_inputs(process, stats, epsilon, horizon):
     return BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
+
+
+def failure_terms(inputs):
+    """(boundary, noise-energy, cross-martingale, regressor-energy) terms."""
+    return covariance_certificate(inputs).failure_terms
+
+
+def boundary_term(inputs):
+    return failure_terms(inputs)[0]
+
+
+def noise_energy_term(inputs):
+    return failure_terms(inputs)[1]
+
+
+def cross_term(inputs):
+    """Both terms of the cross-term event's bound."""
+    terms = failure_terms(inputs)
+    return terms[2] + terms[3]
 
 
 class TestBoundInputs:
@@ -48,36 +63,36 @@ class TestBoundaryFailureBound:
         expected = 2.0 * math.sqrt(2.0) * math.exp(
             -(101 - 1) * 1.0 * 0.1 / (24.0 * 1 * ar1_stats.output_variance)
         )
-        assert boundary_failure_bound(inputs) == pytest.approx(expected, rel=1e-12)
+        assert boundary_term(inputs) == pytest.approx(expected, rel=1e-12)
         # With output variance 4/3 the exponent is exactly 10/32.
-        assert boundary_failure_bound(inputs) == pytest.approx(
+        assert boundary_term(inputs) == pytest.approx(
             2.0 * math.sqrt(2.0) * math.exp(-0.3125), rel=1e-10
         )
 
     def test_vanishing_exponent_limit(self, ar1, ar1_stats):
         inputs = make_inputs(ar1, ar1_stats, 0.0, 101)
-        assert boundary_failure_bound(inputs) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+        assert boundary_term(inputs) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
 
     def test_doubling_rows_squares_the_exponential(self, ar1, ar1_stats):
         lead = 2.0 * math.sqrt(2.0)
-        base = boundary_failure_bound(make_inputs(ar1, ar1_stats, 0.3, 101)) / lead
-        doubled = boundary_failure_bound(make_inputs(ar1, ar1_stats, 0.3, 201)) / lead
+        base = boundary_term(make_inputs(ar1, ar1_stats, 0.3, 101)) / lead
+        doubled = boundary_term(make_inputs(ar1, ar1_stats, 0.3, 201)) / lead
         assert doubled == pytest.approx(base ** 2, rel=1e-12)
 
 
 class TestNoiseEnergyFailureBound:
     def test_epsilon_zero(self, ar1, ar1_stats):
-        assert noise_energy_failure_bound(make_inputs(ar1, ar1_stats, 0.0, 50)) == 2.0
+        assert noise_energy_term(make_inputs(ar1, ar1_stats, 0.0, 50)) == 2.0
 
     def test_direct_formula_evaluation(self, ar1, ar1_stats):
         inputs = make_inputs(ar1, ar1_stats, 3.0, 3)  # two effective rows
         expected = 2.0 * math.exp(-(2.0 - math.sqrt(3.0)))
-        assert noise_energy_failure_bound(inputs) == pytest.approx(expected, rel=1e-12)
+        assert noise_energy_term(inputs) == pytest.approx(expected, rel=1e-12)
 
     def test_exponent_nonnegative_over_grid(self, ar1, ar1_stats):
         # 1 + eps/3 - sqrt(1 + 2 eps/3) >= 0, so the bound never exceeds 2.
         for eps in np.linspace(0.0, 50.0, 200):
-            assert noise_energy_failure_bound(make_inputs(ar1, ar1_stats, eps, 50)) <= 2.0 + 1e-15
+            assert noise_energy_term(make_inputs(ar1, ar1_stats, eps, 50)) <= 2.0 + 1e-15
 
 
 class TestCrossTermFailureBound:
@@ -90,11 +105,10 @@ class TestCrossTermFailureBound:
         assert regressor_energy_scale(inputs) == pytest.approx(scale, rel=1e-12)
         expected = 2.0 * math.exp(-100 * eps / (72.0 * (0.5 + 1.0) ** 2 * scale)) \
             + 2.0 * math.exp(-eps * math.sqrt(horizon))
-        assert cross_term_failure_bound(inputs) == pytest.approx(expected, rel=1e-12)
+        assert cross_term(inputs) == pytest.approx(expected, rel=1e-12)
 
     def test_energy_term_vanishes_for_large_epsilon(self, ar1, ar1_stats):
-        budget = total_failure_bound(make_inputs(ar1, ar1_stats, 50.0, 101))
-        assert budget.terms[3] < 1e-200
+        assert failure_terms(make_inputs(ar1, ar1_stats, 50.0, 101))[3] < 1e-200
 
     def test_energy_scale_decreasing_in_epsilon(self, ar2, ar2_stats):
         grid = np.linspace(0.05, 2.0, 40)
@@ -105,10 +119,9 @@ class TestCrossTermFailureBound:
 class TestTotalFailureBound:
     def test_equals_sum_of_event_bounds(self, ar1, ar1_stats):
         inputs = make_inputs(ar1, ar1_stats, 0.2, 10_000)
-        budget = total_failure_bound(inputs)
-        parts = (boundary_failure_bound(inputs) + noise_energy_failure_bound(inputs)
-                 + cross_term_failure_bound(inputs))
-        assert budget.total == pytest.approx(parts, rel=1e-15)
+        cert = covariance_certificate(inputs)
+        parts = boundary_term(inputs) + noise_energy_term(inputs) + cross_term(inputs)
+        assert cert.delta == pytest.approx(parts, rel=1e-15)
 
     def test_matches_independent_single_expression(self, ar2, ar2_stats):
         eps, horizon = 0.15, 5000
@@ -126,37 +139,37 @@ class TestTotalFailureBound:
             + math.exp(-rows * eps / (72 * (norm_theta + 1) ** 2 * beta))
             + math.exp(-eps * math.sqrt(horizon))
         )
-        budget = total_failure_bound(make_inputs(ar2, ar2_stats, eps, horizon))
-        assert budget.total == pytest.approx(independent, rel=1e-15)
+        cert = covariance_certificate(make_inputs(ar2, ar2_stats, eps, horizon))
+        assert cert.delta == pytest.approx(independent, rel=1e-15)
 
     def test_bounded_by_worst_case(self, ar1, ar1_stats):
         for eps in [0.0, 1e-8, 0.5, 3.0]:
-            budget = total_failure_bound(make_inputs(ar1, ar1_stats, eps, 50))
-            assert budget.total <= 2.0 * (math.sqrt(2.0) + 3.0) + 1e-12
+            cert = covariance_certificate(make_inputs(ar1, ar1_stats, eps, 50))
+            assert cert.delta <= 2.0 * (math.sqrt(2.0) + 3.0) + 1e-12
 
     def test_decreasing_in_horizon(self, ar1, ar1_stats):
-        values = [total_failure_bound(make_inputs(ar1, ar1_stats, 0.2, h)).total
+        values = [covariance_certificate(make_inputs(ar1, ar1_stats, 0.2, h)).delta
                   for h in [50, 100, 200, 800, 3200, 12800]]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_log_total_consistent(self, ar1, ar1_stats):
-        budget = total_failure_bound(make_inputs(ar1, ar1_stats, 0.3, 2000))
-        assert budget.log_total == pytest.approx(math.log(budget.total), rel=1e-12)
+        cert = covariance_certificate(make_inputs(ar1, ar1_stats, 0.3, 2000))
+        assert cert.log_delta == pytest.approx(math.log(cert.delta), rel=1e-12)
 
     def test_log_total_survives_underflow(self, ar1, ar1_stats):
-        budget = total_failure_bound(make_inputs(ar1, ar1_stats, 0.999, 10 ** 6))
-        assert budget.total == 0.0
-        assert -1100 < budget.log_total < -900
+        cert = covariance_certificate(make_inputs(ar1, ar1_stats, 0.999, 10 ** 6))
+        assert cert.delta == 0.0
+        assert -1100 < cert.log_delta < -900
 
     def test_independent_of_noise_variance(self):
         reference = None
         for sigma2 in [0.1, 1.0, 10.0]:
             process = ArProcess(coeffs=[0.3, 0.4], noise_variance=sigma2)
             stats = stationary_stats(build_companion(process), sigma2)
-            budget = total_failure_bound(make_inputs(process, stats, 0.2, 3000))
+            cert = covariance_certificate(make_inputs(process, stats, 0.2, 3000))
             if reference is None:
-                reference = budget.total
-            assert budget.total == pytest.approx(reference, rel=1e-12)
+                reference = cert.delta
+            assert cert.delta == pytest.approx(reference, rel=1e-12)
 
 
 class TestCovarianceCertificate:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ class TestCertify:
         assert run(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["certify", "rate-sweep"])
+    def test_inaccurate_lyapunov_solve_exit_three(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        exact = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: exact(m, b) * (1.0 + 1e-6))
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0, epsilon=0.5,
+                           horizon=5000, horizon_grid=[1000])
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "Lyapunov residual" in capsys.readouterr().err
+
 
 class TestMontecarlo:
     def test_smoke_campaign(self, tmp_path):
@@ -119,6 +130,13 @@ class TestMontecarlo:
         payload.pop("trials")
         cfg = write_config(tmp_path, **payload)
         assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "trials" in capsys.readouterr().err
+
+    def test_huge_trials_rejected_quickly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **dict(AR1_MC, trials=10 ** 30))
+        started = time.perf_counter()
+        assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - started < 1.0
         assert "trials" in capsys.readouterr().err
 
     def test_byte_identical_csv_across_runs_and_threads(self, tmp_path):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcert import (
+    ArProcess,
     ConvergenceError,
     StabilityError,
+    build_companion,
     psd_order_holds,
     solve_discrete_lyapunov,
     spectral_radius,
     symmetric_sqrt,
 )
+from arcert.linalg import LYAPUNOV_TOL
 from conftest import truncated_lyapunov_series
 
 
@@ -74,10 +77,33 @@ class TestLyapunov:
         with pytest.raises(ValueError):
             solve_discrete_lyapunov(np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]])
 
-    def test_nonconvergence_surfaces(self):
-        a = np.array([[1.0 - 1e-12]])
-        with pytest.raises((StabilityError, ConvergenceError)):
-            solve_discrete_lyapunov(a, [[1.0]], max_doublings=3)
+    def test_nonconvergence_surfaces(self, monkeypatch):
+        # The residual check catches a solve that comes back inaccurate.
+        exact = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: exact(m, b) * (1.0 + 1e-6))
+        with pytest.raises(ConvergenceError):
+            solve_discrete_lyapunov([[0.5]], [[1.0]])
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.floats(0.1, 0.95), st.floats(0.0, np.pi)), max_size=4),
+           st.booleans(), st.floats(0.0, 0.05), st.integers(0, 8))
+    def test_schur_stable_companions(self, pairs, clustered, spread, reals):
+        # Conjugate pole pairs of modulus <= 0.95, optionally clustered near
+        # the first pair, topped up with real poles: AR(1..8) companions.
+        poles = []
+        for r, theta in pairs:
+            if clustered:
+                r, theta = min(pairs[0][0] + spread, 0.95), pairs[0][1] + spread
+            poles += [r * np.exp(1j * theta), r * np.exp(-1j * theta)]
+        poles += [0.9 * (-1) ** k for k in range(min(reals, 8 - len(poles)))]
+        assume(poles)
+        ss = build_companion(ArProcess(coeffs=-np.real(np.poly(poles))[1:]))
+        for q in (np.outer(ss.b_vector, ss.b_vector), np.eye(ss.a_matrix.shape[0])):
+            x = solve_discrete_lyapunov(ss.a_matrix, q)
+            residual = (np.linalg.norm(x - ss.a_matrix @ x @ ss.a_matrix.T - q)
+                        / np.linalg.norm(x))
+            assert residual <= LYAPUNOV_TOL
+            np.testing.assert_array_equal(x, x.T)
 
 
 class TestPsdOrder:

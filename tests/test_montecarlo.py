@@ -271,25 +271,28 @@ def report_failures(report: CoverageReport) -> dict:
 def small_config(ar1):
     return CampaignConfig(process=ar1, horizon=3000, epsilon=0.5, trials=100,
                           master_seed=314,
-                          directions=(("e1", np.array([1.0])),), batch_size=32)
+                          directions=(("e1", np.array([1.0])),))
 
 
 @pytest.fixture(scope="module")
 def small_report(small_config):
-    return run_campaign(small_config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo_module, "BATCH", 32)
+        return run_campaign(small_config)
 
 
 class TestCampaign:
     def test_matches_single_trial_reference_path(self, small_config, small_report):
         assert reference_failures(small_config) == report_failures(small_report)
 
-    def test_deterministic_across_runs_and_threads(self, small_config, small_report):
+    def test_deterministic_across_runs_and_threads(self, monkeypatch, small_config,
+                                                   small_report):
         rerun = run_campaign(small_config)
         assert rerun == small_report
         threaded = CampaignConfig(process=small_config.process, horizon=3000, epsilon=0.5,
                                   trials=100, master_seed=314,
-                                  directions=small_config.directions,
-                                  threads=2, batch_size=16)
+                                  directions=small_config.directions, threads=2)
+        monkeypatch.setattr(montecarlo_module, "BATCH", 16)
         assert run_campaign(threaded) == small_report
 
     def test_report_totals(self, small_report):
@@ -334,12 +337,13 @@ class TestCampaign:
         assert row.failures == 0
         assert 1.0 - row.frequency >= 1.0 - row.bound
 
-    def test_multiple_directions(self, ar2):
+    def test_multiple_directions(self, monkeypatch, ar2):
+        monkeypatch.setattr(montecarlo_module, "BATCH", 64)
         config = CampaignConfig(
             process=ar2, horizon=600, epsilon=0.25, trials=100, master_seed=11,
             directions=(("e1", np.array([1.0, 0.0])), ("e2", np.array([0.0, 1.0])),
                         ("uniform", np.full(2, np.sqrt(0.5)))),
-            allow_vacuous=True, batch_size=64,
+            allow_vacuous=True,
         )
         report = run_campaign(config)
         names = [row.event for row in report.events]
@@ -372,10 +376,12 @@ class TestStreamingKernel:
                                      2 * process_module.CHUNK + 37)
         assert reference_failures(config) == report_failures(run_campaign(config))
 
-    def test_multichunk_independent_of_batch_and_threads(self):
+    def test_multichunk_independent_of_batch_and_threads(self, monkeypatch):
         horizon = 2 * process_module.CHUNK + 37
-        one = run_campaign(half_ceiling_config(AR3, horizon, batch_size=100))
-        split = run_campaign(half_ceiling_config(AR3, horizon, batch_size=7, threads=2))
+        monkeypatch.setattr(montecarlo_module, "BATCH", 100)
+        one = run_campaign(half_ceiling_config(AR3, horizon))
+        monkeypatch.setattr(montecarlo_module, "BATCH", 7)
+        split = run_campaign(half_ceiling_config(AR3, horizon, threads=2))
         assert split.csv_text() == one.csv_text()
         assert split == one
 
@@ -417,7 +423,8 @@ class TestStreamingKernel:
 
         monkeypatch.setattr(montecarlo_module, "simulate_chunks", spoiled)
         monkeypatch.setattr(montecarlo_module, "MAX_ERROR_FRACTION", 1.0)
-        report = run_campaign(half_ceiling_config(AR3, 300, batch_size=50))
+        monkeypatch.setattr(montecarlo_module, "BATCH", 50)
+        report = run_campaign(half_ceiling_config(AR3, 300))
         assert report.trial_errors == 2
         assert report.event("sandwich").evaluated == 98
 

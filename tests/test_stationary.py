@@ -16,6 +16,13 @@ from arcert import (
     stationary_stats,
     toeplitz_covariance,
 )
+from conftest import truncated_lyapunov_series
+
+
+#: AR(8) with clustered poles near 0.9 (coefficient l1 norm 27.3).
+CLUSTERED_POLES_AR8 = [4.69949818406541, -8.757256044433852, 7.639449995718014,
+                       -2.0155058955713896, -1.7926502176999795, 1.7338231339568202,
+                       -0.5784750162877226, 0.07110408097301613]
 
 
 def dense_grid_gain_oracle(coeffs, points=200_001, omega=None):
@@ -141,6 +148,23 @@ class TestStationaryStats:
     def test_output_variance_is_corner_entry(self, ar2_stats):
         assert ar2_stats.output_variance == ar2_stats.state_covariance[0, 0]
 
+    def test_clustered_pole_process_solves(self):
+        # Poles of modulus 0.95, 0.90, 0.89, 0.82 at nearly the same angle: a
+        # strongly non-normal companion on which a squared Smith iteration
+        # misses its residual tolerance (5e-8).
+        process = ArProcess(coeffs=CLUSTERED_POLES_AR8)
+        ss = build_companion(process)
+        stats = stationary_stats(ss, 1.0)
+        a = ss.a_matrix
+        for x, q in ((stats.state_covariance, np.outer(ss.b_vector, ss.b_vector)),
+                     (stats.gramian, np.eye(a.shape[0]))):
+            assert np.linalg.norm(x - a @ x @ a.T - q) <= 1e-13 * np.linalg.norm(x)
+            # The series sums positive terms and is within 6e-12 of a 40-digit
+            # solve here; the direct solve is backward stable only, so its
+            # forward error scales with ||(I - A (x) A)^{-1}|| (4.2e-6 here).
+            oracle = truncated_lyapunov_series(a, q, 1000)
+            assert np.abs(x - oracle).max() <= 1e-5 * np.abs(oracle).max()
+
 
 class TestAutocovariance:
     def test_first_order_closed_form(self, ar1):
@@ -177,16 +201,15 @@ class TestToeplitzCovariance:
         process = ArProcess(coeffs=coeffs, noise_variance=sigma2)
         cov = toeplitz_covariance(process, dim)
         peak = sigma2 * peak_transfer_gain(coeffs)
-        eigs = np.linalg.eigvalsh(cov.matrix)
+        eigs = np.linalg.eigvalsh(cov)
         assert eigs[-1] <= peak * (1.0 + 1e-10)
         assert eigs[0] >= -1e-10 * eigs[-1]
 
     def test_structure(self, ar1):
-        cov = toeplitz_covariance(ar1, 6)
-        m = cov.matrix
+        m = toeplitz_covariance(ar1, 6)
         np.testing.assert_allclose(m, m.T)
         for k in range(6):
             diag = np.diagonal(m, offset=k)
             np.testing.assert_allclose(diag, diag[0])
+        assert m.shape == (6, 6)
         assert m[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
-        assert cov.dimension == 6

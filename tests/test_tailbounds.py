@@ -61,7 +61,7 @@ class TestEmpiricalFalsification:
 
     def test_weighted_tail_respected_smoke(self):
         process = ArProcess(coeffs=[0.5])
-        weights = np.linalg.eigvalsh(toeplitz_covariance(process, 64).matrix)
+        weights = np.linalg.eigvalsh(toeplitz_covariance(process, 64))
         result = weighted_chi2_tail_frequency(weights, 2.0, samples=200_000, seed=7)
         assert result.respected
 
