@@ -43,6 +43,12 @@ from .montecarlo import CampaignConfig, resolve_direction, run_campaign
 from .process import ArProcess, build_companion, simulate_stationary
 from .stationary import stationary_stats
 
+#: Longest trajectory ``simulate`` accepts.  It holds the whole path in memory:
+#: about 160 bytes per sample at peak (the float arrays, the Python floats of
+#: the scalar recursion and the CSV text), so about 1.6 GB at this ceiling.
+#: The other commands stream or never simulate, so they need no cap.
+MAX_SIMULATE_HORIZON = 10 ** 7
+
 
 def _load_config(path: str) -> dict:
     try:
@@ -311,6 +317,9 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     process = _parse_process(config)
     horizon = _parse_horizon(config, process.order)
+    if horizon > MAX_SIMULATE_HORIZON:
+        raise ConfigError(
+            f"field 'horizon': simulate writes at most {MAX_SIMULATE_HORIZON} samples")
     traj = simulate_stationary(process, horizon, _parse_seed(args, config))
     out = _out_dir(args, config)
     path = out / "trajectory.csv"

@@ -400,6 +400,12 @@ def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInp
                cert: CovarianceCertificate, factor: np.ndarray,
                radii: list[float | None], logdet_lower: float,
                start: int, stop: int) -> _BatchCounts:
+    """Evaluate trials start, ..., stop - 1 and count their event outcomes.
+
+    Reads the time-major chunks of :func:`simulate_chunks` directly (rows are
+    time steps, columns are trials), so every per-trial statistic is a sum
+    over contiguous rows; per-trial arrays below are indexed trial first.
+    """
     process = config.process
     n = process.order
     horizon = config.horizon
@@ -426,26 +432,28 @@ def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInp
 
     seeds = [substream(config.master_seed, i) for i in range(start, stop)]
     for lo, window, noise in simulate_chunks(process, horizon, seeds, factor):
-        # window column p is x[lo + p]; noise column p is e[lo + n + p].
-        hi = lo + window.shape[1]
-        finite &= np.isfinite(window[:, n:]).all(axis=1)
+        # The chunks are time-major: window row p is x[lo + p] and noise row
+        # p is e[lo + n + p], one column per trial.  Every statistic below
+        # sums over contiguous row blocks.
+        hi = lo + window.shape[0]
+        finite &= np.isfinite(window[n:]).all(axis=0)
         reg_lo, evt_lo = max(2 * n, lo + n) - lo, max(2 * n - 1, lo + n) - lo
         reg_hi, evt_hi = hi - lo, min(horizon + n - 1, hi) - lo
-        cols = [window[:, reg_lo - 1 - k : reg_hi - 1 - k] for k in range(n)]
-        e_reg = noise[:, reg_lo - n : reg_hi - n]
-        e_evt = noise[:, evt_lo - n : evt_hi - n]
+        lagged = [window[reg_lo - 1 - k : reg_hi - 1 - k] for k in range(n)]
+        e_reg = noise[reg_lo - n : reg_hi - n]
+        e_evt = noise[evt_lo - n : evt_hi - n]
         for j in range(n):
             for k in range(j, n):
-                normal[:, j, k] += np.einsum("bi,bi->b", cols[j], cols[k])
-            s_sn[:, j] += np.einsum("bi,bi->b", e_reg, cols[j])
+                normal[:, j, k] += np.einsum("ib,ib->b", lagged[j], lagged[k])
+            s_sn[:, j] += np.einsum("ib,ib->b", e_reg, lagged[j])
             s_tail[:, j] += np.einsum(
-                "bi,bi->b", e_evt, window[:, evt_lo - 1 - j : evt_hi - 1 - j]
+                "ib,ib->b", e_evt, window[evt_lo - 1 - j : evt_hi - 1 - j]
             )
-        energy += np.einsum("bi,bi->b", e_evt, e_evt)
+        energy += np.einsum("ib,ib->b", e_evt, e_evt)
         for dst, f0 in ((first, n - 1), (last, horizon - 1)):
             a, b = max(f0, lo), min(f0 + n, hi)
             if a < b:
-                dst[:, a - f0 : b - f0] = window[:, a - lo : b - lo]
+                dst[:, a - f0 : b - f0] = window[a - lo : b - lo].T
     upper_tri = np.triu_indices(n, 1)
     normal[:, upper_tri[1], upper_tri[0]] = normal[:, upper_tri[0], upper_tri[1]]
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from arcert import ArProcess, build_companion, stationary_stats
+
+# Example timings vary several-fold with machine load, so no test has a
+# per-example deadline; each test keeps its own max_examples.
+settings.register_profile("arcert", deadline=None)
+settings.load_profile("arcert")
 
 
 @pytest.fixture(scope="session")

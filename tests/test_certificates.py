@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from arcert import (
     regressor_energy_scale,
     stationary_stats,
 )
+from arcert.certificates import _noise_energy_exponent
 from conftest import truncated_lyapunov_series
 
 
@@ -88,6 +90,17 @@ class TestNoiseEnergyFailureBound:
         inputs = make_inputs(ar1, ar1_stats, 3.0, 3)  # two effective rows
         expected = 2.0 * math.exp(-(2.0 - math.sqrt(3.0)))
         assert noise_energy_term(inputs) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-3, 0.5, 3.0])
+    def test_exponent_matches_high_precision(self, ar1, ar1_stats, eps):
+        # (N-n)/2 (1 + eps/3 - sqrt(1 + 2 eps/3)) at 50 digits; the double
+        # evaluation must not cancel, so it stays within a few ulp.
+        inputs = make_inputs(ar1, ar1_stats, eps, 5000)
+        with mpmath.workdps(50):
+            e = mpmath.mpf(eps)
+            exact = float(mpmath.mpf(inputs.effective_samples) / 2
+                          * (1 + e / 3 - mpmath.sqrt(1 + 2 * e / 3)))
+        assert abs(_noise_energy_exponent(inputs) - exact) <= 4 * math.ulp(exact)
 
     def test_exponent_nonnegative_over_grid(self, ar1, ar1_stats):
         # 1 + eps/3 - sqrt(1 + 2 eps/3) >= 0, so the bound never exceeds 2.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,31 @@ class TestSimulate:
                            horizon=1, seed=8)
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_huge_horizon_rejected_quickly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0,
+                           horizon=10 ** 12, seed=8)
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert time.perf_counter() - started < 1.0
+        assert peak < 2 ** 20
+        assert "horizon" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_horizon_ceiling_inclusive(self, tmp_path, monkeypatch):
+        import arcert.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "MAX_SIMULATE_HORIZON", 50)
+        for horizon, code in ((50, 0), (51, 2)):
+            cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0,
+                               horizon=horizon, seed=8)
+            assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == code
 
     def test_config_fields_parsed(self, tmp_path):
         cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=2.0, horizon=10, seed=3)

@@ -84,7 +84,7 @@ class TestLyapunov:
         with pytest.raises(ConvergenceError):
             solve_discrete_lyapunov([[0.5]], [[1.0]])
 
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.lists(st.tuples(st.floats(0.1, 0.95), st.floats(0.0, np.pi)), max_size=4),
            st.booleans(), st.floats(0.0, 0.05), st.integers(0, 8))
     def test_schur_stable_companions(self, pairs, clustered, spread, reals):
@@ -125,7 +125,7 @@ class TestPsdOrder:
         with pytest.raises(ValueError):
             psd_order_holds(np.eye(2), np.eye(3), np.eye(3))
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_random_psd_gaps(self, dim, seed):
         rng = np.random.default_rng(seed)

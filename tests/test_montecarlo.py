@@ -414,11 +414,12 @@ class TestStreamingKernel:
     @pytest.mark.parametrize("fill", [np.nan, 0.0])
     def test_degenerate_trials_counted_as_errors(self, monkeypatch, fill):
         # A non-finite path, or an all-zero one with a singular normal matrix,
-        # must be counted as a trial error without breaking the batch.
+        # must be counted as a trial error without breaking the batch.  The
+        # chunks are time-major, so column 0 is the first trial of a batch.
         def spoiled(*args):
             for lo, window, noise in process_module.simulate_chunks(*args):
-                window[0] = fill
-                noise[0] = fill
+                window[:, 0] = fill
+                noise[:, 0] = fill
                 yield lo, window, noise
 
         monkeypatch.setattr(montecarlo_module, "simulate_chunks", spoiled)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcert.process as process_module
 from arcert import (
@@ -106,13 +110,51 @@ class TestRecursion:
         np.testing.assert_allclose(y, [1.0, 1.1, 0.73], atol=1e-15)
 
     def test_batch_matches_scalar_bitwise(self):
+        # Time-major batch: column i is trial i.
         rng = np.random.default_rng(0)
-        pre = rng.standard_normal((4, 2))
-        noise = rng.standard_normal((4, 50))
+        pre = rng.standard_normal((4, 2)).T
+        noise = rng.standard_normal((4, 50)).T
         batch = ar_recursion([0.3, 0.4], pre, noise)
         for i in range(4):
-            single = ar_recursion([0.3, 0.4], pre[i], noise[i])
-            np.testing.assert_array_equal(batch[i], single)
+            single = ar_recursion([0.3, 0.4], pre[:, i], noise[:, i])
+            np.testing.assert_array_equal(batch[:, i], single)
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 50),
+           st.integers(0, 2 ** 31 - 1))
+    def test_batch_columns_match_scalar_bitwise(self, order, batch, horizon, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1.0, 1.0, order) / order
+        pre = rng.standard_normal((order, batch))
+        noise = rng.standard_normal((horizon, batch))
+        out = ar_recursion(coeffs, pre, noise)
+        assert out.shape == (horizon, batch)
+        for b in range(batch):
+            np.testing.assert_array_equal(out[:, b], ar_recursion(coeffs, pre[:, b], noise[:, b]))
+
+    def test_batch_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="leading axis"):
+            ar_recursion([0.3, 0.4], np.zeros((3, 4)), np.zeros((10, 4)))
+        with pytest.raises(ValueError, match="trailing"):
+            ar_recursion([0.3, 0.4], np.zeros((2, 4)), np.zeros((10, 5)))
+
+    def test_batch_memory_is_one_buffer(self):
+        # The recursion runs in place in one (n + L) x B buffer with a single
+        # scratch row: the peak is that buffer plus one view object per row,
+        # so any second buffer-sized temporary would fail this bound.
+        order, batch, horizon = 2, 256, 4096
+        rng = np.random.default_rng(1)
+        pre = rng.standard_normal((order, batch))
+        noise = rng.standard_normal((horizon, batch))
+        buffer_bytes = (order + horizon) * batch * 8
+        tracemalloc.start()
+        try:
+            out = ar_recursion([0.3, 0.4], pre, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (horizon, batch)
+        assert peak <= 1.5 * buffer_bytes
 
 
 class TestSimulation:

@@ -75,7 +75,7 @@ class TestPeakGain:
         assert gain == pytest.approx(1.4781e9, rel=1e-4)
         assert oracle * (1.0 - 1e-9) <= gain <= oracle * (1.0 + 1e-6)
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(
         st.lists(st.tuples(st.floats(0.9, 0.999), st.floats(0.0, math.pi)),
                  min_size=1, max_size=3),

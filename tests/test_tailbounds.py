@@ -84,7 +84,7 @@ class TestWeierstrass:
         with pytest.raises(ValueError):
             weierstrass_lower_bound([1.2])
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(arrays(np.float64, st.integers(min_value=1, max_value=12),
                   elements=st.floats(min_value=0.0, max_value=1.0)))
     def test_product_dominates_bound(self, lam):
@@ -103,7 +103,7 @@ class TestSpectralRadiusSubadditivity:
         with pytest.raises(ValueError):
             spectral_radius_subadditive_check([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_random_symmetric_pairs(self, dim, seed):
         rng = np.random.default_rng(seed)
