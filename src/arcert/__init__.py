@@ -26,27 +26,16 @@ from .errors import (
     ArcertError,
     ConfigError,
     ConvergenceError,
-    EventImplicationError,
     InfeasibleCertificateError,
     NumericalFailureError,
     StabilityError,
 )
-from .estimation import RegressorSet, build_regressors, ols_fit
-from .linalg import psd_order_holds, solve_discrete_lyapunov, spectral_radius, symmetric_sqrt
+from .linalg import solve_discrete_lyapunov, spectral_radius, symmetric_sqrt
 from .montecarlo import (
     CampaignConfig,
     CoverageReport,
     EventCoverage,
-    TrialOutcome,
-    check_boundary_event,
-    check_cross_term_event,
-    check_noise_energy_event,
-    check_sandwich_event,
-    check_self_normalized_event,
-    evaluate_trial,
-    event_noise_window,
     event_threshold,
-    residual_noise_window,
     resolve_direction,
     run_campaign,
 )
@@ -63,20 +52,4 @@ from .process import (
     simulate_stationary,
     substream,
 )
-from .stationary import (
-    StationaryStatistics,
-    autocovariance_sequence,
-    peak_transfer_gain,
-    stationary_stats,
-    toeplitz_covariance,
-)
-from .tailbounds import (
-    ExceedanceResult,
-    chi2_lower_threshold,
-    chi2_tail_frequencies,
-    chi2_upper_threshold,
-    spectral_radius_subadditive_check,
-    weierstrass_lower_bound,
-    weighted_chi2_tail_frequency,
-    weighted_chi2_upper_threshold,
-)
+from .stationary import StationaryStatistics, peak_transfer_gain, stationary_stats

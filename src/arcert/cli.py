@@ -34,7 +34,6 @@ from .certificates import (
 from .errors import (
     ConfigError,
     ConvergenceError,
-    EventImplicationError,
     InfeasibleCertificateError,
     NumericalFailureError,
     StabilityError,
@@ -44,9 +43,10 @@ from .process import ArProcess, build_companion, simulate_stationary
 from .stationary import stationary_stats
 
 #: Longest trajectory ``simulate`` accepts.  It holds the whole path in memory:
-#: about 160 bytes per sample at peak (the float arrays, the Python floats of
-#: the scalar recursion and the CSV text), so about 1.6 GB at this ceiling.
-#: The other commands stream or never simulate, so they need no cap.
+#: about 92 bytes per sample at peak (the float arrays and the Python floats of
+#: the scalar recursion; the CSV text is written a block at a time), so about
+#: 0.9 GB at this ceiling.  The other commands stream or never simulate, so
+#: they need no cap.
 MAX_SIMULATE_HORIZON = 10 ** 7
 
 
@@ -359,8 +359,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # LinAlgError subclasses ValueError, so the numerical clause comes first.
-    except (ConvergenceError, InfeasibleCertificateError, EventImplicationError,
-            NumericalFailureError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, InfeasibleCertificateError, NumericalFailureError,
+            FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, StabilityError, ValueError, KeyError) as exc:

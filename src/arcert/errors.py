@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A broken event implication is not an exception: campaigns count violations in
+their report, and the test suite's ``reference`` module asserts them trial by
+trial.
+"""
 
 
 class ArcertError(Exception):
@@ -23,12 +28,3 @@ class NumericalFailureError(ArcertError):
 
 class ConfigError(ArcertError):
     """An experiment configuration failed validation."""
-
-
-class EventImplicationError(ArcertError):
-    """A deterministic implication between trial events failed.
-
-    The event implications checked per trial hold by construction for exact
-    arithmetic, so a violation indicates an implementation bug rather than
-    statistical bad luck.
-    """

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: discrete Lyapunov solves, spectral radius, PSD ordering.
+"""Dense matrix primitives: discrete Lyapunov solves, spectral radius, square roots.
 
 Everything here operates on plain numpy arrays and is pure, so all functions
 are safe for concurrent use.
@@ -11,7 +11,7 @@ from .errors import ConvergenceError, StabilityError
 #: Relative residual tolerance for Lyapunov solutions.
 LYAPUNOV_TOL = 1e-10
 
-#: Relative slack when testing positive-semidefinite ordering.
+#: Relative slack of the campaign's positive-semidefinite order test.
 PSD_ORDER_RTOL = 1e-8
 
 
@@ -64,27 +64,6 @@ def solve_discrete_lyapunov(a, q) -> np.ndarray:
             f"(rho(A) = {rho:.12g})"
         )
     return x
-
-
-def psd_order_holds(lower, middle, upper) -> bool:
-    """True iff lower <= middle <= upper in the PSD order, up to a relative slack.
-
-    The slack is ``PSD_ORDER_RTOL`` times the spectral norm of ``middle``, so
-    exact boundary cases (equal matrices) pass.
-    """
-    lower = np.asarray(lower, dtype=float)
-    middle = np.asarray(middle, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    for name, m in (("lower", lower), ("middle", middle), ("upper", upper)):
-        _require_square(m, name)
-    if lower.shape != middle.shape or upper.shape != middle.shape:
-        raise ValueError("psd_order_holds requires matrices of identical shape")
-
-    tol = PSD_ORDER_RTOL * max(
-        float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (middle + middle.T))))), 1e-300)
-    lo_gap = float(np.min(np.linalg.eigvalsh(0.5 * ((middle - lower) + (middle - lower).T))))
-    hi_gap = float(np.min(np.linalg.eigvalsh(0.5 * ((upper - middle) + (upper - middle).T))))
-    return lo_gap >= -tol and hi_gap >= -tol
 
 
 def symmetric_sqrt(m) -> np.ndarray:

@@ -17,9 +17,9 @@ normal matrix Y^T Y, the regressor-innovation sums over the residual and the
 event windows, the innovation energy, and the first and last lag windows.
 Every event is a function of those, and the least-squares error follows from
 the normal equations, theta_hat - theta = (Y^T Y)^{-1} Y^T e.  Memory is
-therefore O(threads * batch * CHUNK) whatever the horizon.  The per-trial
-checkers below (:func:`evaluate_trial`) work on a whole :class:`Trajectory`
-and are the reference the kernel is tested against.
+therefore O(threads * batch * CHUNK) whatever the horizon.  The test suite's
+``reference`` module re-derives every event trial by trial from a whole
+trajectory; the kernel is tested against it.
 
 Trials are embarrassingly parallel: trial i draws from the RNG substream
 ``substream(master_seed, i)`` and aggregation is an order-independent sum of
@@ -39,22 +39,13 @@ import numpy as np
 from .certificates import (
     BoundInputs,
     CovarianceCertificate,
-    DeviationCertificate,
     covariance_certificate,
     deviation_radius,
 )
-from .errors import (
-    ConfigError,
-    EventImplicationError,
-    InfeasibleCertificateError,
-    NumericalFailureError,
-)
-from .estimation import RegressorSet, build_regressors, ols_fit
-from .linalg import PSD_ORDER_RTOL, psd_order_holds, symmetric_sqrt
+from .errors import ConfigError, NumericalFailureError
+from .linalg import PSD_ORDER_RTOL
 from .process import (
     ArProcess,
-    CompanionStateSpace,
-    Trajectory,
     build_companion,
     simulate_batch,  # noqa: F401  (the benchmark's span tracer wraps it in this namespace)
     simulate_chunks,
@@ -83,160 +74,6 @@ def event_threshold(inputs: BoundInputs) -> float:
     symmetric matrices.
     """
     return inputs.epsilon * inputs.process.noise_variance * inputs.effective_samples / 3.0
-
-
-def event_noise_window(traj: Trajectory) -> np.ndarray:
-    """Innovations (e_n, ..., e_{N-1}) driving the summed states.
-
-    Note the one-step offset against the regression residuals: the recursion
-    that produces states x_n, ..., x_{N-1} consumes these innovations, while
-    the regression targets consume (e_{n+1}, ..., e_N).
-    """
-    return traj.noise[traj.order - 1 : traj.horizon - 1]
-
-
-def residual_noise_window(traj: Trajectory) -> np.ndarray:
-    """Innovations (e_{n+1}, ..., e_N): exactly target - design @ coeffs."""
-    return traj.noise[traj.order :]
-
-
-def _state_image(ss: CompanionStateSpace, lag_window: np.ndarray) -> np.ndarray:
-    """A x_t assembled from the lag window Y_t; the companion's zero last
-    column annihilates the oldest state entry, so Y_t determines A x_t."""
-    return np.concatenate(([ss.coeffs @ lag_window], lag_window))
-
-
-def check_boundary_event(traj: Trajectory, ss: CompanionStateSpace,
-                         inputs: BoundInputs) -> tuple[bool, float]:
-    """Initial/final-state event: rho[A (x_first x_first^T - x_last x_last^T) A^T]
-    within its third of the radius budget.  Returns (held, radius)."""
-    u = _state_image(ss, traj.lag_window(traj.order - 1))
-    v = _state_image(ss, traj.lag_window(traj.horizon - 1))
-    m = np.outer(u, u) - np.outer(v, v)
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    return radius <= event_threshold(inputs), radius
-
-
-def check_noise_energy_event(noise_window, inputs: BoundInputs) -> tuple[bool, float]:
-    """Innovation energy event |sum e^2 - (N-n) s2| within its budget third.
-
-    This is the scalar form of the rank-one matrix event: the matrix's
-    spectral radius equals the absolute energy deviation.
-    """
-    e = np.asarray(noise_window, dtype=float)
-    if e.shape != (inputs.effective_samples,):
-        raise ValueError(f"noise window must have length {inputs.effective_samples}")
-    radius = float(abs(e @ e - inputs.effective_samples * inputs.process.noise_variance))
-    return radius <= event_threshold(inputs), radius
-
-
-def check_cross_term_event(traj: Trajectory, noise_window, ss: CompanionStateSpace,
-                           inputs: BoundInputs) -> tuple[bool, float]:
-    """State-innovation cross-term event.
-
-    The summed cross matrix S B^T + B S^T with S = sum_i e_{i+1} A x_i is
-    symmetric of rank <= 2 with spectral radius |S_1| + ||S||_2 (closed form,
-    cross-checked against a dense eigensolve in tests).
-    """
-    n, horizon = traj.order, traj.horizon
-    e = np.asarray(noise_window, dtype=float)
-    if e.shape != (horizon - n,):
-        raise ValueError(f"noise window must have length {horizon - n}")
-    full = traj.samples
-    s_tail = np.array([
-        e @ full[2 * n - 2 - k : horizon + n - 2 - k] for k in range(n)
-    ])
-    s_head = float(ss.coeffs @ s_tail)
-    radius = abs(s_head) + math.sqrt(s_head ** 2 + float(s_tail @ s_tail))
-    return radius <= event_threshold(inputs), radius
-
-
-def check_sandwich_event(reg: RegressorSet, cert: CovarianceCertificate) -> bool:
-    """Sandwich event lower <= design^T design <= upper (PSD order)."""
-    if not cert.feasible:
-        raise InfeasibleCertificateError("sandwich event needs a feasible certificate")
-    return psd_order_holds(cert.lower, reg.normal_matrix, cert.upper)
-
-
-def check_self_normalized_event(reg: RegressorSet, residual_noise,
-                                cert: CovarianceCertificate,
-                                noise_variance: float) -> bool:
-    """Self-normalized event: ||design^T E|| in the (normal + lower)^{-1} norm
-    stays below sqrt(2 s2 log(det(normal + lower)^{1/2} det(lower)^{-1/2} / delta)).
-
-    E must be the true innovations (exactly target - design @ coeffs); using
-    fitted residuals would contaminate the event.  When delta already exceeds
-    the determinant term the threshold is imaginary and the event cannot hold.
-    """
-    if not cert.feasible:
-        raise InfeasibleCertificateError("self-normalized event needs a feasible certificate")
-    e = np.asarray(residual_noise, dtype=float)
-    if e.shape != (reg.rows,):
-        raise ValueError(f"residual noise must have length {reg.rows}")
-    s = reg.design.T @ e
-    m = reg.normal_matrix + cert.lower
-    lhs_sq = float(s @ np.linalg.solve(m, s))
-    sign_m, logdet_m = np.linalg.slogdet(m)
-    sign_low, logdet_low = np.linalg.slogdet(cert.lower)
-    if sign_m <= 0 or sign_low <= 0:
-        return False
-    log_argument = 0.5 * float(logdet_m - logdet_low) - cert.log_delta
-    return log_argument > 0.0 and lhs_sq <= 2.0 * float(noise_variance) * log_argument
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """All events of one trial plus the raw statistics behind them.
-
-    Construction verifies the two deterministic implications and raises
-    EventImplicationError on violation; deviation_ok is None when the
-    deviation certificate was vacuous (no radius to test).
-    """
-
-    boundary_ok: bool
-    noise_energy_ok: bool
-    cross_term_ok: bool
-    sandwich_ok: bool
-    self_normalized_ok: bool
-    deviation_ok: bool | None
-    boundary_radius: float
-    noise_energy_radius: float
-    cross_term_radius: float
-    deviation: float
-
-    def __post_init__(self):
-        if (self.boundary_ok and self.noise_energy_ok and self.cross_term_ok
-                and not self.sandwich_ok):
-            raise EventImplicationError(
-                "all three component events held but the sandwich failed"
-            )
-        if (self.sandwich_ok and self.self_normalized_ok
-                and self.deviation_ok is False):
-            raise EventImplicationError(
-                "sandwich and self-normalized events held but the deviation "
-                "exceeded its certified radius"
-            )
-
-
-def evaluate_trial(process: ArProcess, ss: CompanionStateSpace,
-                   inputs: BoundInputs, cert: CovarianceCertificate,
-                   dev_cert: DeviationCertificate, traj: Trajectory) -> TrialOutcome:
-    """Reference single-trial evaluation (the campaign uses a vectorised twin)."""
-    reg = build_regressors(traj)
-    deviation = abs(float(dev_cert.direction @ (ols_fit(reg) - process.coeffs)))
-    boundary_ok, boundary_r = check_boundary_event(traj, ss, inputs)
-    noise_ok, noise_r = check_noise_energy_event(event_noise_window(traj), inputs)
-    cross_ok, cross_r = check_cross_term_event(traj, event_noise_window(traj), ss, inputs)
-    sandwich_ok = check_sandwich_event(reg, cert)
-    sn_ok = check_self_normalized_event(reg, residual_noise_window(traj), cert,
-                                        process.noise_variance)
-    dev_ok = None if dev_cert.vacuous else bool(deviation <= dev_cert.radius)
-    return TrialOutcome(
-        boundary_ok=boundary_ok, noise_energy_ok=noise_ok, cross_term_ok=cross_ok,
-        sandwich_ok=sandwich_ok, self_normalized_ok=sn_ok, deviation_ok=dev_ok,
-        boundary_radius=boundary_r, noise_energy_radius=noise_r,
-        cross_term_radius=cross_r, deviation=deviation,
-    )
 
 
 def resolve_direction(spec, order: int, fallback_label: str = "custom") -> tuple[str, np.ndarray]:
@@ -396,8 +233,7 @@ class _BatchCounts:
     chain_dev: tuple[int, ...] = ()
 
 
-def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInputs,
-               cert: CovarianceCertificate, factor: np.ndarray,
+def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCertificate,
                radii: list[float | None], logdet_lower: float,
                start: int, stop: int) -> _BatchCounts:
     """Evaluate trials start, ..., stop - 1 and count their event outcomes.
@@ -431,7 +267,7 @@ def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInp
     finite = np.ones(batch, dtype=bool)
 
     seeds = [substream(config.master_seed, i) for i in range(start, stop)]
-    for lo, window, noise in simulate_chunks(process, horizon, seeds, factor):
+    for lo, window, noise in simulate_chunks(process, horizon, seeds):
         # The chunks are time-major: window row p is x[lo + p] and noise row
         # p is e[lo + n + p], one column per trial.  Every statistic below
         # sums over contiguous row blocks.
@@ -486,7 +322,8 @@ def _run_batch(config: CampaignConfig, ss: CompanionStateSpace, inputs: BoundInp
     )
     cross_ok = cross_radius <= threshold
 
-    # Sandwich event, mirroring psd_order_holds semantics per trial.
+    # Sandwich event in the PSD order, with a slack of PSD_ORDER_RTOL times
+    # the spectral norm of Y^T Y, so equal matrices pass.
     mid_scale = np.maximum(np.abs(eig).max(axis=1), 1e-300)
     tol = PSD_ORDER_RTOL * mid_scale
     lo_gap = np.linalg.eigvalsh(normal - cert.lower[None]).min(axis=1)
@@ -557,8 +394,7 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     NumericalFailureError if more than MAX_ERROR_FRACTION of trials error out.
     """
     process = config.process
-    ss = build_companion(process)
-    stats = stationary_stats(ss, process.noise_variance)
+    stats = stationary_stats(build_companion(process), process.noise_variance)
     inputs = BoundInputs(process=process, stats=stats,
                          epsilon=config.epsilon, horizon=config.horizon)
     cert = covariance_certificate(inputs)
@@ -576,15 +412,14 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     dev_certs = [deviation_radius(cert, w, process.noise_variance)
                  for _, w in config.directions]
     radii = [dc.radius for dc in dev_certs]
-    factor = symmetric_sqrt(stats.state_covariance)
     _, logdet_lower = np.linalg.slogdet(cert.lower)
 
     batches = [(lo, min(lo + BATCH, config.trials))
                for lo in range(0, config.trials, BATCH)]
 
     def work(bounds: tuple[int, int]) -> _BatchCounts:
-        return _run_batch(config, ss, inputs, cert, factor, radii,
-                          float(logdet_lower), bounds[0], bounds[1])
+        return _run_batch(config, inputs, cert, radii, float(logdet_lower),
+                          bounds[0], bounds[1])
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -139,8 +139,8 @@ class Trajectory:
 
     ``samples`` has length N + n: the n pre-samples (y_{1-n}, ..., y_0) drawn
     from the stationary law, then the N recursion outputs.  ``noise`` holds
-    (e_1, ..., e_N); event checkers need the true innovations, which would be
-    contaminated if re-estimated from residuals.
+    the true innovations (e_1, ..., e_N), which residuals of a fit would only
+    estimate.
     """
 
     samples: np.ndarray
@@ -178,36 +178,31 @@ class Trajectory:
         """(y_1, ..., y_N)."""
         return self.samples[self.order :]
 
-    def y(self, t: int) -> float:
-        """Sample y_t for 1 - order <= t <= horizon."""
-        idx = t + self.order - 1
-        if idx < 0 or idx >= self.samples.size:
-            raise IndexError(f"time {t} outside stored range")
-        return float(self.samples[idx])
-
-    def lag_window(self, t: int) -> np.ndarray:
-        """Lag vector (y_t, y_{t-1}, ..., y_{t-n+1}) for 0 <= t <= horizon."""
-        if t < 0 or t > self.horizon:
-            raise IndexError(f"lag window at time {t} outside stored range")
-        return self.samples[t : t + self.order][::-1]
-
     def to_csv(self, path) -> None:
-        """Write the sample path as a single-column CSV with a one-line header."""
-        lines = ["y"] + [repr(float(v)) for v in self.samples]
+        """Write the sample path as a single-column CSV with a one-line header.
+
+        The text is built CHUNK samples at a time, so only one block of it is
+        ever in memory.
+        """
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("y\n")
+            for start in range(0, self.samples.size, CHUNK):
+                block = self.samples[start : start + CHUNK].tolist()
+                fh.write("".join(repr(v) + "\n" for v in block))
 
 
 def ar_recursion(coeffs, pre_samples, noise) -> np.ndarray:
-    """Run the AR recursion y_t = sum_k c_k y_{t-k} + e_t and return (y_1, ..., y_N).
+    """Run the AR recursion y_t = sum_k c_k y_{t-k} + e_t and return the whole
+    path (y_{1-n}, ..., y_N).
 
     Time is the leading axis.  ``pre_samples`` holds (y_{1-n}, ..., y_0) in
     time order, shape (n,) or (n, B); ``noise`` holds (e_1, ..., e_N), shape
-    (N,) or (N, B); the result has the shape of ``noise``.  With a trailing
-    batch axis, column b is the trajectory of trial b, and every time step
-    updates one contiguous row in place.  The accumulation order (innovation
-    first, then lag terms in increasing k) is identical on the scalar and
-    batched paths, so they produce bit-identical output.
+    (N,) or (N, B); the result has shape (n + N,) or (n + N, B) and starts
+    with a copy of ``pre_samples``.  With a trailing batch axis, column b is
+    the trajectory of trial b, and every time step updates one contiguous row
+    in place.  The accumulation order (innovation first, then lag terms in
+    increasing k) is identical on the scalar and batched paths, so they
+    produce bit-identical output.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     pre = np.asarray(pre_samples, dtype=float)
@@ -221,15 +216,13 @@ def ar_recursion(coeffs, pre_samples, noise) -> np.ndarray:
     if e.ndim == 1:
         # Plain-float path: ~10x faster than per-step numpy scalars for long runs.
         ck = c.tolist()
-        hist = pre.tolist()
-        out = []
+        path = pre.tolist()
         for ei in e.tolist():
             acc = ei
             for k in range(n):
-                acc += ck[k] * hist[-1 - k]
-            hist.append(acc)
-            out.append(acc)
-        return np.asarray(out)
+                acc += ck[k] * path[-1 - k]
+            path.append(acc)
+        return np.asarray(path)
 
     # Row n + t of buf starts as e_{t+1} and accumulates the lag terms in
     # place; one scratch row holds each product, so no step allocates.
@@ -242,7 +235,7 @@ def ar_recursion(coeffs, pre_samples, noise) -> np.ndarray:
         for k in range(n):
             np.multiply(rows[t - 1 - k], ck[k], out=tmp)
             np.add(row, tmp, out=row)
-    return buf[n:]
+    return buf
 
 
 def substream(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -287,14 +280,11 @@ def simulate_stationary(process: ArProcess, horizon: int, seed: SeedLike) -> Tra
     rng = np.random.default_rng(seed)
     pre = _draw_initial_state(process, factor, rng)
     noise = np.sqrt(process.noise_variance) * rng.standard_normal(horizon)
-    y = ar_recursion(process.coeffs, pre, noise)
-    samples = np.concatenate([pre, y])
-    return Trajectory(samples=samples, noise=noise, order=process.order,
-                      horizon=horizon, seed=seed)
+    return Trajectory(samples=ar_recursion(process.coeffs, pre, noise), noise=noise,
+                      order=process.order, horizon=horizon, seed=seed)
 
 
 def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
-                    factor: np.ndarray | None = None,
                     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Simulate one trajectory per seed, CHUNK time steps at a time.
 
@@ -311,17 +301,14 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     chunked ``standard_normal`` calls continue one stream bit for bit, so the
     concatenated chunks reproduce simulate_stationary exactly.  The draws fill
     one contiguous row per trial (``Generator`` rejects a strided ``out``);
-    one scaled transpose per chunk turns them time-major.  ``factor`` lets
-    campaign code reuse a precomputed symmetric square root of the stationary
-    state covariance.
+    one scaled transpose per chunk turns them time-major.
     """
     horizon = int(horizon)
     if horizon <= process.order:
         raise ValueError("horizon must exceed the process order")
     n = process.order
-    if factor is None:
-        factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
-                                                           process.noise_variance))
+    factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
+                                                       process.noise_variance))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     tail = np.empty((n, len(rngs)))
     for i, rng in enumerate(rngs):
@@ -340,7 +327,7 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
         # the blocking.
         for b in range(0, len(rngs), 32):
             np.multiply(drawn[b : b + 32, :width].T, scale, out=noise[:, b : b + 32])
-        window = np.concatenate([tail, ar_recursion(process.coeffs, tail, noise)])
+        window = ar_recursion(process.coeffs, tail, noise)
         yield start, window, noise
         tail = window[-n:].copy()
 

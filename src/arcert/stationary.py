@@ -1,9 +1,11 @@
 """Stationary second-order structure of a stable AR(n) process.
 
 Computes the stationary state covariance, the reachability-style Gramian
-sum_i A^i (A^T)^i, the peak squared gain of the AR transfer function on the
-unit circle, the autocovariance sequence, and Toeplitz autocovariance
-matrices.  These are the deterministic ingredients of every certificate.
+sum_i A^i (A^T)^i and the peak squared gain of the AR transfer function on
+the unit circle.  These are the deterministic ingredients of every
+certificate.  The autocovariance sequence and the Toeplitz autocovariance
+matrices, which only the tests need, live in the test suite's ``reference``
+module.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import StabilityError
 from .linalg import solve_discrete_lyapunov
-from .process import (
-    ArProcess,
-    CompanionStateSpace,
-    build_companion,
-    check_schur_stable,
-    stationary_state_covariance,
-)
+from .process import CompanionStateSpace, check_schur_stable, stationary_state_covariance
 
 
 def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -115,36 +111,3 @@ def stationary_stats(ss: CompanionStateSpace, sigma2: float) -> StationaryStatis
         output_variance=y_var,
         peak_gain=peak_transfer_gain(ss.coeffs),
     )
-
-
-def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
-    """Stationary autocovariances gamma(0), ..., gamma(max_lag).
-
-    Uses the state-space identity E[x_{t+k} x_t^T] = A^k V, whose (1,1) entry
-    is gamma(k); gamma(0) is the stationary output variance.
-    """
-    max_lag = int(max_lag)
-    if max_lag < 0:
-        raise ValueError("max_lag must be nonnegative")
-    ss = build_companion(process)
-    cur = stationary_state_covariance(ss, process.noise_variance)
-    gamma = np.empty(max_lag + 1)
-    gamma[0] = cur[0, 0]
-    for k in range(1, max_lag + 1):
-        cur = ss.a_matrix @ cur
-        gamma[k] = cur[0, 0]
-    return gamma
-
-
-def toeplitz_covariance(process: ArProcess, dimension: int) -> np.ndarray:
-    """Covariance matrix of (y_1, ..., y_D) for a stationary run.
-
-    Every eigenvalue is bounded by noise_variance * peak_gain, the supremum of
-    the spectral density.
-    """
-    dimension = int(dimension)
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    gamma = autocovariance_sequence(process, dimension - 1)
-    idx = np.arange(dimension)
-    return gamma[np.abs(idx[:, None] - idx[None, :])]

@@ -1,0 +1,292 @@
+"""Test oracles: straightforward, unvectorised versions of what arcert computes.
+
+The campaign kernel in ``arcert.montecarlo`` evaluates every event from
+streamed sufficient statistics.  The functions here evaluate the same events
+trial by trial on a whole :class:`arcert.Trajectory`, fit least squares by an
+orthogonal factorisation, and give the closed-form chi-square tail thresholds
+the sandwich bound rests on, with samplers that try to break them.  Only the
+tests use them.
+
+Index convention (pinned by tests against hand enumeration, since an
+off-by-one here silently corrupts every event frequency): the design matrix
+stacks the lag vectors Y_n, ..., Y_{N-1} as rows, paired with targets
+y_{n+1}, ..., y_N.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from arcert import (
+    ArProcess,
+    BoundInputs,
+    CompanionStateSpace,
+    CovarianceCertificate,
+    DeviationCertificate,
+    Trajectory,
+    build_companion,
+    event_threshold,
+    spectral_radius,
+)
+from arcert.linalg import PSD_ORDER_RTOL
+from arcert.montecarlo import EventCoverage, _frequency_row
+from arcert.process import stationary_state_covariance
+
+# --- stationary second-order structure -------------------------------------
+
+
+def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
+    """Stationary autocovariances gamma(0), ..., gamma(max_lag).
+
+    Uses the state-space identity E[x_{t+k} x_t^T] = A^k V, whose (1,1) entry
+    is gamma(k); gamma(0) is the stationary output variance.
+    """
+    ss = build_companion(process)
+    cur = stationary_state_covariance(ss, process.noise_variance)
+    gamma = np.empty(max_lag + 1)
+    gamma[0] = cur[0, 0]
+    for k in range(1, max_lag + 1):
+        cur = ss.a_matrix @ cur
+        gamma[k] = cur[0, 0]
+    return gamma
+
+
+def toeplitz_covariance(process: ArProcess, dimension: int) -> np.ndarray:
+    """Covariance matrix of (y_1, ..., y_D) for a stationary run.
+
+    Every eigenvalue is bounded by noise_variance * peak_gain, the supremum of
+    the spectral density.
+    """
+    gamma = autocovariance_sequence(process, dimension - 1)
+    idx = np.arange(dimension)
+    return gamma[np.abs(idx[:, None] - idx[None, :])]
+
+
+def psd_order_holds(lower, middle, upper) -> bool:
+    """True iff lower <= middle <= upper in the PSD order, up to a relative slack.
+
+    The slack is ``PSD_ORDER_RTOL`` times the spectral norm of ``middle``, so
+    exact boundary cases (equal matrices) pass.
+    """
+    lower, middle, upper = (np.asarray(m, dtype=float) for m in (lower, middle, upper))
+    tol = PSD_ORDER_RTOL * max(
+        float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (middle + middle.T))))), 1e-300)
+    lo_gap = float(np.min(np.linalg.eigvalsh(0.5 * ((middle - lower) + (middle - lower).T))))
+    hi_gap = float(np.min(np.linalg.eigvalsh(0.5 * ((upper - middle) + (upper - middle).T))))
+    return lo_gap >= -tol and hi_gap >= -tol
+
+
+# --- regression -------------------------------------------------------------
+
+
+def lag_window(traj: Trajectory, t: int) -> np.ndarray:
+    """Lag vector (y_t, y_{t-1}, ..., y_{t-n+1}) for 0 <= t <= horizon."""
+    return traj.samples[t : t + traj.order][::-1]
+
+
+def build_regressors(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """(design, target): rows Y_t^T = [y_t ... y_{t-n+1}] and targets y_{t+1}."""
+    obs = traj.observed
+    windows = np.lib.stride_tricks.sliding_window_view(obs[: traj.horizon - 1], traj.order)
+    return np.ascontiguousarray(windows[:, ::-1]), obs[traj.order:].copy()
+
+
+def ols_fit(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Least squares by an orthogonal (SVD) factorisation, never the normal
+    equations; a rank-deficient design yields the minimum-norm solution."""
+    return np.linalg.lstsq(design, target, rcond=None)[0]
+
+
+# --- per-trial events -------------------------------------------------------
+
+
+def event_noise_window(traj: Trajectory) -> np.ndarray:
+    """Innovations (e_n, ..., e_{N-1}) driving the summed states.
+
+    Note the one-step offset against the regression residuals: the recursion
+    that produces states x_n, ..., x_{N-1} consumes these innovations, while
+    the regression targets consume (e_{n+1}, ..., e_N).
+    """
+    return traj.noise[traj.order - 1 : traj.horizon - 1]
+
+
+def residual_noise_window(traj: Trajectory) -> np.ndarray:
+    """Innovations (e_{n+1}, ..., e_N): exactly target - design @ coeffs."""
+    return traj.noise[traj.order :]
+
+
+def _state_image(ss: CompanionStateSpace, window: np.ndarray) -> np.ndarray:
+    """A x_t assembled from the lag window Y_t; the companion's zero last
+    column annihilates the oldest state entry, so Y_t determines A x_t."""
+    return np.concatenate(([ss.coeffs @ window], window))
+
+
+def check_boundary_event(traj: Trajectory, ss: CompanionStateSpace,
+                         inputs: BoundInputs) -> tuple[bool, float]:
+    """Initial/final-state event: rho[A (x_first x_first^T - x_last x_last^T) A^T]
+    within its third of the radius budget.  Returns (held, radius)."""
+    u = _state_image(ss, lag_window(traj, traj.order - 1))
+    v = _state_image(ss, lag_window(traj, traj.horizon - 1))
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(np.outer(u, u) - np.outer(v, v)))))
+    return radius <= event_threshold(inputs), radius
+
+
+def check_noise_energy_event(noise_window, inputs: BoundInputs) -> tuple[bool, float]:
+    """Innovation energy event |sum e^2 - (N-n) s2| within its budget third.
+
+    This is the scalar form of the rank-one matrix event: the matrix's
+    spectral radius equals the absolute energy deviation.
+    """
+    e = np.asarray(noise_window, dtype=float)
+    radius = float(abs(e @ e - inputs.effective_samples * inputs.process.noise_variance))
+    return radius <= event_threshold(inputs), radius
+
+
+def check_cross_term_event(traj: Trajectory, noise_window, ss: CompanionStateSpace,
+                           inputs: BoundInputs) -> tuple[bool, float]:
+    """State-innovation cross-term event.
+
+    The summed cross matrix S B^T + B S^T with S = sum_i e_{i+1} A x_i is
+    symmetric of rank <= 2 with spectral radius |S_1| + ||S||_2 (closed form,
+    cross-checked against a dense eigensolve in tests).
+    """
+    n, horizon = traj.order, traj.horizon
+    e = np.asarray(noise_window, dtype=float)
+    full = traj.samples
+    s_tail = np.array([e @ full[2 * n - 2 - k : horizon + n - 2 - k] for k in range(n)])
+    s_head = float(ss.coeffs @ s_tail)
+    radius = abs(s_head) + math.sqrt(s_head ** 2 + float(s_tail @ s_tail))
+    return radius <= event_threshold(inputs), radius
+
+
+def check_sandwich_event(design: np.ndarray, cert: CovarianceCertificate) -> bool:
+    """Sandwich event lower <= design^T design <= upper (PSD order)."""
+    return psd_order_holds(cert.lower, design.T @ design, cert.upper)
+
+
+def check_self_normalized_event(design: np.ndarray, residual_noise,
+                                cert: CovarianceCertificate,
+                                noise_variance: float) -> bool:
+    """Self-normalized event: ||design^T E|| in the (normal + lower)^{-1} norm
+    stays below sqrt(2 s2 log(det(normal + lower)^{1/2} det(lower)^{-1/2} / delta)).
+
+    E must be the true innovations (exactly target - design @ coeffs); using
+    fitted residuals would contaminate the event.  When delta already exceeds
+    the determinant term the threshold is imaginary and the event cannot hold.
+    """
+    s = design.T @ np.asarray(residual_noise, dtype=float)
+    m = design.T @ design + cert.lower
+    lhs_sq = float(s @ np.linalg.solve(m, s))
+    sign_m, logdet_m = np.linalg.slogdet(m)
+    sign_low, logdet_low = np.linalg.slogdet(cert.lower)
+    if sign_m <= 0 or sign_low <= 0:
+        return False
+    log_argument = 0.5 * float(logdet_m - logdet_low) - cert.log_delta
+    return log_argument > 0.0 and lhs_sq <= 2.0 * float(noise_variance) * log_argument
+
+
+def evaluate_trial(process: ArProcess, ss: CompanionStateSpace, inputs: BoundInputs,
+                   cert: CovarianceCertificate,
+                   dev_certs: dict[str, DeviationCertificate],
+                   traj: Trajectory) -> dict[str, bool | None]:
+    """Every event of one trial, keyed by its coverage-report name; a
+    deviation event is None when its certificate is vacuous.  Asserts the two
+    deterministic implications between them (:func:`assert_implications`).
+    """
+    design, target = build_regressors(traj)
+    error = ols_fit(design, target) - process.coeffs
+    noise = event_noise_window(traj)
+    held = {
+        "boundary": check_boundary_event(traj, ss, inputs)[0],
+        "noise_energy": check_noise_energy_event(noise, inputs)[0],
+        "cross_term": check_cross_term_event(traj, noise, ss, inputs)[0],
+        "sandwich": check_sandwich_event(design, cert),
+        "self_normalized": check_self_normalized_event(
+            design, residual_noise_window(traj), cert, process.noise_variance),
+    }
+    for label, dev in dev_certs.items():
+        held[f"deviation:{label}"] = (
+            None if dev.vacuous else bool(abs(float(dev.direction @ error)) <= dev.radius))
+    assert_implications(held)
+    return held
+
+
+def assert_implications(held: dict[str, bool | None]) -> None:
+    """The three component events force the sandwich, and the sandwich with
+    the self-normalized event forces every deviation radius.  Both hold by
+    construction, so a violation is a bug, not bad luck."""
+    assert held["sandwich"] or not (
+        held["boundary"] and held["noise_energy"] and held["cross_term"]), \
+        "all three component events held but the sandwich failed"
+    if held["sandwich"] and held["self_normalized"]:
+        assert all(ok is not False for event, ok in held.items()
+                   if event.startswith("deviation:")), \
+            "sandwich and self-normalized held but a deviation exceeded its radius"
+
+
+# --- chi-square tail thresholds and their falsification ----------------------
+
+
+def chi2_upper_threshold(dof: int, x: float) -> float:
+    """Upper-tail threshold for a chi-square variable U with ``dof`` degrees of
+    freedom: P(U >= dof + 2 sqrt(dof x) + 2 x) <= exp(-x)."""
+    return dof + 2.0 * math.sqrt(dof * x) + 2.0 * x
+
+
+def chi2_lower_threshold(dof: int, x: float) -> float:
+    """Lower-tail threshold: P(U <= dof - 2 sqrt(dof x)) <= exp(-x)."""
+    return dof - 2.0 * math.sqrt(dof * x)
+
+
+def weighted_chi2_upper_threshold(weights, x: float) -> float:
+    """Deviation threshold for Z = sum a_i (V_i^2 - 1) with nonnegative weights:
+    P(Z >= 2 ||a||_2 sqrt(x) + 2 ||a||_inf x) <= exp(-x).
+
+    With all-ones weights this reduces exactly to the unweighted chi-square
+    threshold minus its mean.
+    """
+    a = np.atleast_1d(np.asarray(weights, dtype=float))
+    return 2.0 * float(np.linalg.norm(a)) * math.sqrt(x) + 2.0 * float(a.max()) * x
+
+
+def weierstrass_lower_bound(lambdas) -> float:
+    """Lower bound 1 - sum(l_k) for the product prod(1 - l_k), l_k in [0, 1]."""
+    return float(1.0 - np.sum(lambdas))
+
+
+def spectral_radius_subadditive_check(a, b) -> bool:
+    """True iff rho(a + b) <= rho(a) + rho(b) + 1e-10 for symmetric a, b.
+
+    Subadditivity holds for all Hermitian pairs; it is the step that combines
+    the three per-event spectral-radius bounds into one.
+    """
+    return spectral_radius(a + b) <= spectral_radius(a) + spectral_radius(b) + 1e-10
+
+
+def chi2_tail_frequencies(dof: int, x: float, samples: int,
+                          seed) -> tuple[EventCoverage, EventCoverage]:
+    """Empirical (upper, lower) tail frequencies of chi-square draws against
+    the bound exp(-x), judged by the campaign's three-standard-error rule."""
+    draws = np.random.default_rng(seed).chisquare(dof, size=samples)
+    upper_hits = int(np.count_nonzero(draws >= chi2_upper_threshold(dof, x)))
+    lower_hits = int(np.count_nonzero(draws <= chi2_lower_threshold(dof, x)))
+    return (_frequency_row("chi2_upper", upper_hits, samples, math.exp(-x)),
+            _frequency_row("chi2_lower", lower_hits, samples, math.exp(-x)))
+
+
+def weighted_chi2_tail_frequency(weights, x: float, samples: int, seed) -> EventCoverage:
+    """Empirical upper-tail frequency of Z = sum a_i (V_i^2 - 1).
+
+    Draws are processed in chunks of 100 000 rows to keep the
+    (samples x len(weights)) normal matrix out of memory.
+    """
+    a = np.atleast_1d(np.asarray(weights, dtype=float))
+    threshold = weighted_chi2_upper_threshold(a, x)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for done in range(0, samples, 100_000):
+        z = rng.standard_normal((min(100_000, samples - done), a.size))
+        hits += int(np.count_nonzero((z * z) @ a - a.sum() >= threshold))
+    return _frequency_row("weighted_chi2_upper", hits, samples, math.exp(-x))

@@ -8,13 +8,13 @@ from arcert import (
     ConvergenceError,
     StabilityError,
     build_companion,
-    psd_order_holds,
     solve_discrete_lyapunov,
     spectral_radius,
     symmetric_sqrt,
 )
 from arcert.linalg import LYAPUNOV_TOL
 from conftest import truncated_lyapunov_series
+from reference import psd_order_holds
 
 
 class TestSpectralRadius:

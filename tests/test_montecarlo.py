@@ -11,22 +11,11 @@ from arcert import (
     CampaignConfig,
     ConfigError,
     CoverageReport,
-    EventImplicationError,
-    InfeasibleCertificateError,
     NumericalFailureError,
-    TrialOutcome,
     Trajectory,
     build_companion,
-    build_regressors,
-    check_boundary_event,
-    check_cross_term_event,
-    check_noise_energy_event,
-    check_sandwich_event,
-    check_self_normalized_event,
     covariance_certificate,
     deviation_radius,
-    evaluate_trial,
-    event_noise_window,
     event_threshold,
     max_feasible_epsilon,
     resolve_direction,
@@ -34,6 +23,17 @@ from arcert import (
     simulate_stationary,
     stationary_stats,
     substream,
+)
+from reference import (
+    assert_implications,
+    build_regressors,
+    check_boundary_event,
+    check_cross_term_event,
+    check_noise_energy_event,
+    check_self_normalized_event,
+    evaluate_trial,
+    event_noise_window,
+    lag_window,
 )
 
 
@@ -92,7 +92,7 @@ class TestEventCheckers:
         _, radius = check_cross_term_event(traj, window, ss, inputs)
         # Dense oracle: materialise S B^T + B S^T and take its eigenvalues.
         images = np.array([
-            np.concatenate(([ss.coeffs @ traj.lag_window(t)], traj.lag_window(t)))
+            np.concatenate(([ss.coeffs @ lag_window(traj, t)], lag_window(traj, t)))
             for t in range(1, 299)
         ])
         s_vec = window @ images
@@ -106,17 +106,10 @@ class TestEventCheckers:
         inputs = BoundInputs(process=ar2, stats=ar2_stats, epsilon=0.2, horizon=50)
         traj = simulate_stationary(ar2, 50, 3)
         _, radius = check_boundary_event(traj, ss, inputs)
-        u = np.concatenate(([ss.coeffs @ traj.lag_window(1)], traj.lag_window(1)))
-        v = np.concatenate(([ss.coeffs @ traj.lag_window(49)], traj.lag_window(49)))
+        u = np.concatenate(([ss.coeffs @ lag_window(traj, 1)], lag_window(traj, 1)))
+        v = np.concatenate(([ss.coeffs @ lag_window(traj, 49)], lag_window(traj, 49)))
         oracle = np.max(np.abs(np.linalg.eigvalsh(np.outer(u, u) - np.outer(v, v))))
         assert radius == pytest.approx(oracle, rel=1e-12)
-
-    def test_sandwich_requires_feasible(self, ar1, ar1_stats):
-        infeasible = covariance_certificate(
-            BoundInputs(process=ar1, stats=ar1_stats, epsilon=5.0, horizon=400))
-        traj = simulate_stationary(ar1, 400, 2)
-        with pytest.raises(InfeasibleCertificateError):
-            check_sandwich_event(build_regressors(traj), infeasible)
 
     def test_self_normalized_zero_noise_holds(self, ar1, ar1_stats):
         # Zero residual noise gives a zero left side, so the event holds
@@ -125,8 +118,8 @@ class TestEventCheckers:
         cert = covariance_certificate(inputs)
         assert cert.delta < 1.0
         traj = simulate_stationary(ar1, 3000, 14)
-        reg = build_regressors(traj)
-        assert check_self_normalized_event(reg, np.zeros(reg.rows), cert, 1.0)
+        design, _ = build_regressors(traj)
+        assert check_self_normalized_event(design, np.zeros(len(design)), cert, 1.0)
 
     def test_self_normalized_unsatisfiable_when_delta_dominates(self, ar1_setup):
         # At this short horizon delta exceeds the determinant term: the
@@ -134,8 +127,8 @@ class TestEventCheckers:
         ss, inputs, cert, _ = ar1_setup
         assert cert.delta > 1.0
         traj = simulate_stationary(inputs.process, 400, 14)
-        reg = build_regressors(traj)
-        assert not check_self_normalized_event(reg, np.zeros(reg.rows), cert, 1.0)
+        design, _ = build_regressors(traj)
+        assert not check_self_normalized_event(design, np.zeros(len(design)), cert, 1.0)
 
     def test_event_threshold_value(self, ar1, ar1_stats):
         inputs = BoundInputs(process=ar1, stats=ar1_stats, epsilon=0.3, horizon=101)
@@ -143,34 +136,28 @@ class TestEventCheckers:
 
 
 class TestTrialOutcome:
-    def good_kwargs(self):
-        return dict(boundary_ok=True, noise_energy_ok=True, cross_term_ok=True,
-                    sandwich_ok=True, self_normalized_ok=True, deviation_ok=True,
-                    boundary_radius=0.1, noise_energy_radius=0.1,
-                    cross_term_radius=0.1, deviation=0.01)
+    """The reference path's per-trial implication checks."""
+
+    def good(self):
+        return {"boundary": True, "noise_energy": True, "cross_term": True,
+                "sandwich": True, "self_normalized": True, "deviation:e1": True}
 
     def test_consistent_outcome_passes(self):
-        TrialOutcome(**self.good_kwargs())
+        assert_implications(self.good())
 
     def test_sandwich_chain_enforced(self):
-        kwargs = self.good_kwargs()
-        kwargs["sandwich_ok"] = False
-        kwargs["self_normalized_ok"] = False
-        kwargs["deviation_ok"] = None
-        with pytest.raises(EventImplicationError):
-            TrialOutcome(**kwargs)
+        held = self.good() | {"sandwich": False, "self_normalized": False,
+                              "deviation:e1": None}
+        with pytest.raises(AssertionError, match="sandwich failed"):
+            assert_implications(held)
 
     def test_deviation_chain_enforced(self):
-        kwargs = self.good_kwargs()
-        kwargs["boundary_ok"] = False
-        kwargs["deviation_ok"] = False
-        with pytest.raises(EventImplicationError):
-            TrialOutcome(**kwargs)
+        held = self.good() | {"boundary": False, "deviation:e1": False}
+        with pytest.raises(AssertionError, match="deviation exceeded"):
+            assert_implications(held)
 
     def test_vacuous_deviation_allowed(self):
-        kwargs = self.good_kwargs()
-        kwargs["deviation_ok"] = None
-        TrialOutcome(**kwargs)
+        assert_implications(self.good() | {"deviation:e1": None})
 
 
 class TestResolveDirection:
@@ -242,23 +229,13 @@ def reference_failures(config: CampaignConfig) -> dict:
     cert = covariance_certificate(inputs)
     dev_certs = {label: deviation_radius(cert, w, process.noise_variance)
                  for label, w in config.directions}
-    fails = dict.fromkeys(
-        ("boundary", "noise_energy", "cross_term", "sandwich", "self_normalized"), 0)
-    for label, dev_cert in dev_certs.items():
-        fails[f"deviation:{label}"] = None if dev_cert.vacuous else 0
+    fails = {}
     for i in range(config.trials):
         traj = simulate_stationary(process, config.horizon,
                                    substream(config.master_seed, i))
-        outcomes = {label: evaluate_trial(process, ss, inputs, cert, dev_cert, traj)
-                    for label, dev_cert in dev_certs.items()}
-        for label, outcome in outcomes.items():
-            if outcome.deviation_ok is not None:
-                fails[f"deviation:{label}"] += not outcome.deviation_ok
-        fails["boundary"] += not outcome.boundary_ok
-        fails["noise_energy"] += not outcome.noise_energy_ok
-        fails["cross_term"] += not outcome.cross_term_ok
-        fails["sandwich"] += not outcome.sandwich_ok
-        fails["self_normalized"] += not outcome.self_normalized_ok
+        for event, held in evaluate_trial(process, ss, inputs, cert, dev_certs,
+                                          traj).items():
+            fails[event] = None if held is None else fails.get(event, 0) + (not held)
     return fails
 
 

@@ -19,6 +19,7 @@ from arcert import (
     substream,
 )
 from arcert.process import stationary_state_covariance
+from reference import lag_window
 
 
 class TestSchurCheck:
@@ -100,14 +101,16 @@ class TestCompanion:
 
 class TestRecursion:
     def test_noise_free_first_order(self):
-        # Zero innovations: y_t = 0.5^t exactly (powers of two are exact floats).
+        # Zero innovations: y_t = 0.5^t exactly (powers of two are exact floats);
+        # the path starts with the pre-sample y_0 = 1.
         y = ar_recursion([0.5], [1.0], np.zeros(6))
-        np.testing.assert_array_equal(y, 0.5 ** np.arange(1, 7))
+        np.testing.assert_array_equal(y, 0.5 ** np.arange(0, 7))
 
     def test_noise_free_second_order_hand_rolled(self):
         y = ar_recursion([0.3, 0.4], [1.0, 2.0], np.zeros(3))
-        # y1 = .3*2 + .4*1 = 1.0; y2 = .3*1.0 + .4*2 = 1.1; y3 = .3*1.1 + .4*1.0
-        np.testing.assert_allclose(y, [1.0, 1.1, 0.73], atol=1e-15)
+        # (y_-1, y_0) = (1, 2); y1 = .3*2 + .4*1 = 1.0; y2 = .3*1.0 + .4*2 = 1.1;
+        # y3 = .3*1.1 + .4*1.0
+        np.testing.assert_allclose(y, [1.0, 2.0, 1.0, 1.1, 0.73], atol=1e-15)
 
     def test_batch_matches_scalar_bitwise(self):
         # Time-major batch: column i is trial i.
@@ -128,7 +131,8 @@ class TestRecursion:
         pre = rng.standard_normal((order, batch))
         noise = rng.standard_normal((horizon, batch))
         out = ar_recursion(coeffs, pre, noise)
-        assert out.shape == (horizon, batch)
+        assert out.shape == (order + horizon, batch)
+        np.testing.assert_array_equal(out[:order], pre)
         for b in range(batch):
             np.testing.assert_array_equal(out[:, b], ar_recursion(coeffs, pre[:, b], noise[:, b]))
 
@@ -153,7 +157,7 @@ class TestRecursion:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.shape == (horizon, batch)
+        assert out.shape == (order + horizon, batch)
         assert peak <= 1.5 * buffer_bytes
 
 
@@ -244,17 +248,15 @@ class TestTrajectoryAccessors:
 
     def test_indexing(self):
         traj = self.make()
-        assert traj.y(0) == 1.0
-        assert traj.y(3) == 4.0
-        np.testing.assert_array_equal(traj.lag_window(2), [3.0])
-        with pytest.raises(IndexError):
-            traj.y(4)
+        np.testing.assert_array_equal(traj.pre_samples, [1.0])
+        np.testing.assert_array_equal(traj.observed, [2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(lag_window(traj, 2), [3.0])
 
     def test_lag_window_order_two(self):
         traj = Trajectory(samples=[1.0, 2.0, 3.0, 4.0, 5.0], noise=np.zeros(3),
                           order=2, horizon=3, seed=0)
         # samples = (y_-1, y_0, y_1, y_2, y_3); window at t=1 is (y_1, y_0).
-        np.testing.assert_array_equal(traj.lag_window(1), [3.0, 2.0])
+        np.testing.assert_array_equal(lag_window(traj, 1), [3.0, 2.0])
 
     def test_csv_export(self, tmp_path):
         traj = self.make()
@@ -264,3 +266,32 @@ class TestTrajectoryAccessors:
         assert lines[0] == "y"
         assert len(lines) == 5
         assert float(lines[1]) == 1.0
+
+    @pytest.mark.parametrize("total", [3, process_module.CHUNK - 1, process_module.CHUNK,
+                                       process_module.CHUNK + 1, 2 * process_module.CHUNK + 3])
+    def test_csv_matches_one_shot_text(self, tmp_path, total):
+        # The file is written CHUNK samples at a time; the block boundaries
+        # must not show in the bytes.  Three samples is the shortest
+        # trajectory (order 1, horizon 2).
+        rng = np.random.default_rng(total)
+        samples = rng.standard_normal(total) * 10.0 ** rng.integers(-300, 300, total)
+        traj = Trajectory(samples=samples, noise=np.zeros(total - 1), order=1,
+                          horizon=total - 1, seed=0)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        one_shot = "\n".join(["y"] + [repr(float(v)) for v in traj.samples]) + "\n"
+        assert path.read_bytes() == one_shot.encode("utf-8")
+
+    def test_csv_memory_is_one_block(self, tmp_path):
+        # One CHUNK block of text takes well under 1 MiB; the whole file's
+        # text at this length takes about 110 MiB.
+        horizon = 1_000_000
+        traj = Trajectory(samples=np.random.default_rng(3).standard_normal(horizon + 1),
+                          noise=np.zeros(horizon), order=1, horizon=horizon, seed=0)
+        tracemalloc.start()
+        try:
+            traj.to_csv(tmp_path / "traj.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from arcert import (
     ArProcess,
     StabilityError,
-    autocovariance_sequence,
     build_companion,
     check_schur_stable,
     peak_transfer_gain,
     simulate_stationary,
     stationary_stats,
-    toeplitz_covariance,
 )
 from conftest import truncated_lyapunov_series
+from reference import autocovariance_sequence, toeplitz_covariance
 
 
 #: AR(8) with clustered poles near 0.9 (coefficient l1 norm 27.3).
