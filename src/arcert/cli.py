@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .certificates import (
     BoundInputs,
+    RatePoint,
     covariance_certificate,
     deviation_radius,
     max_feasible_epsilon,
@@ -38,15 +39,15 @@ from .errors import (
     NumericalFailureError,
     StabilityError,
 )
-from .montecarlo import CampaignConfig, resolve_direction, run_campaign
+from .montecarlo import CampaignConfig, EventCoverage, resolve_direction, run_campaign
 from .process import ArProcess, build_companion, simulate_stationary
 from .stationary import stationary_stats
 
 #: Longest trajectory ``simulate`` accepts.  It holds the whole path in memory:
-#: about 92 bytes per sample at peak (the float arrays and the Python floats of
-#: the scalar recursion; the CSV text is written a block at a time), so about
-#: 0.9 GB at this ceiling.  The other commands stream or never simulate, so
-#: they need no cap.
+#: about 32 bytes per sample at peak (the path and noise arrays plus the chunks
+#: they are joined from; the recursion's Python floats and the CSV text are
+#: held one chunk at a time), so about 0.32 GB at this ceiling.  The other
+#: commands stream or never simulate, so they need no cap.
 MAX_SIMULATE_HORIZON = 10 ** 7
 
 
@@ -89,10 +90,20 @@ def _int_field(config: dict, field: str) -> int:
     return value
 
 
+def _fits_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _parse_horizon(config: dict, order: int) -> int:
     horizon = _int_field(config, "horizon")
     if horizon <= order:
         raise ConfigError(f"field 'horizon': must be an integer above the order {order}")
+    if not _fits_float(horizon):
+        raise ConfigError("field 'horizon': too large to convert to a float")
     return horizon
 
 
@@ -138,10 +149,11 @@ def _parse_directions(config: dict, order: int) -> list[tuple[str, np.ndarray]]:
     specs = raw if isinstance(raw, list) and not _is_vector(raw) else [raw]
     if not specs:
         raise ConfigError("field 'direction': at least one direction is required")
-    out = []
-    for idx, spec in enumerate(specs):
-        label, w = resolve_direction(spec, order, fallback_label=f"w{idx + 1}")
-        out.append((label, w))
+    out = [resolve_direction(spec, order, fallback_label=f"w{idx + 1}")
+           for idx, spec in enumerate(specs)]
+    labels = [label for label, _ in out]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"field 'direction': labels must be unique, got {labels}")
     return out
 
 
@@ -155,7 +167,11 @@ def _out_dir(args, config: dict) -> Path:
     if not target or not isinstance(target, str):
         raise ConfigError("field 'output_dir': missing or not a path string (or pass --out)")
     path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"field 'output_dir': '{target}' is not a usable directory "
+                          f"({exc})") from exc
     return path
 
 
@@ -176,6 +192,23 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _csv_text(cls, rows) -> str:
+    """CSV of dataclass instances: a header of ``cls``'s field names, then one
+    line per row.  A cell is empty for None, lower case for a bool and str()
+    otherwise (for a float, str and repr agree), so the text is a pure
+    function of the values."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    lines = [",".join(names)]
+    lines += [",".join(_csv_cell(getattr(row, name)) for name in names) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False, default=_json_default)
     path.write_text(text + "\n", encoding="utf-8")
@@ -192,12 +225,12 @@ def cmd_certify(args) -> int:
     process = _parse_process(config)
     horizon = _parse_horizon(config, process.order)
     directions = _parse_directions(config, process.order)
+    out = _out_dir(args, config)
 
     stats = stationary_stats(build_companion(process), process.noise_variance)
     ceiling = max_feasible_epsilon(process, stats)
     policy, epsilon = resolve_epsilon(_require(config, "epsilon"), ceiling, horizon)
 
-    out = _out_dir(args, config)
     payload: dict = {
         "process": process,
         "horizon": horizon,
@@ -248,6 +281,10 @@ def cmd_montecarlo(args) -> int:
     directions = _parse_directions(config, process.order)
     trials = _int_field(config, "trials")
     seed = _parse_seed(args, config)
+    allow_vacuous = config.get("allow_vacuous", False)
+    if not isinstance(allow_vacuous, bool):
+        raise ConfigError("field 'allow_vacuous': must be true or false")
+    out = _out_dir(args, config)
 
     stats = stationary_stats(build_companion(process), process.noise_variance)
     ceiling = max_feasible_epsilon(process, stats)
@@ -263,14 +300,13 @@ def cmd_montecarlo(args) -> int:
         master_seed=seed,
         directions=tuple(directions),
         threads=args.threads,
-        allow_vacuous=bool(config.get("allow_vacuous", False)),
+        allow_vacuous=allow_vacuous,
     )
     report = run_campaign(campaign)
 
-    out = _out_dir(args, config)
     _write_json(out / "coverage.json",
                 {"report": report, "epsilon_policy": policy, "meta": _meta()})
-    _write_text(out / "coverage.csv", report.csv_text())
+    _write_text(out / "coverage.csv", _csv_text(EventCoverage, report.events))
     for row in report.events:
         shown = "n/a" if row.frequency is None else repr(row.frequency)
         print(f"{row.event}: frequency={shown} bound={row.bound!r} verdict={row.verdict}")
@@ -284,8 +320,11 @@ def cmd_rate_sweep(args) -> int:
     if (not isinstance(grid, list) or not grid
             or not all(isinstance(h, int) for h in grid)):
         raise ConfigError("field 'horizon_grid': must be a non-empty list of integers")
+    if not all(_fits_float(h) for h in grid):
+        raise ConfigError("field 'horizon_grid': every horizon must convert to a float")
     directions = _parse_directions(config, process.order)
     label, w = directions[0]
+    out = _out_dir(args, config)
 
     stats = stationary_stats(build_companion(process), process.noise_variance)
     try:
@@ -293,18 +332,7 @@ def cmd_rate_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"field 'horizon_grid': {exc}") from exc
 
-    out = _out_dir(args, config)
-    csv_lines = ["horizon,epsilon,delta,log_delta,radius,feasible"]
-    for p in analysis.points:
-        csv_lines.append(",".join([
-            str(p.horizon),
-            repr(p.epsilon),
-            "" if p.delta is None else repr(p.delta),
-            "" if p.log_delta is None else repr(p.log_delta),
-            "" if p.radius is None else repr(p.radius),
-            str(p.feasible).lower(),
-        ]))
-    _write_text(out / "rate_sweep.csv", "\n".join(csv_lines) + "\n")
+    _write_text(out / "rate_sweep.csv", _csv_text(RatePoint, analysis.points))
     _write_json(out / "rate_analysis.json",
                 {"direction": label, "analysis": analysis, "meta": _meta()})
     if analysis.slope is not None:
@@ -320,8 +348,9 @@ def cmd_simulate(args) -> int:
     if horizon > MAX_SIMULATE_HORIZON:
         raise ConfigError(
             f"field 'horizon': simulate writes at most {MAX_SIMULATE_HORIZON} samples")
-    traj = simulate_stationary(process, horizon, _parse_seed(args, config))
+    seed = _parse_seed(args, config)
     out = _out_dir(args, config)
+    traj = simulate_stationary(process, horizon, seed)
     path = out / "trajectory.csv"
     traj.to_csv(path)
     print(f"wrote {path}")

@@ -76,12 +76,12 @@ def event_threshold(inputs: BoundInputs) -> float:
     return inputs.epsilon * inputs.process.noise_variance * inputs.effective_samples / 3.0
 
 
-def resolve_direction(spec, order: int, fallback_label: str = "custom") -> tuple[str, np.ndarray]:
+def resolve_direction(spec, order: int, fallback_label: str) -> tuple[str, np.ndarray]:
     """Turn a direction spec into a (label, unit vector) pair.
 
     Accepts the shorthand "e<i>" for the i-th standard basis vector (1-based),
     "uniform" for the normalised all-ones vector, or an explicit vector, which
-    is normalised to unit length.
+    is normalised to unit length and labelled ``fallback_label``.
     """
     if isinstance(spec, str):
         token = spec.strip().lower()
@@ -202,21 +202,6 @@ class CoverageReport:
             if row.event == name:
                 return row
         raise KeyError(name)
-
-    def csv_text(self) -> str:
-        """Flat CSV, one row per event; deterministic byte-for-byte."""
-        lines = ["event,bound,failures,evaluated,frequency,stderr,verdict"]
-        for row in self.events:
-            lines.append(",".join([
-                row.event,
-                repr(row.bound),
-                "" if row.failures is None else str(row.failures),
-                str(row.evaluated),
-                "" if row.frequency is None else repr(row.frequency),
-                "" if row.stderr is None else repr(row.stderr),
-                row.verdict,
-            ]))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

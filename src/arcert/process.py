@@ -51,10 +51,10 @@ def characteristic_roots(coeffs) -> np.ndarray:
     return np.linalg.eigvals(_coefficient_companion(c))
 
 
-def check_schur_stable(coeffs, margin: float = STABILITY_MARGIN) -> bool:
-    """True iff every characteristic root has modulus below 1 - margin."""
+def check_schur_stable(coeffs) -> bool:
+    """True iff every characteristic root has modulus below 1 - STABILITY_MARGIN."""
     roots = characteristic_roots(coeffs)
-    return bool(np.max(np.abs(roots)) < 1.0 - margin)
+    return bool(np.max(np.abs(roots)) < 1.0 - STABILITY_MARGIN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +140,8 @@ class Trajectory:
     ``samples`` has length N + n: the n pre-samples (y_{1-n}, ..., y_0) drawn
     from the stationary law, then the N recursion outputs.  ``noise`` holds
     the true innovations (e_1, ..., e_N), which residuals of a fit would only
-    estimate.
+    estimate.  Both are kept as read-only views of the arrays handed in, not
+    copies.
     """
 
     samples: np.ndarray
@@ -150,8 +151,8 @@ class Trajectory:
     seed: SeedLike
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float).copy()
-        noise = np.asarray(self.noise, dtype=float).copy()
+        samples = np.asarray(self.samples, dtype=float).view()
+        noise = np.asarray(self.noise, dtype=float).view()
         n, horizon = int(self.order), int(self.horizon)
         if n < 1 or horizon <= n:
             raise ValueError("require order >= 1 and horizon > order")
@@ -195,41 +196,40 @@ def ar_recursion(coeffs, pre_samples, noise) -> np.ndarray:
     """Run the AR recursion y_t = sum_k c_k y_{t-k} + e_t and return the whole
     path (y_{1-n}, ..., y_N).
 
-    Time is the leading axis.  ``pre_samples`` holds (y_{1-n}, ..., y_0) in
-    time order, shape (n,) or (n, B); ``noise`` holds (e_1, ..., e_N), shape
-    (N,) or (N, B); the result has shape (n + N,) or (n + N, B) and starts
-    with a copy of ``pre_samples``.  With a trailing batch axis, column b is
-    the trajectory of trial b, and every time step updates one contiguous row
-    in place.  The accumulation order (innovation first, then lag terms in
-    increasing k) is identical on the scalar and batched paths, so they
-    produce bit-identical output.
+    Time is the leading axis and column b is the trajectory of trial b:
+    ``pre_samples`` holds (y_{1-n}, ..., y_0), shape (n, B); ``noise`` holds
+    (e_1, ..., e_N), shape (N, B); the result has shape (n + N, B) and starts
+    with a copy of ``pre_samples``.  Every step accumulates the innovation
+    first, then the lag terms in increasing k, so a column comes out bit for
+    bit the same whatever B is.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     pre = np.asarray(pre_samples, dtype=float)
     e = np.asarray(noise, dtype=float)
     n = c.size
-    if pre.ndim < 1 or pre.shape[0] != n:
+    if pre.ndim != 2 or e.ndim != 2:
+        raise ValueError("pre_samples and noise must be time-major (time, batch) arrays")
+    if pre.shape[0] != n:
         raise ValueError(f"pre_samples leading axis must have length {n}")
-    if pre.ndim != e.ndim or pre.shape[1:] != e.shape[1:]:
+    if pre.shape[1] != e.shape[1]:
         raise ValueError("pre_samples and noise must have the same trailing (batch) shape")
+    ck = c.tolist()
 
-    if e.ndim == 1:
-        # Plain-float path: ~10x faster than per-step numpy scalars for long runs.
-        ck = c.tolist()
-        path = pre.tolist()
-        for ei in e.tolist():
+    if e.shape[1] == 1:
+        # One trajectory: plain floats are ~10x faster than one-element rows.
+        path = pre[:, 0].tolist()
+        for ei in e[:, 0].tolist():
             acc = ei
             for k in range(n):
                 acc += ck[k] * path[-1 - k]
             path.append(acc)
-        return np.asarray(path)
+        return np.asarray(path)[:, None]
 
     # Row n + t of buf starts as e_{t+1} and accumulates the lag terms in
     # place; one scratch row holds each product, so no step allocates.
     buf = np.concatenate([pre, e])
     rows = list(buf)
-    tmp = np.empty(e.shape[1:])
-    ck = c.tolist()
+    tmp = np.empty(e.shape[1])
     for t in range(n, buf.shape[0]):
         row = rows[t]
         for k in range(n):
@@ -254,39 +254,10 @@ def stationary_state_covariance(ss: CompanionStateSpace, sigma2: float) -> np.nd
     return solve_discrete_lyapunov(ss.a_matrix, sigma2 * np.outer(ss.b_vector, ss.b_vector))
 
 
-def _draw_initial_state(process: ArProcess, chol_like: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """First draw of every stream, before the innovations: the stationary
-    state, returned as the pre-samples (y_{1-n}, ..., y_0)."""
-    n = process.order
-    state = chol_like @ rng.standard_normal(n + 1)
-    # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0), drop y_{-n}.
-    return state[:n][::-1].copy()
-
-
-def simulate_stationary(process: ArProcess, horizon: int, seed: SeedLike) -> Trajectory:
-    """Simulate an exactly stationary trajectory of length horizon.
-
-    The initial companion state is drawn from its stationary Gaussian law via a
-    symmetric square root of the stationary covariance (no burn-in), then the
-    recursion is run with fresh N(0, noise_variance) innovations.  Deterministic
-    given (process, horizon, seed).
-    """
-    horizon = int(horizon)
-    if horizon <= process.order:
-        raise ValueError("horizon must exceed the process order")
-    factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
-                                                       process.noise_variance))
-    rng = np.random.default_rng(seed)
-    pre = _draw_initial_state(process, factor, rng)
-    noise = np.sqrt(process.noise_variance) * rng.standard_normal(horizon)
-    return Trajectory(samples=ar_recursion(process.coeffs, pre, noise), noise=noise,
-                      order=process.order, horizon=horizon, seed=seed)
-
-
 def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
                     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Simulate one trajectory per seed, CHUNK time steps at a time.
+    """Simulate one exactly stationary trajectory per seed, CHUNK time steps
+    at a time.  The only code that draws a path.
 
     Yields ``(start, window, noise)`` per chunk, time-major: row p is one
     time step and column b is the trial of seeds[b].  With the path written
@@ -297,11 +268,13 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     innovations that drive those new samples.  Only O(len(seeds) * CHUNK)
     floats are alive at once, whatever the horizon.
 
-    Each seed's stream is drawn in the order simulate_stationary draws it, and
-    chunked ``standard_normal`` calls continue one stream bit for bit, so the
-    concatenated chunks reproduce simulate_stationary exactly.  The draws fill
-    one contiguous row per trial (``Generator`` rejects a strided ``out``);
-    one scaled transpose per chunk turns them time-major.
+    Each seed's stream first draws the initial companion state from its
+    stationary Gaussian law, through a symmetric square root of the
+    stationary covariance (no burn-in), then the N(0, noise_variance)
+    innovations in time order.  Chunked ``standard_normal`` calls continue
+    one stream bit for bit, so the chunks do not change the path.  The draws
+    fill one contiguous row per trial (``Generator`` rejects a strided
+    ``out``); one scaled transpose per chunk turns them time-major.
     """
     horizon = int(horizon)
     if horizon <= process.order:
@@ -312,7 +285,8 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     rngs = [np.random.default_rng(seed) for seed in seeds]
     tail = np.empty((n, len(rngs)))
     for i, rng in enumerate(rngs):
-        tail[:, i] = _draw_initial_state(process, factor, rng)
+        # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0), drop y_{-n}.
+        tail[:, i] = (factor @ rng.standard_normal(n + 1))[n - 1 :: -1]
     scale = np.sqrt(process.noise_variance)
     drawn = np.empty((len(rngs), min(CHUNK, horizon)))
     for start in range(0, horizon, CHUNK):
@@ -336,7 +310,6 @@ def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate one trajectory per seed; returns (pre, noise, observed) row-stacked.
 
-    Row i reproduces simulate_stationary(process, horizon, seeds[i]) exactly.
     This is the concatenation of the time-major :func:`simulate_chunks`,
     transposed at the end, so its memory grows with len(seeds) * horizon; the
     Monte Carlo campaign consumes the chunks directly instead.
@@ -347,3 +320,12 @@ def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
     noise = np.concatenate([noise for _, _, noise in chunks])
     y = np.concatenate([window[n:] for _, window, _ in chunks])
     return tuple(np.ascontiguousarray(a.T) for a in (pre, noise, y))
+
+
+def simulate_stationary(process: ArProcess, horizon: int, seed: SeedLike) -> Trajectory:
+    """Simulate an exactly stationary trajectory of length horizon: the
+    one-seed case of :func:`simulate_batch`.  Deterministic given (process,
+    horizon, seed)."""
+    pre, noise, observed = simulate_batch(process, horizon, [seed])
+    return Trajectory(samples=np.concatenate([pre[0], observed[0]]), noise=noise[0],
+                      order=process.order, horizon=horizon, seed=seed)

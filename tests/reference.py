@@ -4,8 +4,9 @@ The campaign kernel in ``arcert.montecarlo`` evaluates every event from
 streamed sufficient statistics.  The functions here evaluate the same events
 trial by trial on a whole :class:`arcert.Trajectory`, fit least squares by an
 orthogonal factorisation, and give the closed-form chi-square tail thresholds
-the sandwich bound rests on, with samplers that try to break them.  Only the
-tests use them.
+the sandwich bound rests on, with samplers that try to break them.  The
+whole-horizon simulator draws one path in a single pass, the oracle for the
+chunked simulator.  Only the tests use them.
 
 Index convention (pinned by tests against hand enumeration, since an
 off-by-one here silently corrupts every event frequency): the design matrix
@@ -29,10 +30,41 @@ from arcert import (
     build_companion,
     event_threshold,
     spectral_radius,
+    symmetric_sqrt,
 )
 from arcert.linalg import PSD_ORDER_RTOL
 from arcert.montecarlo import EventCoverage, _frequency_row
-from arcert.process import stationary_state_covariance
+from arcert.process import SeedLike, stationary_state_covariance
+
+# --- simulation -------------------------------------------------------------
+
+
+def simulate_whole_horizon(process: ArProcess, horizon: int, seed: SeedLike) -> Trajectory:
+    """One exactly stationary trajectory drawn in a single pass.
+
+    The stream draws the initial companion state from its stationary law,
+    then all N innovations in one ``standard_normal`` call, and the recursion
+    runs over plain floats with the innovation first and the lag terms in
+    increasing k: the draw order and accumulation order the chunked
+    simulator must reproduce bit for bit.
+    """
+    n = process.order
+    factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
+                                                       process.noise_variance))
+    rng = np.random.default_rng(seed)
+    state = factor @ rng.standard_normal(n + 1)
+    # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0).
+    path = state[:n][::-1].tolist()
+    noise = np.sqrt(process.noise_variance) * rng.standard_normal(horizon)
+    coeffs = process.coeffs.tolist()
+    for e in noise.tolist():
+        acc = e
+        for k in range(n):
+            acc += coeffs[k] * path[-1 - k]
+        path.append(acc)
+    return Trajectory(samples=np.asarray(path), noise=noise, order=n, horizon=horizon,
+                      seed=seed)
+
 
 # --- stationary second-order structure -------------------------------------
 

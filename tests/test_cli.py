@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import time
@@ -26,6 +27,7 @@ from arcert import (
     simulate_stationary,
     stationary_stats,
 )
+import arcert.cli as cli_module
 from arcert.cli import main
 
 
@@ -318,6 +320,52 @@ def field_names(cls) -> list[str]:
     return [f.name for f in dataclasses.fields(cls)]
 
 
+def assert_csv_cells(path, cls, rows):
+    """Parse a CSV output back and check every cell against the dataclass
+    value it was written from."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == field_names(cls)
+    assert len(table) == 1 + len(rows)
+    for line, row in zip(table[1:], rows):
+        for cell, name in zip(line, table[0], strict=True):
+            value = getattr(row, name)
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            elif isinstance(value, (int, float)):
+                assert type(value)(cell) == value, (name, cell, value)
+            else:
+                assert cell == value
+
+
+class TestCsvOutputs:
+    """The CSV outputs are the result dataclasses, one row per instance."""
+
+    def test_coverage_csv(self, tmp_path):
+        cfg = write_config(tmp_path, **dict(AR1_MC, direction=["e1", [2.0]]))
+        assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        process = ArProcess(coeffs=[0.5], noise_variance=1.0)
+        stats = stationary_stats(build_companion(process), 1.0)
+        report = run_campaign(CampaignConfig(
+            process=process, horizon=3000, epsilon=0.5 * max_feasible_epsilon(process, stats),
+            trials=150, master_seed=99,
+            directions=(("e1", np.array([1.0])), ("w2", np.array([1.0])))))
+        assert_csv_cells(tmp_path / "out" / "coverage.csv", EventCoverage, report.events)
+
+    def test_rate_sweep_csv(self, tmp_path):
+        # N = 3 is infeasible, so its row has empty cells and "false".
+        cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=1.0,
+                           horizon_grid=[3, 100, 1000, 10_000])
+        assert run(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        process = ArProcess(coeffs=[0.3, 0.4], noise_variance=1.0)
+        stats = stationary_stats(build_companion(process), 1.0)
+        analysis = rate_analysis(process, stats, [3, 100, 1000, 10_000], [1.0, 0.0])
+        assert analysis.points[0].delta is None and analysis.points[0].feasible is False
+        assert_csv_cells(tmp_path / "out" / "rate_sweep.csv", RatePoint, analysis.points)
+
+
 class TestJsonOutputs:
     """The JSON outputs are the result dataclasses, field for field."""
 
@@ -392,6 +440,16 @@ class TestJsonOutputs:
     pytest.param("montecarlo", "direction", [1.0, None], id="null-in-vector"),
     pytest.param("rate-sweep", "direction", {"x": 1}, id="sweep-dict-direction"),
     pytest.param("rate-sweep", "direction", [], id="no-direction"),
+    pytest.param("certify", "direction", ["e1", "E1"], id="certify-repeated-direction"),
+    pytest.param("montecarlo", "direction", ["uniform", "uniform"],
+                 id="montecarlo-repeated-direction"),
+    pytest.param("rate-sweep", "direction", ["e1", "e1"], id="sweep-repeated-direction"),
+    pytest.param("montecarlo", "allow_vacuous", "false", id="string-allow-vacuous"),
+    pytest.param("montecarlo", "allow_vacuous", 1, id="number-allow-vacuous"),
+    pytest.param("certify", "horizon", 10 ** 400, id="certify-horizon-beyond-float"),
+    pytest.param("montecarlo", "horizon", 10 ** 400, id="montecarlo-horizon-beyond-float"),
+    pytest.param("rate-sweep", "horizon_grid", [1000, 10 ** 400],
+                 id="sweep-horizon-beyond-float"),
     pytest.param("simulate", "output_dir", 5, id="number-output-dir"),
     pytest.param("certify", "output_dir", ["out"], id="list-output-dir"),
 ])
@@ -401,6 +459,23 @@ def test_malformed_field_named(tmp_path, capsys, command, field, value):
     cfg = write_config(tmp_path, **doc)
     assert run([command, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "montecarlo", "rate-sweep", "simulate"])
+def test_output_dir_that_is_a_file_rejected_before_work(tmp_path, capsys, monkeypatch,
+                                                        command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
+
+    monkeypatch.setattr(cli_module, "stationary_stats", no_work)
+    monkeypatch.setattr(cli_module, "simulate_stationary", no_work)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    cfg = write_config(tmp_path, **dict(AR1_MC, horizon_grid=[1000]))
+    for out in (blocker, blocker / "sub"):
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "output_dir" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_missing_config_file_exit_two(tmp_path, capsys):

@@ -7,7 +7,8 @@ from reference import build_regressors, lag_window, ols_fit
 
 def noise_free_trajectory(coeffs, pre, horizon):
     noise = np.zeros(horizon)
-    return Trajectory(samples=ar_recursion(coeffs, pre, noise), noise=noise,
+    path = ar_recursion(coeffs, np.reshape(pre, (-1, 1)), noise[:, None])
+    return Trajectory(samples=path[:, 0], noise=noise,
                       order=len(coeffs), horizon=horizon, seed=0)
 
 

@@ -11,6 +11,7 @@ from arcert import (
     CampaignConfig,
     ConfigError,
     CoverageReport,
+    EventCoverage,
     NumericalFailureError,
     Trajectory,
     build_companion,
@@ -24,6 +25,7 @@ from arcert import (
     stationary_stats,
     substream,
 )
+from arcert.cli import _csv_text
 from reference import (
     assert_implications,
     build_regressors,
@@ -162,12 +164,12 @@ class TestTrialOutcome:
 
 class TestResolveDirection:
     def test_basis_shorthand(self):
-        label, w = resolve_direction("e2", 3)
+        label, w = resolve_direction("e2", 3, "w1")
         assert label == "e2"
         np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
 
     def test_uniform(self):
-        label, w = resolve_direction("uniform", 4)
+        label, w = resolve_direction("uniform", 4, "w1")
         assert label == "uniform"
         np.testing.assert_allclose(w, 0.5 * np.ones(4))
 
@@ -178,11 +180,11 @@ class TestResolveDirection:
 
     def test_errors(self):
         with pytest.raises(ConfigError):
-            resolve_direction("e5", 2)
+            resolve_direction("e5", 2, "w1")
         with pytest.raises(ConfigError):
-            resolve_direction("sideways", 2)
+            resolve_direction("sideways", 2, "w1")
         with pytest.raises(ConfigError):
-            resolve_direction([0.0, 0.0], 2)
+            resolve_direction([0.0, 0.0], 2, "w1")
 
 
 class TestCampaignConfigValidation:
@@ -298,7 +300,7 @@ class TestCampaign:
                 assert row.frequency - 3.0 * row.stderr <= max(row.bound, 1.0)
 
     def test_csv_shape(self, small_report):
-        lines = small_report.csv_text().splitlines()
+        lines = _csv_text(EventCoverage, small_report.events).splitlines()
         assert lines[0] == "event,bound,failures,evaluated,frequency,stderr,verdict"
         assert len(lines) == 1 + len(small_report.events)
 
@@ -359,8 +361,17 @@ class TestStreamingKernel:
         one = run_campaign(half_ceiling_config(AR3, horizon))
         monkeypatch.setattr(montecarlo_module, "BATCH", 7)
         split = run_campaign(half_ceiling_config(AR3, horizon, threads=2))
-        assert split.csv_text() == one.csv_text()
+        assert _csv_text(EventCoverage, split.events) == _csv_text(EventCoverage, one.events)
         assert split == one
+
+    def test_one_trial_final_batch_matches_one_batch(self, monkeypatch):
+        # 100 trials in batches of 99 leave a final batch of one trial, which
+        # the recursion runs on plain floats instead of in-place rows.
+        horizon = 2 * process_module.CHUNK + 37
+        monkeypatch.setattr(montecarlo_module, "BATCH", 100)
+        one = run_campaign(half_ceiling_config(AR3, horizon))
+        monkeypatch.setattr(montecarlo_module, "BATCH", 99)
+        assert run_campaign(half_ceiling_config(AR3, horizon)) == one
 
     @pytest.mark.parametrize("chunk", [2, 16])
     @pytest.mark.parametrize("coeffs", [[0.5], [0.5, -0.3, 0.2]])

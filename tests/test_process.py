@@ -19,7 +19,7 @@ from arcert import (
     substream,
 )
 from arcert.process import stationary_state_covariance
-from reference import lag_window
+from reference import lag_window, simulate_whole_horizon
 
 
 class TestSchurCheck:
@@ -103,24 +103,25 @@ class TestRecursion:
     def test_noise_free_first_order(self):
         # Zero innovations: y_t = 0.5^t exactly (powers of two are exact floats);
         # the path starts with the pre-sample y_0 = 1.
-        y = ar_recursion([0.5], [1.0], np.zeros(6))
-        np.testing.assert_array_equal(y, 0.5 ** np.arange(0, 7))
+        y = ar_recursion([0.5], [[1.0]], np.zeros((6, 1)))
+        np.testing.assert_array_equal(y, 0.5 ** np.arange(0, 7)[:, None])
 
     def test_noise_free_second_order_hand_rolled(self):
-        y = ar_recursion([0.3, 0.4], [1.0, 2.0], np.zeros(3))
+        y = ar_recursion([0.3, 0.4], [[1.0], [2.0]], np.zeros((3, 1)))
         # (y_-1, y_0) = (1, 2); y1 = .3*2 + .4*1 = 1.0; y2 = .3*1.0 + .4*2 = 1.1;
         # y3 = .3*1.1 + .4*1.0
-        np.testing.assert_allclose(y, [1.0, 2.0, 1.0, 1.1, 0.73], atol=1e-15)
+        np.testing.assert_allclose(y[:, 0], [1.0, 2.0, 1.0, 1.1, 0.73], atol=1e-15)
 
     def test_batch_matches_scalar_bitwise(self):
-        # Time-major batch: column i is trial i.
+        # Time-major batch: column i is trial i; a one-column call takes the
+        # plain-float loop.
         rng = np.random.default_rng(0)
         pre = rng.standard_normal((4, 2)).T
         noise = rng.standard_normal((4, 50)).T
         batch = ar_recursion([0.3, 0.4], pre, noise)
         for i in range(4):
-            single = ar_recursion([0.3, 0.4], pre[:, i], noise[:, i])
-            np.testing.assert_array_equal(batch[:, i], single)
+            single = ar_recursion([0.3, 0.4], pre[:, i : i + 1], noise[:, i : i + 1])
+            np.testing.assert_array_equal(batch[:, i : i + 1], single)
 
     @settings(max_examples=150)
     @given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 50),
@@ -133,10 +134,15 @@ class TestRecursion:
         out = ar_recursion(coeffs, pre, noise)
         assert out.shape == (order + horizon, batch)
         np.testing.assert_array_equal(out[:order], pre)
+        # A one-trial batch (the last batch of some campaigns) takes the
+        # plain-float loop; every column must match it bit for bit.
         for b in range(batch):
-            np.testing.assert_array_equal(out[:, b], ar_recursion(coeffs, pre[:, b], noise[:, b]))
+            single = ar_recursion(coeffs, pre[:, b : b + 1], noise[:, b : b + 1])
+            np.testing.assert_array_equal(out[:, b : b + 1], single)
 
     def test_batch_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="time-major"):
+            ar_recursion([0.5], [1.0], np.zeros(6))
         with pytest.raises(ValueError, match="leading axis"):
             ar_recursion([0.3, 0.4], np.zeros((3, 4)), np.zeros((10, 4)))
         with pytest.raises(ValueError, match="trailing"):
@@ -216,28 +222,62 @@ class TestSimulation:
         seeds = [substream(5, i) for i in range(3)]
         pre, noise, y = simulate_batch(ar2, 64, seeds)
         for i, seed in enumerate(seeds):
-            traj = simulate_stationary(ar2, 64, seed)
-            np.testing.assert_array_equal(traj.pre_samples, pre[i])
-            np.testing.assert_array_equal(traj.noise, noise[i])
-            np.testing.assert_array_equal(traj.observed, y[i])
+            assert_matches_whole_horizon(ar2, 64, seed, pre[i], noise[i], y[i])
 
     def test_chunked_rows_match_single_runs(self, ar2, monkeypatch):
         # Chunks shorter than the order and a ragged last chunk: the carried
-        # samples and the chunked draws must continue each stream exactly.
+        # samples and the chunked draws must continue each stream exactly,
+        # in a batch and in the one-seed simulate_stationary.
         seeds = [substream(6, i) for i in range(3)]
-        reference = [simulate_stationary(ar2, 23, seed) for seed in seeds]
         for chunk in (1, 5):
             monkeypatch.setattr(process_module, "CHUNK", chunk)
             pre, noise, y = simulate_batch(ar2, 23, seeds)
-            for i, traj in enumerate(reference):
-                np.testing.assert_array_equal(traj.pre_samples, pre[i])
-                np.testing.assert_array_equal(traj.noise, noise[i])
-                np.testing.assert_array_equal(traj.observed, y[i])
+            for i, seed in enumerate(seeds):
+                assert_matches_whole_horizon(ar2, 23, seed, pre[i], noise[i], y[i])
+            traj = simulate_stationary(ar2, 23, seeds[0])
+            assert_matches_whole_horizon(ar2, 23, seeds[0], traj.pre_samples, traj.noise,
+                                         traj.observed)
+
+    @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4]], ids=["ar1", "ar2"])
+    @pytest.mark.parametrize("total", [process_module.CHUNK - 1, process_module.CHUNK,
+                                       process_module.CHUNK + 1, 2 * process_module.CHUNK + 3])
+    def test_chunk_boundaries_match_whole_horizon(self, coeffs, total):
+        # N + n samples around one and two default chunks.
+        process = ArProcess(coeffs=coeffs)
+        horizon = total - process.order
+        seeds = [substream(8, i) for i in range(2)]
+        pre, noise, y = simulate_batch(process, horizon, seeds)
+        for i, seed in enumerate(seeds):
+            assert_matches_whole_horizon(process, horizon, seed, pre[i], noise[i], y[i])
+        traj = simulate_stationary(process, horizon, seeds[1])
+        assert_matches_whole_horizon(process, horizon, seeds[1], traj.pre_samples, traj.noise,
+                                     traj.observed)
+
+    def test_single_path_memory(self, ar2):
+        # The float data is 16 B per sample (path and noise); the chunk list
+        # and its concatenation add 16 more.  Python floats for the whole
+        # path, or copies of the finished arrays, would break the bound.
+        horizon = 200_000
+        tracemalloc.start()
+        try:
+            traj = simulate_stationary(ar2, horizon, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.samples.shape == (horizon + 2,)
+        assert peak <= 40 * horizon
 
     def test_substreams_are_distinct(self):
         a = np.random.default_rng(substream(1, 0)).standard_normal(8)
         b = np.random.default_rng(substream(1, 1)).standard_normal(8)
         assert not np.allclose(a, b)
+
+
+def assert_matches_whole_horizon(process, horizon, seed, pre, noise, observed):
+    oracle = simulate_whole_horizon(process, horizon, seed)
+    np.testing.assert_array_equal(oracle.pre_samples, pre)
+    np.testing.assert_array_equal(oracle.noise, noise)
+    np.testing.assert_array_equal(oracle.observed, observed)
 
 
 class TestTrajectoryAccessors:
@@ -251,6 +291,18 @@ class TestTrajectoryAccessors:
         np.testing.assert_array_equal(traj.pre_samples, [1.0])
         np.testing.assert_array_equal(traj.observed, [2.0, 3.0, 4.0])
         np.testing.assert_array_equal(lag_window(traj, 2), [3.0])
+
+    def test_arrays_read_only_without_copy(self):
+        samples, noise = np.arange(4.0), np.zeros(3)
+        traj = Trajectory(samples=samples, noise=noise, order=1, horizon=3, seed=0)
+        assert np.shares_memory(traj.samples, samples)
+        assert np.shares_memory(traj.noise, noise)
+        with pytest.raises(ValueError):
+            traj.samples[0] = 9.0
+        with pytest.raises(ValueError):
+            traj.noise[0] = 9.0
+        # The caller's own arrays stay writable.
+        samples[0] = 9.0
 
     def test_lag_window_order_two(self):
         traj = Trajectory(samples=[1.0, 2.0, 3.0, 4.0, 5.0], noise=np.zeros(3),
