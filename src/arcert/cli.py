@@ -44,9 +44,9 @@ from .process import ArProcess, build_companion, simulate_stationary
 from .stationary import stationary_stats
 
 #: Longest trajectory ``simulate`` accepts.  It holds the whole path in memory:
-#: about 32 bytes per sample at peak (the path and noise arrays plus the chunks
-#: they are joined from; the recursion's Python floats and the CSV text are
-#: held one chunk at a time), so about 0.32 GB at this ceiling.  The other
+#: about 25 bytes per sample at peak (the noise and observed arrays and the
+#: path joined from the latter; the recursion's Python floats and the CSV text
+#: are held one chunk at a time), so about 0.25 GB at this ceiling.  The other
 #: commands stream or never simulate, so they need no cap.
 MAX_SIMULATE_HORIZON = 10 ** 7
 

@@ -310,16 +310,19 @@ def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate one trajectory per seed; returns (pre, noise, observed) row-stacked.
 
-    This is the concatenation of the time-major :func:`simulate_chunks`,
-    transposed at the end, so its memory grows with len(seeds) * horizon; the
-    Monte Carlo campaign consumes the chunks directly instead.
+    Each chunk of the time-major :func:`simulate_chunks` is copied into the
+    result as it arrives, so only the result grows with len(seeds) * horizon;
+    the Monte Carlo campaign consumes the chunks directly instead.
     """
-    chunks = list(simulate_chunks(process, horizon, seeds))
     n = process.order
-    pre = chunks[0][1][:n]
-    noise = np.concatenate([noise for _, _, noise in chunks])
-    y = np.concatenate([window[n:] for _, window, _ in chunks])
-    return tuple(np.ascontiguousarray(a.T) for a in (pre, noise, y))
+    for start, window, chunk_noise in simulate_chunks(process, horizon, seeds):
+        if start == 0:
+            pre = np.ascontiguousarray(window[:n].T)
+            noise = np.empty((len(seeds), int(horizon)))
+            observed = np.empty_like(noise)
+        for out, part in ((noise, chunk_noise), (observed, window[n:])):
+            out[:, start : start + len(part)] = part.T
+    return pre, noise, observed
 
 
 def simulate_stationary(process: ArProcess, horizon: int, seed: SeedLike) -> Trajectory:
