@@ -75,11 +75,18 @@ def _parse_process(config: dict) -> ArProcess:
     coeffs = _require(config, "coeffs")
     noise_variance = _require(config, "noise_variance")
     try:
-        return ArProcess(coeffs=np.asarray(coeffs, dtype=float),
-                         noise_variance=float(noise_variance))
+        coeffs = np.asarray(coeffs, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field 'coeffs': {exc}") from exc
+    try:
+        noise_variance = float(noise_variance)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field 'noise_variance': {exc}") from exc
+    try:
+        return ArProcess(coeffs=coeffs, noise_variance=noise_variance)
     except StabilityError as exc:
         raise ConfigError(f"field 'coeffs': {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"field 'coeffs'/'noise_variance': {exc}") from exc
 
 
@@ -125,6 +132,8 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
         raise ConfigError("field 'epsilon': must be a number, 'ceiling-rule' or "
                           "{'fraction_of_ceiling': f}")
     if isinstance(spec, (int, float)):
+        if not _fits_float(spec):
+            raise ConfigError("field 'epsilon': too large to convert to a float")
         value = float(spec)
         if not np.isfinite(value) or value <= 0.0:
             raise ConfigError("field 'epsilon': fixed value must be a positive real")
@@ -135,7 +144,7 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
     if isinstance(spec, dict) and set(spec) == {"fraction_of_ceiling"}:
         try:
             fraction = float(spec["fraction_of_ceiling"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"field 'epsilon': fraction_of_ceiling: {exc}") from exc
         if not np.isfinite(fraction) or fraction <= 0.0:
             raise ConfigError("field 'epsilon': fraction_of_ceiling must be positive")

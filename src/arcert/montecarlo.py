@@ -16,8 +16,9 @@ and only per-trial sufficient statistics are carried between chunks: the
 normal matrix Y^T Y, the regressor-innovation sums over the residual and the
 event windows, the innovation energy, and the first and last lag windows.
 Every event is a function of those, and the least-squares error follows from
-the normal equations, theta_hat - theta = (Y^T Y)^{-1} Y^T e.  Memory is
-therefore O(threads * batch * CHUNK) whatever the horizon.  The test suite's
+the normal equations, theta_hat - theta = (Y^T Y)^{-1} Y^T e.  Each batch's
+simulator allocates its chunk buffers once and refills them, so memory is
+O(threads * batch * CHUNK) whatever the horizon.  The test suite's
 ``reference`` module re-derives every event trial by trial from a whole
 trajectory; the kernel is tested against it.
 
@@ -97,7 +98,7 @@ def resolve_direction(spec, order: int, fallback_label: str) -> tuple[str, np.nd
         raise ConfigError(f"direction '{spec}': expected 'e<i>', 'uniform' or a vector")
     try:
         w = np.atleast_1d(np.asarray(spec, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"direction: expected 'e<i>', 'uniform' or a vector ({exc})") from exc
     if w.shape != (order,):
         raise ConfigError(f"direction: expected a vector of length {order}")

@@ -24,8 +24,19 @@ STABILITY_MARGIN = 1e-9
 #: Time steps simulated per chunk by :func:`simulate_chunks`.  A fixed
 #: constant, not a setting: chunk boundaries fix the order in which campaign
 #: statistics are summed, so reports stay independent of batch size and
-#: thread count.
-CHUNK = 4096
+#: thread count.  At 1024 steps a 256-trial batch's draw, noise and window
+#: buffers take 2 MB each.  A 256-trial AR(1) campaign at N = 1e5 (one
+#: thread, 2-core x86-64 VM, median of 12 interleaved rounds) ran at
+#: 264 / 272 / 274 / 279 / 263 trials/s for 256 / 512 / 1024 / 2048 / 4096
+#: steps in a slow phase of the shared VM, and at 572 / 590 / 604 / 617 / 621
+#: in a fast one: 1024 is within 3% of the best in both, with a quarter of
+#: the buffer memory of 4096.
+CHUNK = 1024
+
+#: Samples per block of text written by :meth:`Trajectory.to_csv`, which
+#: holds one block's text (about 80 KB) at a time.  Not tied to CHUNK: a
+#: write per 1024 samples costs `simulate` at N = 1e6 about 1% of its time.
+_CSV_BLOCK = 4096
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -182,25 +193,27 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write the sample path as a single-column CSV with a one-line header.
 
-        The text is built CHUNK samples at a time, so only one block of it is
-        ever in memory.
+        The text is built _CSV_BLOCK samples at a time, so only one block of
+        it is ever in memory.
         """
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("y\n")
-            for start in range(0, self.samples.size, CHUNK):
-                block = self.samples[start : start + CHUNK].tolist()
+            for start in range(0, self.samples.size, _CSV_BLOCK):
+                block = self.samples[start : start + _CSV_BLOCK].tolist()
                 fh.write("".join(repr(v) + "\n" for v in block))
 
 
-def ar_recursion(coeffs, pre_samples, noise) -> np.ndarray:
+def ar_recursion(coeffs, pre_samples, noise, out=None) -> np.ndarray:
     """Run the AR recursion y_t = sum_k c_k y_{t-k} + e_t and return the whole
     path (y_{1-n}, ..., y_N).
 
     Time is the leading axis and column b is the trajectory of trial b:
     ``pre_samples`` holds (y_{1-n}, ..., y_0), shape (n, B); ``noise`` holds
     (e_1, ..., e_N), shape (N, B); the result has shape (n + N, B) and starts
-    with a copy of ``pre_samples``.  Every step accumulates the innovation
-    first, then the lag terms in increasing k, so a column comes out bit for
+    with a copy of ``pre_samples``.  It is written into ``out`` when one is
+    given (``pre_samples`` may be a view of its first n rows) and into a new
+    array otherwise.  Every step adds the innovation and the first lag term,
+    then the other lag terms in increasing k, so a column comes out bit for
     bit the same whatever B is.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -213,29 +226,43 @@ def ar_recursion(coeffs, pre_samples, noise) -> np.ndarray:
         raise ValueError(f"pre_samples leading axis must have length {n}")
     if pre.shape[1] != e.shape[1]:
         raise ValueError("pre_samples and noise must have the same trailing (batch) shape")
-    ck = c.tolist()
+    shape = (n + e.shape[0], e.shape[1])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}")
+    out[:n] = pre
 
     if e.shape[1] == 1:
         # One trajectory: plain floats are ~10x faster than one-element rows.
+        ck = c.tolist()
         path = pre[:, 0].tolist()
         for ei in e[:, 0].tolist():
             acc = ei
             for k in range(n):
                 acc += ck[k] * path[-1 - k]
             path.append(acc)
-        return np.asarray(path)[:, None]
+        out[:, 0] = path
+        return out
 
-    # Row n + t of buf starts as e_{t+1} and accumulates the lag terms in
-    # place; one scratch row holds each product, so no step allocates.
-    buf = np.concatenate([pre, e])
-    rows = list(buf)
+    # Row n + t of out is written from e_{t+1} and the first lag term, then
+    # accumulates the other lag terms in place.  The coefficients are full
+    # rows, so no product pays for converting a Python float, and one
+    # scratch row holds each product: no step allocates.  Local ufunc names,
+    # positional outputs and the (k, c_k) pairs built once take 0.93 us per
+    # AR(1) step of 256 trials, against 1.4 us with float coefficients and
+    # keyword outputs (2-core x86-64 VM).
+    rows = list(out)
+    c_first, *c_rest = np.repeat(c[:, None], e.shape[1], axis=1)
+    lags = list(enumerate(c_rest, start=2))
     tmp = np.empty(e.shape[1])
-    for t in range(n, buf.shape[0]):
+    mul, add = np.multiply, np.add
+    for t, e_row in enumerate(e, start=n):
         row = rows[t]
-        for k in range(n):
-            np.multiply(rows[t - 1 - k], ck[k], out=tmp)
-            np.add(row, tmp, out=row)
-    return buf
+        add(e_row, mul(rows[t - 1], c_first, tmp), row)
+        for k, c_row in lags:
+            add(row, mul(rows[t - k], c_row, tmp), row)
+    return out
 
 
 def substream(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -265,8 +292,11 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     holds its entries start, ..., start + n + L - 1: the n samples carried
     over from the previous chunk (the stationary pre-samples for the first),
     then the chunk's L new samples.  ``noise`` (shape (L, B)) holds the L
-    innovations that drive those new samples.  Only O(len(seeds) * CHUNK)
-    floats are alive at once, whatever the horizon.
+    innovations that drive those new samples.  Both are views of buffers
+    that are allocated once per call and refilled for every chunk, so they
+    are valid only until the generator resumes; copy what must outlive the
+    chunk.  Only O(len(seeds) * CHUNK) floats are alive at once, whatever
+    the horizon.
 
     Each seed's stream first draws the initial companion state from its
     stationary Gaussian law, through a symmetric square root of the
@@ -274,7 +304,8 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     innovations in time order.  Chunked ``standard_normal`` calls continue
     one stream bit for bit, so the chunks do not change the path.  The draws
     fill one contiguous row per trial (``Generator`` rejects a strided
-    ``out``); one scaled transpose per chunk turns them time-major.
+    ``out``); one scaled transpose per chunk turns them time-major, and the
+    recursion writes the new samples straight into the window.
     """
     horizon = int(horizon)
     if horizon <= process.order:
@@ -283,27 +314,29 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
                                                        process.noise_variance))
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    tail = np.empty((n, len(rngs)))
+    size = min(CHUNK, horizon)
+    drawn = np.empty((len(rngs), size))
+    noise = np.empty((size, len(rngs)))
+    window = np.empty((n + size, len(rngs)))
     for i, rng in enumerate(rngs):
         # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0), drop y_{-n}.
-        tail[:, i] = (factor @ rng.standard_normal(n + 1))[n - 1 :: -1]
+        window[:n, i] = (factor @ rng.standard_normal(n + 1))[n - 1 :: -1]
     scale = np.sqrt(process.noise_variance)
-    drawn = np.empty((len(rngs), min(CHUNK, horizon)))
     for start in range(0, horizon, CHUNK):
         width = min(CHUNK, horizon - start)
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=drawn[i, :width])
-        noise = np.empty((width, len(rngs)))
         # Transposed 32 trials at a time: that many sequential input rows
         # stay within the prefetchers' reach (on a 2-core x86-64 VM one
         # strided pass over 256 trials x 4096 steps ran 2.5x slower).  Each
         # entry is multiplied once either way, so the bits do not depend on
         # the blocking.
         for b in range(0, len(rngs), 32):
-            np.multiply(drawn[b : b + 32, :width].T, scale, out=noise[:, b : b + 32])
-        window = ar_recursion(process.coeffs, tail, noise)
-        yield start, window, noise
-        tail = window[-n:].copy()
+            np.multiply(drawn[b : b + 32, :width].T, scale, out=noise[:width, b : b + 32])
+        ar_recursion(process.coeffs, window[:n], noise[:width], out=window[: n + width])
+        yield start, window[: n + width], noise[:width]
+        # The last n samples become the next chunk's carried rows.
+        window[:n] = window[width : width + n]
 
 
 def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
@@ -311,13 +344,17 @@ def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
     """Simulate one trajectory per seed; returns (pre, noise, observed) row-stacked.
 
     Each chunk of the time-major :func:`simulate_chunks` is copied into the
-    result as it arrives, so only the result grows with len(seeds) * horizon;
-    the Monte Carlo campaign consumes the chunks directly instead.
+    result as it arrives, so only the result grows with len(seeds) * horizon
+    and nothing returned shares memory with the reused chunk buffers; the
+    Monte Carlo campaign consumes the chunks directly instead.
     """
     n = process.order
     for start, window, chunk_noise in simulate_chunks(process, horizon, seeds):
         if start == 0:
-            pre = np.ascontiguousarray(window[:n].T)
+            # An explicit copy: for one seed the transpose of window[:n] is
+            # already contiguous, so ascontiguousarray would return a view
+            # of the reused window.
+            pre = window[:n].T.copy()
             noise = np.empty((len(seeds), int(horizon)))
             observed = np.empty_like(noise)
         for out, part in ((noise, chunk_noise), (observed, window[n:])):

@@ -432,7 +432,21 @@ class TestJsonOutputs:
         assert payload["analysis"]["points"][0]["feasible"] is False
 
 
+# Numeric fields holding an integer beyond float range, with the commands
+# that parse each field: (id label, field, value, commands).
+BEYOND_FLOAT = [
+    ("coeffs", "coeffs", [10 ** 400], ("certify", "montecarlo", "rate-sweep", "simulate")),
+    ("noise-variance", "noise_variance", 10 ** 400,
+     ("certify", "montecarlo", "rate-sweep", "simulate")),
+    ("epsilon", "epsilon", 10 ** 400, ("certify", "montecarlo")),
+    ("fraction", "epsilon", {"fraction_of_ceiling": 10 ** 400}, ("certify", "montecarlo")),
+    ("direction", "direction", [10 ** 400], ("certify", "montecarlo", "rate-sweep")),
+]
+
+
 @pytest.mark.parametrize("command, field, value", [
+    *[pytest.param(command, field, value, id=f"{command}-{label}-beyond-float")
+      for label, field, value, commands in BEYOND_FLOAT for command in commands],
     pytest.param("certify", "epsilon", {"fraction_of_ceiling": None}, id="null-fraction"),
     pytest.param("certify", "epsilon", {"fraction_of_ceiling": [0.5]}, id="list-fraction"),
     pytest.param("certify", "direction", {"x": 1}, id="certify-dict-direction"),

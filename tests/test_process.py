@@ -21,6 +21,14 @@ from arcert import (
 from arcert.process import stationary_state_covariance
 from reference import lag_window, simulate_whole_horizon
 
+CHUNK = process_module.CHUNK
+CSV_BLOCK = process_module._CSV_BLOCK
+
+#: N + n at the edges of one, two, four and eight chunks: the first chunks,
+#: and later ones whose carried rows have been moved up several times.
+CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+               4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 3]
+
 
 class TestSchurCheck:
     def test_single_stable_root(self):
@@ -147,11 +155,15 @@ class TestRecursion:
             ar_recursion([0.3, 0.4], np.zeros((3, 4)), np.zeros((10, 4)))
         with pytest.raises(ValueError, match="trailing"):
             ar_recursion([0.3, 0.4], np.zeros((2, 4)), np.zeros((10, 5)))
+        with pytest.raises(ValueError, match="out must"):
+            ar_recursion([0.3, 0.4], np.zeros((2, 4)), np.zeros((10, 4)), out=np.empty((10, 4)))
 
     def test_batch_memory_is_one_buffer(self):
-        # The recursion runs in place in one (n + L) x B buffer with a single
-        # scratch row: the peak is that buffer plus one view object per row,
-        # so any second buffer-sized temporary would fail this bound.
+        # The recursion writes each row of one (n + L) x B buffer from its
+        # innovation row and the first lag product, then adds the other lags
+        # in place; besides the buffer it holds n coefficient rows, one
+        # scratch row and one view object per row, so any second buffer-sized
+        # temporary would fail this bound.
         order, batch, horizon = 2, 256, 4096
         rng = np.random.default_rng(1)
         pre = rng.standard_normal((order, batch))
@@ -239,10 +251,8 @@ class TestSimulation:
                                          traj.observed)
 
     @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4]], ids=["ar1", "ar2"])
-    @pytest.mark.parametrize("total", [process_module.CHUNK - 1, process_module.CHUNK,
-                                       process_module.CHUNK + 1, 2 * process_module.CHUNK + 3])
+    @pytest.mark.parametrize("total", CHUNK_EDGES)
     def test_chunk_boundaries_match_whole_horizon(self, coeffs, total):
-        # N + n samples around one and two default chunks.
         process = ArProcess(coeffs=coeffs)
         horizon = total - process.order
         seeds = [substream(8, i) for i in range(2)]
@@ -252,6 +262,32 @@ class TestSimulation:
         traj = simulate_stationary(process, horizon, seeds[1])
         assert_matches_whole_horizon(process, horizon, seeds[1], traj.pre_samples, traj.noise,
                                      traj.observed)
+
+    @pytest.mark.parametrize("coeffs, trials", [([0.5], 1), ([0.3, 0.4], 3)],
+                             ids=["ar1-one-seed", "ar2-three-seeds"])
+    def test_chunk_buffers_reused_and_not_returned(self, monkeypatch, coeffs, trials):
+        # simulate_chunks refills one window and one noise buffer chunk after
+        # chunk; simulate_batch must copy out of them.  With one seed the
+        # transposed pre-sample block is contiguous, so only an explicit copy
+        # keeps it from aliasing the window.
+        monkeypatch.setattr(process_module, "CHUNK", 8)
+        chunks_of = process_module.simulate_chunks
+        yielded = []
+
+        def recording(*args):
+            for chunk in chunks_of(*args):
+                yielded.append(chunk[1:])
+                yield chunk
+
+        monkeypatch.setattr(process_module, "simulate_chunks", recording)
+        result = simulate_batch(ArProcess(coeffs=coeffs), 40,
+                                [substream(3, i) for i in range(trials)])
+        assert len(yielded) == 5
+        (window, noise), later = yielded[0], yielded[1:]
+        assert all(np.shares_memory(w, window) and np.shares_memory(e, noise)
+                   for w, e in later)
+        assert not any(np.shares_memory(array, buffer)
+                       for array in result for buffer in (window, noise))
 
     def test_single_path_memory(self, ar2):
         # The float data is 16 B per sample (path and noise); joining the
@@ -320,12 +356,12 @@ class TestTrajectoryAccessors:
         assert len(lines) == 5
         assert float(lines[1]) == 1.0
 
-    @pytest.mark.parametrize("total", [3, process_module.CHUNK - 1, process_module.CHUNK,
-                                       process_module.CHUNK + 1, 2 * process_module.CHUNK + 3])
+    @pytest.mark.parametrize("total", [3, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+                                       2 * CSV_BLOCK + 3])
     def test_csv_matches_one_shot_text(self, tmp_path, total):
-        # The file is written CHUNK samples at a time; the block boundaries
-        # must not show in the bytes.  Three samples is the shortest
-        # trajectory (order 1, horizon 2).
+        # The file is written in blocks of _CSV_BLOCK samples; the block
+        # boundaries must not show in the bytes.  Three samples is the
+        # shortest trajectory (order 1, horizon 2).
         rng = np.random.default_rng(total)
         samples = rng.standard_normal(total) * 10.0 ** rng.integers(-300, 300, total)
         traj = Trajectory(samples=samples, noise=np.zeros(total - 1), order=1,
@@ -336,7 +372,7 @@ class TestTrajectoryAccessors:
         assert path.read_bytes() == one_shot.encode("utf-8")
 
     def test_csv_memory_is_one_block(self, tmp_path):
-        # One CHUNK block of text takes well under 1 MiB; the whole file's
+        # One block of text takes well under 1 MiB; the whole file's
         # text at this length takes about 110 MiB.
         horizon = 1_000_000
         traj = Trajectory(samples=np.random.default_rng(3).standard_normal(horizon + 1),
