@@ -249,7 +249,7 @@ def _unit_direction(direction, order: int) -> np.ndarray:
     w = np.atleast_1d(np.asarray(direction, dtype=float))
     if w.shape != (order,):
         raise ValueError(f"direction must have length {order}, got shape {w.shape}")
-    if abs(np.linalg.norm(w) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:  # also rejects NaN
         raise ValueError("direction must have unit 2-norm")
     return w
 

@@ -332,7 +332,9 @@ def cmd_rate_sweep(args) -> int:
     if not all(_fits_float(h) for h in grid):
         raise ConfigError("field 'horizon_grid': every horizon must convert to a float")
     directions = _parse_directions(config, process.order)
-    label, w = directions[0]
+    if len(directions) > 1:
+        raise ConfigError("field 'direction': rate-sweep takes one direction")
+    [(label, w)] = directions
     out = _out_dir(args, config)
 
     stats = stationary_stats(build_companion(process), process.noise_variance)

@@ -32,6 +32,7 @@ batch sizes and thread counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ import numpy as np
 from .certificates import (
     BoundInputs,
     CovarianceCertificate,
+    DeviationCertificate,
+    _unit_direction,
     covariance_certificate,
     deviation_radius,
 )
@@ -65,6 +68,11 @@ BATCH = 256
 #: and, with threads, one future per batch: at this ceiling 39 063 of each,
 #: about 65 MB.
 MAX_TRIALS = 10 ** 7
+
+#: Most worker threads a campaign accepts.  The pool starts a thread per
+#: batch while none is idle, and each running batch holds its chunk buffers
+#: (about 6 MB at BATCH x CHUNK), so this caps them near 0.4 GB.
+MAX_THREADS = 64
 
 
 def event_threshold(inputs: BoundInputs) -> float:
@@ -147,13 +155,14 @@ class CampaignConfig:
             raise ConfigError("direction: labels must be unique")
         resolved = []
         for label, w in self.directions:
-            vec = np.atleast_1d(np.asarray(w, dtype=float)).copy()
-            if vec.shape != (n,) or abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-                raise ConfigError(f"direction '{label}': must be a unit vector of length {n}")
+            try:
+                vec = _unit_direction(w, n).copy()
+            except ValueError as exc:
+                raise ConfigError(f"direction '{label}': {exc}") from exc
             vec.flags.writeable = False
             resolved.append((str(label), vec))
-        if int(self.threads) < 1:
-            raise ConfigError("threads: must be >= 1")
+        if not 1 <= int(self.threads) <= MAX_THREADS:
+            raise ConfigError(f"threads: must be in 1..{MAX_THREADS}")
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "trials", int(self.trials))
@@ -205,24 +214,14 @@ class CoverageReport:
         raise KeyError(name)
 
 
-@dataclass
-class _BatchCounts:
-    evaluated: int = 0
-    errors: int = 0
-    boundary_fail: int = 0
-    noise_fail: int = 0
-    cross_fail: int = 0
-    sandwich_fail: int = 0
-    sn_fail: int = 0
-    dev_fail: tuple[int, ...] = ()
-    chain_sandwich: int = 0
-    chain_dev: tuple[int, ...] = ()
-
-
 def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCertificate,
-               radii: list[float | None], logdet_lower: float,
-               start: int, stop: int) -> _BatchCounts:
+               deviations: list[tuple[str, np.ndarray, DeviationCertificate]],
+               logdet_lower: float, start: int, stop: int) -> Counter:
     """Evaluate trials start, ..., stop - 1 and count their event outcomes.
+
+    The count table holds "evaluated" and "errors", each event's failures
+    under its coverage-row name, and the implication violations under
+    ("chain", name of the implied event's row).
 
     Reads the time-major chunks of :func:`simulate_chunks` directly (rows are
     time steps, columns are trials), so every per-trial statistic is a sum
@@ -329,37 +328,35 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     errored |= ~np.isfinite(error).all(axis=1)
 
     valid = ~errored
-    counts = _BatchCounts(
-        evaluated=int(valid.sum()),
-        errors=int(errored.sum()),
-        boundary_fail=int((~boundary_ok & valid).sum()),
-        noise_fail=int((~noise_ok & valid).sum()),
-        cross_fail=int((~cross_ok & valid).sum()),
-        sandwich_fail=int((~sandwich_ok & valid).sum()),
-        sn_fail=int((~sn_ok & valid).sum()),
-        chain_sandwich=int((boundary_ok & noise_ok & cross_ok & ~sandwich_ok & valid).sum()),
-    )
+    held = {"boundary": boundary_ok, "noise_energy": noise_ok, "cross_term": cross_ok,
+            "sandwich": sandwich_ok, "self_normalized": sn_ok}
+    broken = {"sandwich": boundary_ok & noise_ok & cross_ok & ~sandwich_ok}
+    for name, w, dev in deviations:
+        # A vacuous radius holds on no trial.  It means delta exceeds the
+        # determinant term, which the sandwich event makes incompatible with
+        # the self-normalized event holding; both holding anyway is an
+        # implication violation.
+        if dev.vacuous:
+            held[name] = np.zeros(batch, dtype=bool)
+        else:
+            held[name] = np.abs(error @ w) <= dev.radius
+        broken[name] = sandwich_ok & sn_ok & ~held[name]
 
-    dev_fail = []
-    chain_dev = []
-    for (_, w), radius in zip(config.directions, radii):
-        if radius is None:
-            # A vacuous radius means delta exceeds the determinant term, which
-            # the sandwich event makes incompatible with the self-normalized
-            # event holding; both holding anyway is an implication violation.
-            dev_fail.append(0)
-            chain_dev.append(int((sandwich_ok & sn_ok & valid).sum()))
-            continue
-        deviation = np.abs(error @ w)
-        dev_ok = deviation <= radius
-        dev_fail.append(int((~dev_ok & valid).sum()))
-        chain_dev.append(int((sandwich_ok & sn_ok & ~dev_ok & valid).sum()))
-    counts.dev_fail = tuple(dev_fail)
-    counts.chain_dev = tuple(chain_dev)
+    counts = Counter(evaluated=int(valid.sum()), errors=int(errored.sum()))
+    for name, ok in held.items():
+        counts[name] = int((~ok & valid).sum())
+    for name, chain in broken.items():
+        counts["chain", name] = int((chain & valid).sum())
     return counts
 
 
-def _frequency_row(name: str, failures: int, evaluated: int, bound: float) -> EventCoverage:
+def _frequency_row(name: str, failures: int | None, evaluated: int,
+                   bound: float) -> EventCoverage:
+    """Coverage row of one event; failures None marks a deviation event whose
+    certificate is vacuous, which has no radius to test."""
+    if failures is None:
+        return EventCoverage(event=name, bound=bound, failures=None, evaluated=evaluated,
+                             frequency=None, stderr=None, verdict="vacuous")
     frequency = failures / evaluated
     stderr = math.sqrt(frequency * (1.0 - frequency) / evaluated)
     if bound >= 1.0:
@@ -395,16 +392,15 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
             "pass allow_vacuous to run anyway"
         )
 
-    dev_certs = [deviation_radius(cert, w, process.noise_variance)
-                 for _, w in config.directions]
-    radii = [dc.radius for dc in dev_certs]
+    deviations = [(f"deviation:{label}", w, deviation_radius(cert, w, process.noise_variance))
+                  for label, w in config.directions]
     _, logdet_lower = np.linalg.slogdet(cert.lower)
 
     batches = [(lo, min(lo + BATCH, config.trials))
                for lo in range(0, config.trials, BATCH)]
 
-    def work(bounds: tuple[int, int]) -> _BatchCounts:
-        return _run_batch(config, inputs, cert, radii, float(logdet_lower),
+    def work(bounds: tuple[int, int]) -> Counter:
+        return _run_batch(config, inputs, cert, deviations, float(logdet_lower),
                           bounds[0], bounds[1])
 
     if config.threads > 1:
@@ -413,37 +409,23 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     else:
         partials = [work(b) for b in batches]
 
-    evaluated = sum(p.evaluated for p in partials)
-    errors = sum(p.errors for p in partials)
+    counts = sum(partials, Counter())
+    errors = counts["errors"]
     if errors > MAX_ERROR_FRACTION * config.trials:
         raise NumericalFailureError(
             f"{errors} of {config.trials} trials failed numerically "
             f"(limit {MAX_ERROR_FRACTION:.1%})"
         )
 
-    events = [
-        _frequency_row("boundary", sum(p.boundary_fail for p in partials),
-                       evaluated, cert.failure_terms[0]),
-        _frequency_row("noise_energy", sum(p.noise_fail for p in partials),
-                       evaluated, cert.failure_terms[1]),
-        _frequency_row("cross_term", sum(p.cross_fail for p in partials),
-                       evaluated, cert.failure_terms[2] + cert.failure_terms[3]),
-        _frequency_row("sandwich", sum(p.sandwich_fail for p in partials),
-                       evaluated, cert.delta),
-        _frequency_row("self_normalized", sum(p.sn_fail for p in partials),
-                       evaluated, cert.delta),
-    ]
-    deviation_chain: dict[str, int] = {}
-    for idx, ((label, _), dev_cert) in enumerate(zip(config.directions, dev_certs)):
-        name = f"deviation:{label}"
-        if dev_cert.vacuous:
-            events.append(EventCoverage(event=name, bound=dev_cert.total_failure,
-                                        failures=None, evaluated=evaluated,
-                                        frequency=None, stderr=None, verdict="vacuous"))
-        else:
-            events.append(_frequency_row(name, sum(p.dev_fail[idx] for p in partials),
-                                         evaluated, dev_cert.total_failure))
-        deviation_chain[label] = sum(p.chain_dev[idx] for p in partials)
+    terms = cert.failure_terms
+    rows = [("boundary", terms[0]), ("noise_energy", terms[1]),
+            ("cross_term", terms[2] + terms[3]), ("sandwich", cert.delta),
+            ("self_normalized", cert.delta)]
+    rows += [(name, dev.total_failure) for name, _, dev in deviations]
+    vacuous = {name for name, _, dev in deviations if dev.vacuous}
+    events = tuple(_frequency_row(name, None if name in vacuous else counts[name],
+                                  counts["evaluated"], bound)
+                   for name, bound in rows)
 
     return CoverageReport(
         trials=config.trials,
@@ -451,8 +433,9 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
         horizon=config.horizon,
         epsilon=config.epsilon,
         process={"coeffs": process.coeffs.tolist(), "noise_variance": process.noise_variance},
-        events=tuple(events),
-        sandwich_chain_violations=sum(p.chain_sandwich for p in partials),
-        deviation_chain_violations=deviation_chain,
+        events=events,
+        sandwich_chain_violations=counts["chain", "sandwich"],
+        deviation_chain_violations={label: counts["chain", f"deviation:{label}"]
+                                    for label, _ in config.directions},
         trial_errors=errors,
     )

@@ -142,6 +142,19 @@ class TestMontecarlo:
         assert time.perf_counter() - started < 1.0
         assert "trials" in capsys.readouterr().err
 
+    def test_huge_thread_count_rejected_before_any_thread(self, tmp_path, monkeypatch,
+                                                         capsys):
+        import arcert.montecarlo as montecarlo_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started")
+
+        monkeypatch.setattr(montecarlo_module, "ThreadPoolExecutor", no_pool)
+        cfg = write_config(tmp_path, **AR1_MC)
+        assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--threads", "1000000"]) == 2
+        assert "threads" in capsys.readouterr().err
+
     def test_byte_identical_csv_across_runs_and_threads(self, tmp_path):
         cfg = write_config(tmp_path, **AR1_MC)
         outputs = []
@@ -178,6 +191,50 @@ class TestMontecarlo:
         cfg = write_config(tmp_path, **AR1_MC)
         assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "failed numerically" in capsys.readouterr().err
+
+
+# Counts recorded for two campaigns; they pin the kernel's output across
+# changes to the code.  Each case: (config, --threads, coverage.csv rows as
+# (event, failures, evaluated, verdict), sandwich chain violations,
+# deviation chain violations, trial errors).
+PINNED_CAMPAIGNS = [
+    pytest.param(
+        dict(coeffs=[0.3, 0.4], noise_variance=1.0, epsilon=0.25, horizon=50, trials=300,
+             seed=7, allow_vacuous=True, direction=["e1", "uniform"]), "1",
+        [("boundary", "131", "300", "vacuous"), ("noise_energy", "207", "300", "vacuous"),
+         ("cross_term", "280", "300", "vacuous"), ("sandwich", "152", "300", "vacuous"),
+         ("self_normalized", "300", "300", "vacuous"), ("deviation:e1", "", "300", "vacuous"),
+         ("deviation:uniform", "", "300", "vacuous")],
+        0, {"e1": 0, "uniform": 0}, 0, id="ar2-vacuous-deviation"),
+    pytest.param(
+        dict(coeffs=[0.5, -0.3, 0.2], noise_variance=1.0,
+             epsilon={"fraction_of_ceiling": 0.5}, horizon=2085, trials=300, seed=2718,
+             allow_vacuous=True, direction=["e1", "uniform"]), "2",
+        [("boundary", "0", "300", "respected"), ("noise_energy", "28", "300", "respected"),
+         ("cross_term", "116", "300", "vacuous"), ("sandwich", "0", "300", "vacuous"),
+         ("self_normalized", "189", "300", "vacuous"), ("deviation:e1", "16", "300", "vacuous"),
+         ("deviation:uniform", "12", "300", "vacuous")],
+        0, {"e1": 0, "uniform": 0}, 0, id="ar3-multichunk-two-threads"),
+]
+
+
+@pytest.mark.parametrize("config, threads, rows, sandwich_chain, deviation_chain, errors",
+                         PINNED_CAMPAIGNS)
+def test_campaign_counts_pinned(tmp_path, config, threads, rows, sandwich_chain,
+                                deviation_chain, errors):
+    # Integer counts, not file digests: the float columns may move in their
+    # last digits with the BLAS build, the counts do not.
+    cfg = write_config(tmp_path, **config)
+    out = tmp_path / "out"
+    assert run(["montecarlo", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+    with open(out / "coverage.csv", newline="", encoding="utf-8") as fh:
+        table = [(r["event"], r["failures"], r["evaluated"], r["verdict"])
+                 for r in csv.DictReader(fh)]
+    assert table == rows
+    report = json.loads((out / "coverage.json").read_text())["report"]
+    assert report["sandwich_chain_violations"] == sandwich_chain
+    assert report["deviation_chain_violations"] == deviation_chain
+    assert report["trial_errors"] == errors
 
 
 class TestRateSweep:
@@ -458,6 +515,7 @@ BEYOND_FLOAT = [
     pytest.param("montecarlo", "direction", ["uniform", "uniform"],
                  id="montecarlo-repeated-direction"),
     pytest.param("rate-sweep", "direction", ["e1", "e1"], id="sweep-repeated-direction"),
+    pytest.param("rate-sweep", "direction", ["e1", "uniform"], id="sweep-two-directions"),
     pytest.param("montecarlo", "allow_vacuous", "false", id="string-allow-vacuous"),
     pytest.param("montecarlo", "allow_vacuous", 1, id="number-allow-vacuous"),
     pytest.param("certify", "horizon", 10 ** 400, id="certify-horizon-beyond-float"),

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -198,6 +199,23 @@ class TestCampaignConfigValidation:
             CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=50,
                            master_seed=1, directions=(("e1", np.array([1.0])),))
 
+    @pytest.mark.parametrize("norm", [1.0 + 1e-10, np.nan])
+    def test_non_unit_direction_named(self, ar1, norm):
+        # One unit-norm tolerance: a direction the config accepts is one the
+        # deviation radius accepts.
+        with pytest.raises(ConfigError, match="direction 'tilted'"):
+            CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=200,
+                           master_seed=1, directions=(("tilted", np.array([norm])),))
+
+    def test_thread_ceiling(self, ar1):
+        base = dict(process=ar1, horizon=400, epsilon=0.5, trials=200, master_seed=1,
+                    directions=(("e1", np.array([1.0])),))
+        assert CampaignConfig(**base, threads=montecarlo_module.MAX_THREADS).threads \
+            == montecarlo_module.MAX_THREADS
+        for threads in (0, montecarlo_module.MAX_THREADS + 1, 10 ** 6):
+            with pytest.raises(ConfigError, match="threads"):
+                CampaignConfig(**base, threads=threads)
+
     def test_duplicate_labels_rejected(self, ar1):
         with pytest.raises(ConfigError):
             CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=200,
@@ -285,6 +303,39 @@ class TestCampaign:
     def test_chain_violations_zero(self, small_report):
         assert small_report.sandwich_chain_violations == 0
         assert small_report.deviation_chain_violations == {"e1": 0}
+
+    def test_sandwich_chain_violations_counted(self, monkeypatch, small_config):
+        # A sandwich built at a thousandth of the epsilon the events are
+        # checked at is too narrow to follow from them: the three component
+        # events hold on every trial while the sandwich fails on 99.
+        exact = montecarlo_module.covariance_certificate
+        monkeypatch.setattr(montecarlo_module, "covariance_certificate", lambda inputs: exact(
+            dataclasses.replace(inputs, epsilon=inputs.epsilon * 1e-3)))
+        report = run_campaign(dataclasses.replace(small_config, allow_vacuous=True))
+        assert [report.event(name).failures
+                for name in ("boundary", "noise_energy", "cross_term", "sandwich")] \
+            == [0, 0, 0, 99]
+        assert report.sandwich_chain_violations == 99
+        assert report.deviation_chain_violations == {"e1": 0}
+
+    @pytest.mark.parametrize("spoil", [
+        pytest.param(lambda dev: dataclasses.replace(dev, radius=dev.radius * 1e-6),
+                     id="shrunk"),
+        pytest.param(lambda dev: dataclasses.replace(dev, radius=None, vacuous=True),
+                     id="vacuous"),
+    ])
+    def test_deviation_chain_violations_counted(self, monkeypatch, small_config, spoil):
+        # A spoilt radius no longer follows from the sandwich and the
+        # self-normalized event, which both hold on 99 of these trials; a
+        # vacuous radius holds on no trial, so those 99 break the chain too.
+        exact = montecarlo_module.deviation_radius
+        monkeypatch.setattr(montecarlo_module, "deviation_radius",
+                            lambda *args: spoil(exact(*args)))
+        report = run_campaign(dataclasses.replace(small_config, horizon=5000))
+        assert report.event("sandwich").failures == 0
+        assert report.event("self_normalized").failures == 1
+        assert report.sandwich_chain_violations == 0
+        assert report.deviation_chain_violations == {"e1": 99}
 
     def test_all_bounds_respected(self, small_report):
         # Includes the self-normalized event, whose failures must stay below
