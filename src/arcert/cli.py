@@ -218,15 +218,24 @@ def _csv_text(cls, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: Path, write) -> None:
+    """Call ``write(path)`` and report the file.  A file that cannot be
+    written (a directory in its place, no permission) is a ConfigError
+    naming output_dir, so it exits 2 like an unusable directory."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"field 'output_dir': cannot write '{path}' ({exc})") from exc
+    print(f"wrote {path}")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False, default=_json_default)
-    path.write_text(text + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    _write(path, lambda p: p.write_text(text + "\n", encoding="utf-8"))
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
-    print(f"wrote {path}")
+    _write(path, lambda p: p.write_text(text, encoding="utf-8", newline="\n"))
 
 
 def cmd_certify(args) -> int:
@@ -362,9 +371,7 @@ def cmd_simulate(args) -> int:
     seed = _parse_seed(args, config)
     out = _out_dir(args, config)
     traj = simulate_stationary(process, horizon, seed)
-    path = out / "trajectory.csv"
-    traj.to_csv(path)
-    print(f"wrote {path}")
+    _write(out / "trajectory.csv", traj.to_csv)
     return 0
 
 

@@ -36,6 +36,9 @@ CHUNK = 1024
 #: Samples per block of text written by :meth:`Trajectory.to_csv`, which
 #: holds one block's text (about 80 KB) at a time.  Not tied to CHUNK: a
 #: write per 1024 samples costs `simulate` at N = 1e6 about 1% of its time.
+#: A block is "\n".join(map(repr, block)): 1e6 samples take 1.14 s, against
+#: 1.26 s when each line is built as repr(v) + "\n" (2-core x86-64 VM,
+#: median of 7 interleaved rounds); nearly all of it is float repr itself.
 _CSV_BLOCK = 4096
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -200,7 +203,7 @@ class Trajectory:
             fh.write("y\n")
             for start in range(0, self.samples.size, _CSV_BLOCK):
                 block = self.samples[start : start + _CSV_BLOCK].tolist()
-                fh.write("".join(repr(v) + "\n" for v in block))
+                fh.write("\n".join(map(repr, block)) + "\n")
 
 
 def ar_recursion(coeffs, pre_samples, noise, out=None) -> np.ndarray:
@@ -234,14 +237,25 @@ def ar_recursion(coeffs, pre_samples, noise, out=None) -> np.ndarray:
     out[:n] = pre
 
     if e.shape[1] == 1:
-        # One trajectory: plain floats are ~10x faster than one-element rows.
-        ck = c.tolist()
+        # One trajectory, in plain floats.  Lag k is read through a list
+        # iterator that trails the end of the growing path by k entries (a
+        # list iterator sees items appended after it was made, and these
+        # never reach the end), so a step indexes nothing.  At N = 1e6 this
+        # takes 0.33 s for an AR(2) and 0.63 s for an AR(6), against 0.59 s
+        # and 0.87 s when indexing path[-1 - k] (2-core x86-64 VM, median
+        # of 7 interleaved rounds); one-element rows would be ~10x slower.
         path = pre[:, 0].tolist()
-        for ei in e[:, 0].tolist():
-            acc = ei
-            for k in range(n):
-                acc += ck[k] * path[-1 - k]
-            path.append(acc)
+        lags = []
+        for k, c_k in enumerate(c.tolist(), start=1):
+            lag = iter(path)
+            for _ in range(n - k):
+                next(lag)
+            lags.append((c_k, lag))
+        append = path.append
+        for acc in e[:, 0].tolist():
+            for c_k, lag in lags:
+                acc += c_k * next(lag)
+            append(acc)
         out[:, 0] = path
         return out
 
@@ -281,6 +295,19 @@ def stationary_state_covariance(ss: CompanionStateSpace, sigma2: float) -> np.nd
     return solve_discrete_lyapunov(ss.a_matrix, sigma2 * np.outer(ss.b_vector, ss.b_vector))
 
 
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    """Uninitialised float array whose data starts on a 64-byte boundary.
+
+    np.empty's data is only as aligned as malloc makes it (16 bytes with
+    glibc), so whether rows start on a cache line would depend on what the
+    heap held before.  That alone once moved a long-horizon AR(1) campaign's
+    throughput by 1.6% between commits that did not touch this module."""
+    size = shape[0] * shape[1]
+    raw = np.empty(size + 7)
+    skip = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[skip : skip + size].reshape(shape)
+
+
 def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
                     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Simulate one exactly stationary trajectory per seed, CHUNK time steps
@@ -315,9 +342,9 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
                                                        process.noise_variance))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     size = min(CHUNK, horizon)
-    drawn = np.empty((len(rngs), size))
-    noise = np.empty((size, len(rngs)))
-    window = np.empty((n + size, len(rngs)))
+    drawn = _aligned_empty((len(rngs), size))
+    noise = _aligned_empty((size, len(rngs)))
+    window = _aligned_empty((n + size, len(rngs)))
     for i, rng in enumerate(rngs):
         # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0), drop y_{-n}.
         window[:n, i] = (factor @ rng.standard_normal(n + 1))[n - 1 :: -1]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import time
 import tracemalloc
@@ -347,6 +348,27 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")] + flag) == 2
         assert "'seed'" in capsys.readouterr().err
 
+    # SHA-256 of trajectory.csv for three processes at N = 2100, which crosses
+    # two chunk edges.  The digests pin the recursion's bits and the repr text
+    # together.  The pre-samples come from an eigendecomposition, so another
+    # LAPACK build could move their last bits and with them every digest;
+    # test_process.py's whole-horizon comparisons hold on any build.
+    @pytest.mark.parametrize("coeffs, digest", [
+        pytest.param([0.5], "effc702ba410f3aaed130e273007d8ece682a8339dc86f4bbd6c5cc4aaf0e67a",
+                     id="ar1"),
+        pytest.param([0.3, 0.4],
+                     "e7e3a0c34755eaaea73747a903e296b71a7a9b734addc2c96f84bc9a006148ba",
+                     id="ar2"),
+        pytest.param([0.3, -0.2, 0.15, 0.1, -0.1, 0.05],
+                     "ff69cd0b7b65bf61f0e687ac68a2c44dab889a2fad087ce431146cfe0cbfe67b",
+                     id="ar6"),
+    ])
+    def test_trajectory_bytes_pinned(self, tmp_path, coeffs, digest):
+        cfg = write_config(tmp_path, coeffs=coeffs, noise_variance=1.0, horizon=2100, seed=3)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
+
     def test_seed_flag_without_config_seed(self, tmp_path):
         # As for montecarlo, --seed stands in for a missing config seed.
         cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0, horizon=40)
@@ -548,6 +570,24 @@ def test_output_dir_that_is_a_file_rejected_before_work(tmp_path, capsys, monkey
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
         assert "output_dir" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("certify", "certificate.json"), ("certify", "summary.txt"),
+    ("montecarlo", "coverage.json"), ("montecarlo", "coverage.csv"),
+    ("rate-sweep", "rate_sweep.csv"), ("rate-sweep", "rate_analysis.json"),
+    ("simulate", "trajectory.csv"),
+])
+def test_unwritable_output_file_exit_two(tmp_path, capsys, command, name):
+    # A directory standing where an output file goes: the directory itself
+    # is usable, so only the write can find out.
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_config(tmp_path, **dict(AR1_MC, horizon_grid=[1000]))
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "output_dir" in err and name in err
+    assert (out / name).is_dir()
 
 
 def test_missing_config_file_exit_two(tmp_path, capsys):

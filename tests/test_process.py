@@ -29,6 +29,10 @@ CSV_BLOCK = process_module._CSV_BLOCK
 CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
                4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 3]
 
+#: Stable high-order processes (l1 norm of the coefficients below 1).
+AR6_COEFFS = [0.3, -0.2, 0.15, 0.1, -0.1, 0.05]
+AR8_COEFFS = [0.2, -0.15, 0.1, 0.1, -0.1, 0.08, 0.05, -0.05]
+
 
 class TestSchurCheck:
     def test_single_stable_root(self):
@@ -250,7 +254,10 @@ class TestSimulation:
             assert_matches_whole_horizon(ar2, 23, seeds[0], traj.pre_samples, traj.noise,
                                          traj.observed)
 
-    @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4]], ids=["ar1", "ar2"])
+    # The AR(6) and AR(8) cases give the one-trajectory loop's lag iterators
+    # every offset from 1 to 8 across the chunk edges.
+    @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4], AR6_COEFFS, AR8_COEFFS],
+                             ids=["ar1", "ar2", "ar6", "ar8"])
     @pytest.mark.parametrize("total", CHUNK_EDGES)
     def test_chunk_boundaries_match_whole_horizon(self, coeffs, total):
         process = ArProcess(coeffs=coeffs)
@@ -288,6 +295,19 @@ class TestSimulation:
                    for w, e in later)
         assert not any(np.shares_memory(array, buffer)
                        for array in result for buffer in (window, noise))
+
+    @pytest.mark.parametrize("coeffs, trials", [([0.5], 1), ([0.3, 0.4], 3),
+                                                ([0.3, 0.4], 256), (AR6_COEFFS, 5)],
+                             ids=["ar1-1", "ar2-3", "ar2-256", "ar6-5"])
+    def test_chunk_buffers_start_on_cache_lines(self, coeffs, trials):
+        # np.empty alone aligns to 16 bytes, so some of these buffers would
+        # start mid cache line.  The horizon spans two chunks, so the views
+        # yielded after the carry-over are checked too.
+        seeds = [substream(5, i) for i in range(trials)]
+        for _, window, noise in process_module.simulate_chunks(ArProcess(coeffs=coeffs),
+                                                               CHUNK + 7, seeds):
+            assert window.ctypes.data % 64 == 0
+            assert noise.ctypes.data % 64 == 0
 
     def test_single_path_memory(self, ar2):
         # The float data is 16 B per sample (path and noise); joining the
