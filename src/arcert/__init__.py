@@ -36,12 +36,10 @@ from .montecarlo import (
     CoverageReport,
     EventCoverage,
     event_threshold,
-    resolve_direction,
     run_campaign,
 )
 from .process import (
     ArProcess,
-    CompanionStateSpace,
     Trajectory,
     ar_recursion,
     build_companion,

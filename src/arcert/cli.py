@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .errors import (
     NumericalFailureError,
     StabilityError,
 )
-from .montecarlo import CampaignConfig, EventCoverage, resolve_direction, run_campaign
+from .montecarlo import CampaignConfig, EventCoverage, run_campaign
 from .process import ArProcess, build_companion, simulate_stationary
 from .stationary import stationary_stats
 
@@ -71,29 +72,14 @@ def _require(config: dict, field: str):
     return config[field]
 
 
-def _parse_process(config: dict) -> ArProcess:
-    coeffs = _require(config, "coeffs")
-    noise_variance = _require(config, "noise_variance")
-    try:
-        coeffs = np.asarray(coeffs, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"field 'coeffs': {exc}") from exc
-    try:
-        noise_variance = float(noise_variance)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"field 'noise_variance': {exc}") from exc
-    try:
-        return ArProcess(coeffs=coeffs, noise_variance=noise_variance)
-    except StabilityError as exc:
-        raise ConfigError(f"field 'coeffs': {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"field 'coeffs'/'noise_variance': {exc}") from exc
-
-
-def _int_field(config: dict, field: str) -> int:
-    value = _require(config, field)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{field}': must be an integer")
+def _number(value, field: str, integer: bool = False):
+    """``value`` if it is a JSON number (an integer when ``integer``) within
+    float range.  bool subclasses int and float() parses strings, so both are
+    rejected here rather than read as 1.0 or 0.5."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"field '{field}': must be {'an integer' if integer else 'a number'}")
+    if not _fits_float(value):
+        raise ConfigError(f"field '{field}': too large to convert to a float")
     return value
 
 
@@ -105,12 +91,31 @@ def _fits_float(value: int) -> bool:
     return True
 
 
+def _positive(value, field: str) -> float:
+    number = float(_number(value, field))
+    if not np.isfinite(number) or number <= 0.0:
+        raise ConfigError(f"field '{field}': must be a positive finite real")
+    return number
+
+
+def _parse_process(config: dict) -> ArProcess:
+    coeffs = _require(config, "coeffs")
+    noise_variance = _positive(_require(config, "noise_variance"), "noise_variance")
+    coeffs = [_number(c, "coeffs") for c in (coeffs if isinstance(coeffs, list) else [coeffs])]
+    try:
+        return ArProcess(coeffs=coeffs, noise_variance=noise_variance)
+    except (StabilityError, ValueError) as exc:
+        raise ConfigError(f"field 'coeffs': {exc}") from exc
+
+
+def _int_field(config: dict, field: str) -> int:
+    return _number(_require(config, field), field, integer=True)
+
+
 def _parse_horizon(config: dict, order: int) -> int:
     horizon = _int_field(config, "horizon")
     if horizon <= order:
         raise ConfigError(f"field 'horizon': must be an integer above the order {order}")
-    if not _fits_float(horizon):
-        raise ConfigError("field 'horizon': too large to convert to a float")
     return horizon
 
 
@@ -128,29 +133,45 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
     ceiling - horizon^{-1/2}, the choice under which the failure bound decays
     like exp(-ceiling * sqrt(N)); {"fraction_of_ceiling": f} uses f * ceiling.
     """
-    if isinstance(spec, bool):
-        raise ConfigError("field 'epsilon': must be a number, 'ceiling-rule' or "
-                          "{'fraction_of_ceiling': f}")
     if isinstance(spec, (int, float)):
-        if not _fits_float(spec):
-            raise ConfigError("field 'epsilon': too large to convert to a float")
-        value = float(spec)
-        if not np.isfinite(value) or value <= 0.0:
-            raise ConfigError("field 'epsilon': fixed value must be a positive real")
-        return "fixed", value
+        return "fixed", _positive(spec, "epsilon")
     if spec == "ceiling-rule":
         value = ceiling - horizon ** -0.5
         return "ceiling-rule", (value if value > 0.0 else None)
     if isinstance(spec, dict) and set(spec) == {"fraction_of_ceiling"}:
-        try:
-            fraction = float(spec["fraction_of_ceiling"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"field 'epsilon': fraction_of_ceiling: {exc}") from exc
-        if not np.isfinite(fraction) or fraction <= 0.0:
-            raise ConfigError("field 'epsilon': fraction_of_ceiling must be positive")
+        fraction = _positive(spec["fraction_of_ceiling"], "epsilon.fraction_of_ceiling")
         return f"fraction_of_ceiling:{fraction}", fraction * ceiling
     raise ConfigError("field 'epsilon': must be a number, 'ceiling-rule' or "
                       "{'fraction_of_ceiling': f}")
+
+
+def _resolve_direction(spec, order: int, fallback_label: str) -> tuple[str, np.ndarray]:
+    """Turn a direction spec into a (label, unit vector) pair.
+
+    Accepts the shorthand "e<i>" for the i-th standard basis vector (1-based),
+    "uniform" for the normalised all-ones vector, or an explicit vector, which
+    is normalised to unit length and labelled ``fallback_label``.
+    """
+    if isinstance(spec, str):
+        token = spec.strip().lower()
+        if token == "uniform":
+            return "uniform", np.full(order, 1.0 / math.sqrt(order))
+        if token.startswith("e") and token[1:].isdigit():
+            idx = int(token[1:])
+            if not 1 <= idx <= order:
+                raise ConfigError(f"direction '{spec}': index must be in 1..{order}")
+            w = np.zeros(order)
+            w[idx - 1] = 1.0
+            return token, w
+        raise ConfigError(f"direction '{spec}': expected 'e<i>', 'uniform' or a vector")
+    w = np.array([_number(v, "direction") for v in (spec if isinstance(spec, list) else [spec])],
+                 dtype=float)
+    if w.shape != (order,):
+        raise ConfigError(f"direction: expected a vector of length {order}")
+    norm = float(np.linalg.norm(w))
+    if not np.isfinite(norm) or norm == 0.0:
+        raise ConfigError("direction: vector must be finite and nonzero")
+    return fallback_label, w / norm
 
 
 def _parse_directions(config: dict, order: int) -> list[tuple[str, np.ndarray]]:
@@ -158,8 +179,9 @@ def _parse_directions(config: dict, order: int) -> list[tuple[str, np.ndarray]]:
     specs = raw if isinstance(raw, list) and not _is_vector(raw) else [raw]
     if not specs:
         raise ConfigError("field 'direction': at least one direction is required")
-    out = [resolve_direction(spec, order, fallback_label=f"w{idx + 1}")
+    out = [_resolve_direction(spec, order, fallback_label=f"w{idx + 1}")
            for idx, spec in enumerate(specs)]
+    # certify and rate-sweep never build a CampaignConfig, which checks this too.
     labels = [label for label, _ in out]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"field 'direction': labels must be unique, got {labels}")
@@ -335,11 +357,9 @@ def cmd_rate_sweep(args) -> int:
     config = _load_config(args.config)
     process = _parse_process(config)
     grid = _require(config, "horizon_grid")
-    if (not isinstance(grid, list) or not grid
-            or not all(isinstance(h, int) for h in grid)):
+    if not isinstance(grid, list) or not grid:
         raise ConfigError("field 'horizon_grid': must be a non-empty list of integers")
-    if not all(_fits_float(h) for h in grid):
-        raise ConfigError("field 'horizon_grid': every horizon must convert to a float")
+    grid = [_number(h, "horizon_grid", integer=True) for h in grid]
     directions = _parse_directions(config, process.order)
     if len(directions) > 1:
         raise ConfigError("field 'direction': rate-sweep takes one direction")

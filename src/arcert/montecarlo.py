@@ -85,37 +85,6 @@ def event_threshold(inputs: BoundInputs) -> float:
     return inputs.epsilon * inputs.process.noise_variance * inputs.effective_samples / 3.0
 
 
-def resolve_direction(spec, order: int, fallback_label: str) -> tuple[str, np.ndarray]:
-    """Turn a direction spec into a (label, unit vector) pair.
-
-    Accepts the shorthand "e<i>" for the i-th standard basis vector (1-based),
-    "uniform" for the normalised all-ones vector, or an explicit vector, which
-    is normalised to unit length and labelled ``fallback_label``.
-    """
-    if isinstance(spec, str):
-        token = spec.strip().lower()
-        if token == "uniform":
-            return "uniform", np.full(order, 1.0 / math.sqrt(order))
-        if token.startswith("e") and token[1:].isdigit():
-            idx = int(token[1:])
-            if not 1 <= idx <= order:
-                raise ConfigError(f"direction '{spec}': index must be in 1..{order}")
-            w = np.zeros(order)
-            w[idx - 1] = 1.0
-            return token, w
-        raise ConfigError(f"direction '{spec}': expected 'e<i>', 'uniform' or a vector")
-    try:
-        w = np.atleast_1d(np.asarray(spec, dtype=float))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"direction: expected 'e<i>', 'uniform' or a vector ({exc})") from exc
-    if w.shape != (order,):
-        raise ConfigError(f"direction: expected a vector of length {order}")
-    norm = float(np.linalg.norm(w))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise ConfigError("direction: vector must be finite and nonzero")
-    return fallback_label, w / norm
-
-
 @dataclass(frozen=True, eq=False)
 class CampaignConfig:
     """Validated inputs of one Monte Carlo campaign.
@@ -150,6 +119,7 @@ class CampaignConfig:
             raise ConfigError("seed: must be a nonnegative integer")
         if not self.directions:
             raise ConfigError("direction: at least one direction is required")
+        # Guards library callers of run_campaign, whose labels no parser checked.
         labels = [label for label, _ in self.directions]
         if len(set(labels)) != len(labels):
             raise ConfigError("direction: labels must be unique")

@@ -44,15 +44,17 @@ _CSV_BLOCK = 4096
 SeedLike = Union[int, np.random.SeedSequence]
 
 
-def _coefficient_companion(coeffs: np.ndarray) -> np.ndarray:
-    """n x n companion matrix whose eigenvalues are the roots of
-    p(x) = x^n - c_1 x^(n-1) - ... - c_n."""
+def _companion(coeffs: np.ndarray) -> np.ndarray:
+    """(n+1) x (n+1) companion matrix A of x_{t+1} = A x_t + e1 e_{t+1}, with
+    the state x_t = (y_t, ..., y_{t-n}): the coefficients in the first row, an
+    identity shift below and a zero last column.  Its leading n x n block is
+    the companion of p(x) = x^n - c_1 x^(n-1) - ... - c_n, so A's eigenvalues
+    are the process poles plus one at zero."""
     n = coeffs.size
-    m = np.zeros((n, n))
-    m[0, :] = coeffs
-    if n > 1:
-        m[np.arange(1, n), np.arange(0, n - 1)] = 1.0
-    return m
+    a = np.zeros((n + 1, n + 1))
+    a[0, :n] = coeffs
+    a[1:, :n] = np.eye(n)
+    return a
 
 
 def characteristic_roots(coeffs) -> np.ndarray:
@@ -62,7 +64,7 @@ def characteristic_roots(coeffs) -> np.ndarray:
         raise ValueError("coeffs must be a non-empty 1-D vector")
     if not np.all(np.isfinite(c)):
         raise ValueError("coeffs must be finite")
-    return np.linalg.eigvals(_coefficient_companion(c))
+    return np.linalg.eigvals(_companion(c)[:-1, :-1])
 
 
 def check_schur_stable(coeffs) -> bool:
@@ -103,48 +105,12 @@ class ArProcess:
         return int(self.coeffs.size)
 
 
-@dataclass(frozen=True, eq=False)
-class CompanionStateSpace:
-    """Companion realisation x_{t+1} = A x_t + B e_{t+1} of an AR(n) process.
-
-    A is (n+1) x (n+1) with the coefficients in its first row and an identity
-    shift below; B is the first standard basis vector.  The eigenvalues of A
-    are the process poles plus one extra eigenvalue at zero, so det(A) = 0.
-    """
-
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a_matrix, dtype=float).copy()
-        b = np.asarray(self.b_vector, dtype=float).copy()
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
-            raise ValueError(f"a_matrix must be square of size >= 2, got {a.shape}")
-        if b.shape != (a.shape[0],):
-            raise ValueError(f"b_vector must have length {a.shape[0]}, got {b.shape}")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "b_vector", b)
-
-    @property
-    def order(self) -> int:
-        return int(self.a_matrix.shape[0] - 1)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.a_matrix[0, : self.order]
-
-
-def build_companion(process: ArProcess) -> CompanionStateSpace:
-    """State-space companion form of a stable AR(n) process."""
-    n = process.order
-    a = np.zeros((n + 1, n + 1))
-    a[0, :n] = process.coeffs
-    a[1:, :n] = np.eye(n)
-    b = np.zeros(n + 1)
-    b[0] = 1.0
-    return CompanionStateSpace(a_matrix=a, b_vector=b)
+def build_companion(process: ArProcess) -> np.ndarray:
+    """Read-only companion matrix A of a stable AR(n) process (see
+    :func:`_companion`); the innovation enters the state through e1."""
+    a = _companion(process.coeffs)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,10 +255,13 @@ def substream(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial_index),))
 
 
-def stationary_state_covariance(ss: CompanionStateSpace, sigma2: float) -> np.ndarray:
+def stationary_state_covariance(a: np.ndarray, sigma2: float) -> np.ndarray:
     """Stationary covariance V of the companion state: the solution of
-    V = A V A^T + sigma2 B B^T.  The one place V is solved for."""
-    return solve_discrete_lyapunov(ss.a_matrix, sigma2 * np.outer(ss.b_vector, ss.b_vector))
+    V = A V A^T + sigma2 e1 e1^T for the companion matrix A.  The one place V
+    is solved for."""
+    q = np.zeros(a.shape)
+    q[0, 0] = sigma2
+    return solve_discrete_lyapunov(a, q)
 
 
 def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:

@@ -18,7 +18,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import StabilityError
 from .linalg import solve_discrete_lyapunov
-from .process import CompanionStateSpace, check_schur_stable, stationary_state_covariance
+from .process import check_schur_stable, stationary_state_covariance
 
 
 def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -60,7 +60,7 @@ class StationaryStatistics:
     """Deterministic stationary quantities of one process.
 
     state_covariance: (n+1) x (n+1) stationary covariance of the companion
-        state, solving V = A V A^T + noise_variance * B B^T.
+        state, solving V = A V A^T + noise_variance * e1 e1^T.
     gramian: (n+1) x (n+1) solution of G = A G A^T + I (so G >= I); measures
         how system memory inflates the concentration bounds.
     output_variance: stationary variance of the scalar output, the (1,1)
@@ -95,13 +95,15 @@ class StationaryStatistics:
         return self.gramian[: self.order, : self.order]
 
 
-def stationary_stats(ss: CompanionStateSpace, sigma2: float) -> StationaryStatistics:
-    """Solve the two Lyapunov equations and evaluate the peak gain."""
+def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
+    """Solve the two Lyapunov equations for the companion matrix A (see
+    :func:`arcert.process.build_companion`) and evaluate the peak gain of the
+    coefficients in its first row."""
     sigma2 = float(sigma2)
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
-    state_cov = stationary_state_covariance(ss, sigma2)
-    gramian = solve_discrete_lyapunov(ss.a_matrix, np.eye(ss.a_matrix.shape[0]))
+    state_cov = stationary_state_covariance(a, sigma2)
+    gramian = solve_discrete_lyapunov(a, np.eye(a.shape[0]))
     y_var = float(state_cov[0, 0])
     if y_var <= 0.0:
         raise ValueError("stationary output variance must be positive")
@@ -109,5 +111,5 @@ def stationary_stats(ss: CompanionStateSpace, sigma2: float) -> StationaryStatis
         state_covariance=state_cov,
         gramian=gramian,
         output_variance=y_var,
-        peak_gain=peak_transfer_gain(ss.coeffs),
+        peak_gain=peak_transfer_gain(a[0, :-1]),
     )

@@ -23,7 +23,6 @@ import numpy as np
 from arcert import (
     ArProcess,
     BoundInputs,
-    CompanionStateSpace,
     CovarianceCertificate,
     DeviationCertificate,
     Trajectory,
@@ -75,12 +74,12 @@ def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
     Uses the state-space identity E[x_{t+k} x_t^T] = A^k V, whose (1,1) entry
     is gamma(k); gamma(0) is the stationary output variance.
     """
-    ss = build_companion(process)
-    cur = stationary_state_covariance(ss, process.noise_variance)
+    a = build_companion(process)
+    cur = stationary_state_covariance(a, process.noise_variance)
     gamma = np.empty(max_lag + 1)
     gamma[0] = cur[0, 0]
     for k in range(1, max_lag + 1):
-        cur = ss.a_matrix @ cur
+        cur = a @ cur
         gamma[k] = cur[0, 0]
     return gamma
 
@@ -149,18 +148,18 @@ def residual_noise_window(traj: Trajectory) -> np.ndarray:
     return traj.noise[traj.order :]
 
 
-def _state_image(ss: CompanionStateSpace, window: np.ndarray) -> np.ndarray:
+def _state_image(a: np.ndarray, window: np.ndarray) -> np.ndarray:
     """A x_t assembled from the lag window Y_t; the companion's zero last
     column annihilates the oldest state entry, so Y_t determines A x_t."""
-    return np.concatenate(([ss.coeffs @ window], window))
+    return np.concatenate(([a[0, :-1] @ window], window))
 
 
-def check_boundary_event(traj: Trajectory, ss: CompanionStateSpace,
+def check_boundary_event(traj: Trajectory, a: np.ndarray,
                          inputs: BoundInputs) -> tuple[bool, float]:
     """Initial/final-state event: rho[A (x_first x_first^T - x_last x_last^T) A^T]
     within its third of the radius budget.  Returns (held, radius)."""
-    u = _state_image(ss, lag_window(traj, traj.order - 1))
-    v = _state_image(ss, lag_window(traj, traj.horizon - 1))
+    u = _state_image(a, lag_window(traj, traj.order - 1))
+    v = _state_image(a, lag_window(traj, traj.horizon - 1))
     radius = float(np.max(np.abs(np.linalg.eigvalsh(np.outer(u, u) - np.outer(v, v)))))
     return radius <= event_threshold(inputs), radius
 
@@ -176,11 +175,11 @@ def check_noise_energy_event(noise_window, inputs: BoundInputs) -> tuple[bool, f
     return radius <= event_threshold(inputs), radius
 
 
-def check_cross_term_event(traj: Trajectory, noise_window, ss: CompanionStateSpace,
+def check_cross_term_event(traj: Trajectory, noise_window, a: np.ndarray,
                            inputs: BoundInputs) -> tuple[bool, float]:
     """State-innovation cross-term event.
 
-    The summed cross matrix S B^T + B S^T with S = sum_i e_{i+1} A x_i is
+    The summed cross matrix S e1^T + e1 S^T with S = sum_i e_{i+1} A x_i is
     symmetric of rank <= 2 with spectral radius |S_1| + ||S||_2 (closed form,
     cross-checked against a dense eigensolve in tests).
     """
@@ -188,7 +187,7 @@ def check_cross_term_event(traj: Trajectory, noise_window, ss: CompanionStateSpa
     e = np.asarray(noise_window, dtype=float)
     full = traj.samples
     s_tail = np.array([e @ full[2 * n - 2 - k : horizon + n - 2 - k] for k in range(n)])
-    s_head = float(ss.coeffs @ s_tail)
+    s_head = float(a[0, :-1] @ s_tail)
     radius = abs(s_head) + math.sqrt(s_head ** 2 + float(s_tail @ s_tail))
     return radius <= event_threshold(inputs), radius
 
@@ -219,7 +218,7 @@ def check_self_normalized_event(design: np.ndarray, residual_noise,
     return log_argument > 0.0 and lhs_sq <= 2.0 * float(noise_variance) * log_argument
 
 
-def evaluate_trial(process: ArProcess, ss: CompanionStateSpace, inputs: BoundInputs,
+def evaluate_trial(process: ArProcess, a: np.ndarray, inputs: BoundInputs,
                    cert: CovarianceCertificate,
                    dev_certs: dict[str, DeviationCertificate],
                    traj: Trajectory) -> dict[str, bool | None]:
@@ -231,9 +230,9 @@ def evaluate_trial(process: ArProcess, ss: CompanionStateSpace, inputs: BoundInp
     error = ols_fit(design, target) - process.coeffs
     noise = event_noise_window(traj)
     held = {
-        "boundary": check_boundary_event(traj, ss, inputs)[0],
+        "boundary": check_boundary_event(traj, a, inputs)[0],
         "noise_energy": check_noise_energy_event(noise, inputs)[0],
-        "cross_term": check_cross_term_event(traj, noise, ss, inputs)[0],
+        "cross_term": check_cross_term_event(traj, noise, a, inputs)[0],
         "sandwich": check_sandwich_event(design, cert),
         "self_normalized": check_self_normalized_event(
             design, residual_noise_window(traj), cert, process.noise_variance),

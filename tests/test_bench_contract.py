@@ -1,0 +1,67 @@
+"""What the benchmark under ``bench/`` uses of the package.
+
+The benchmark imports arcert from the source tree and wraps its public
+functions by module and name, so a deletion or rename in ``src/`` can break it
+without breaking any other test.  These checks fail first.
+"""
+
+import importlib
+import inspect
+
+import pytest
+
+import arcert.montecarlo
+import arcert.process
+from arcert import (
+    ArProcess,
+    BoundInputs,
+    build_companion,
+    covariance_certificate,
+    max_feasible_epsilon,
+    stationary_stats,
+)
+
+#: Spans that bench/run.py ``_per_layer`` reads, as "<module>.<function>".
+#: Keep in step with ``_per_layer``; ``process.to_csv`` is the one method
+#: span and is checked on its own.
+PER_LAYER_SPANS = [
+    "process.ar_recursion",
+    "process.simulate_batch",
+    "process.simulate_stationary",
+    "process.substream",
+    "montecarlo.run_campaign",
+    "certificates.rate_analysis",
+    "certificates.covariance_certificate",
+    "certificates.deviation_radius",
+    "certificates.max_feasible_epsilon",
+    "stationary.stationary_stats",
+    "stationary.peak_transfer_gain",
+    "linalg.solve_discrete_lyapunov",
+    "linalg.symmetric_sqrt",
+]
+
+
+def test_certificate_calls():
+    process = ArProcess(coeffs=[0.3, 0.4], noise_variance=1.0)
+    stats = stationary_stats(build_companion(process), process.noise_variance)
+    epsilon = 0.5 * max_feasible_epsilon(process, stats)
+    cert = covariance_certificate(BoundInputs(process=process, stats=stats, epsilon=epsilon,
+                                              horizon=5000))
+    assert cert.feasible
+
+
+def test_simulate_batch_reexported_by_montecarlo():
+    # The span tracer wraps it in the montecarlo namespace.
+    assert arcert.montecarlo.simulate_batch is arcert.process.simulate_batch
+
+
+@pytest.mark.parametrize("span", PER_LAYER_SPANS)
+def test_per_layer_span_is_public_function(span):
+    module_name, name = span.split(".")
+    module = importlib.import_module(f"arcert.{module_name}")
+    func = vars(module).get(name)
+    assert inspect.isfunction(func) and func.__module__ == module.__name__
+
+
+def test_to_csv_span_is_trajectory_method():
+    assert inspect.isfunction(vars(arcert.process.Trajectory).get("to_csv"))

@@ -221,18 +221,16 @@ class TestMaxFeasibleEpsilon:
         # theta = 0: the companion is nilpotent, so the series oracles terminate.
         sigma2 = 2.0
         process = ArProcess(coeffs=[0.0], noise_variance=sigma2)
-        ss = build_companion(process)
-        v_oracle = truncated_lyapunov_series(ss.a_matrix,
-                                             sigma2 * np.outer(ss.b_vector, ss.b_vector), 5)
-        g_oracle = truncated_lyapunov_series(ss.a_matrix, np.eye(2), 5)
+        a = build_companion(process)
+        v_oracle = truncated_lyapunov_series(a, np.diag([sigma2, 0.0]), 5)
+        g_oracle = truncated_lyapunov_series(a, np.eye(2), 5)
         expected = v_oracle[0, 0] / (sigma2 * g_oracle[0, 0])
-        stats = stationary_stats(ss, sigma2)
+        stats = stationary_stats(a, sigma2)
         assert max_feasible_epsilon(process, stats) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.0, rel=1e-12)
 
     def test_first_order_ratio_oracle(self, ar1, ar1_stats):
-        ss = build_companion(ar1)
-        g_oracle = truncated_lyapunov_series(ss.a_matrix, np.eye(2), 400)
+        g_oracle = truncated_lyapunov_series(build_companion(ar1), np.eye(2), 400)
         expected = ar1_stats.output_variance / g_oracle[0, 0]
         assert max_feasible_epsilon(ar1, ar1_stats) == pytest.approx(expected, rel=1e-10)
 

@@ -12,6 +12,7 @@ from arcert import (
     ArProcess,
     BoundInputs,
     CampaignConfig,
+    ConfigError,
     ConvergenceError,
     CovarianceCertificate,
     CoverageReport,
@@ -29,7 +30,7 @@ from arcert import (
     stationary_stats,
 )
 import arcert.cli as cli_module
-from arcert.cli import main
+from arcert.cli import _resolve_direction, main
 
 
 def write_config(tmp_path, name="config.json", **payload):
@@ -511,6 +512,31 @@ class TestJsonOutputs:
         assert payload["analysis"]["points"][0]["feasible"] is False
 
 
+class TestResolveDirection:
+    def test_basis_shorthand(self):
+        label, w = _resolve_direction("e2", 3, "w1")
+        assert label == "e2"
+        np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
+
+    def test_uniform(self):
+        label, w = _resolve_direction("uniform", 4, "w1")
+        assert label == "uniform"
+        np.testing.assert_allclose(w, 0.5 * np.ones(4))
+
+    def test_vector_normalised(self):
+        label, w = _resolve_direction([3.0, 4.0], 2, fallback_label="w1")
+        assert label == "w1"
+        np.testing.assert_allclose(w, [0.6, 0.8])
+
+    def test_errors(self):
+        with pytest.raises(ConfigError):
+            _resolve_direction("e5", 2, "w1")
+        with pytest.raises(ConfigError):
+            _resolve_direction("sideways", 2, "w1")
+        with pytest.raises(ConfigError):
+            _resolve_direction([0.0, 0.0], 2, "w1")
+
+
 # Numeric fields holding an integer beyond float range, with the commands
 # that parse each field: (id label, field, value, commands).
 BEYOND_FLOAT = [
@@ -553,6 +579,33 @@ def test_malformed_field_named(tmp_path, capsys, command, field, value):
     cfg = write_config(tmp_path, **doc)
     assert run([command, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+# Numbers written as strings or booleans, which float() or int arithmetic
+# would read as numbers: (command, field, value, the error it must give).
+@pytest.mark.parametrize("command, field, value, message", [
+    pytest.param("certify", "coeffs", "0.5", "field 'coeffs': must be a number",
+                 id="string-coeffs"),
+    pytest.param("certify", "coeffs", ["0.5"], "field 'coeffs': must be a number",
+                 id="string-in-coeffs"),
+    pytest.param("certify", "noise_variance", "2", "field 'noise_variance': must be a number",
+                 id="string-noise-variance"),
+    pytest.param("certify", "noise_variance", True, "field 'noise_variance': must be a number",
+                 id="bool-noise-variance"),
+    pytest.param("certify", "epsilon", {"fraction_of_ceiling": "0.5"},
+                 "field 'epsilon.fraction_of_ceiling': must be a number", id="string-fraction"),
+    pytest.param("certify", "epsilon", {"fraction_of_ceiling": True},
+                 "field 'epsilon.fraction_of_ceiling': must be a number", id="bool-fraction"),
+    pytest.param("rate-sweep", "horizon_grid", [True, 1000],
+                 "field 'horizon_grid': must be an integer", id="bool-in-horizon-grid"),
+])
+def test_number_as_string_or_bool_rejected(tmp_path, capsys, command, field, value, message):
+    doc = dict(AR1_MC, horizon_grid=[1000], output_dir=str(tmp_path / "out"))
+    doc[field] = value
+    cfg = write_config(tmp_path, **doc)
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("field '") == 1
 
 
 @pytest.mark.parametrize("command", ["certify", "montecarlo", "rate-sweep", "simulate"])

@@ -97,11 +97,11 @@ class TestLyapunov:
             poles += [r * np.exp(1j * theta), r * np.exp(-1j * theta)]
         poles += [0.9 * (-1) ** k for k in range(min(reals, 8 - len(poles)))]
         assume(poles)
-        ss = build_companion(ArProcess(coeffs=-np.real(np.poly(poles))[1:]))
-        for q in (np.outer(ss.b_vector, ss.b_vector), np.eye(ss.a_matrix.shape[0])):
-            x = solve_discrete_lyapunov(ss.a_matrix, q)
-            residual = (np.linalg.norm(x - ss.a_matrix @ x @ ss.a_matrix.T - q)
-                        / np.linalg.norm(x))
+        a = build_companion(ArProcess(coeffs=-np.real(np.poly(poles))[1:]))
+        e1 = np.eye(a.shape[0])[0]
+        for q in (np.outer(e1, e1), np.eye(a.shape[0])):
+            x = solve_discrete_lyapunov(a, q)
+            residual = np.linalg.norm(x - a @ x @ a.T - q) / np.linalg.norm(x)
             assert residual <= LYAPUNOV_TOL
             np.testing.assert_array_equal(x, x.T)
 

@@ -20,7 +20,6 @@ from arcert import (
     deviation_radius,
     event_threshold,
     max_feasible_epsilon,
-    resolve_direction,
     run_campaign,
     simulate_stationary,
     stationary_stats,
@@ -42,11 +41,11 @@ from reference import (
 
 @pytest.fixture(scope="module")
 def ar1_setup(ar1, ar1_stats):
-    ss = build_companion(ar1)
+    a = build_companion(ar1)
     inputs = BoundInputs(process=ar1, stats=ar1_stats, epsilon=0.5, horizon=400)
     cert = covariance_certificate(inputs)
     dev = deviation_radius(cert, [1.0], ar1.noise_variance)
-    return ss, inputs, cert, dev
+    return a, inputs, cert, dev
 
 
 def zero_trajectory(order, horizon):
@@ -56,24 +55,24 @@ def zero_trajectory(order, horizon):
 
 class TestEventCheckers:
     def test_boundary_zero_trajectory(self, ar1_setup):
-        ss, inputs, _, _ = ar1_setup
-        held, radius = check_boundary_event(zero_trajectory(1, 400), ss, inputs)
+        a, inputs, _, _ = ar1_setup
+        held, radius = check_boundary_event(zero_trajectory(1, 400), a, inputs)
         assert held and radius == 0.0
 
     def test_threshold_scaling_never_flips_to_false(self, ar1, ar1_stats, ar1_setup):
-        ss, inputs, _, _ = ar1_setup
+        a, inputs, _, _ = ar1_setup
         wide = BoundInputs(process=ar1, stats=ar1_stats, epsilon=1.0, horizon=400)
         for seed in range(20):
             traj = simulate_stationary(ar1, 400, seed)
-            held, _ = check_boundary_event(traj, ss, inputs)
-            held_wide, _ = check_boundary_event(traj, ss, wide)
+            held, _ = check_boundary_event(traj, a, inputs)
+            held_wide, _ = check_boundary_event(traj, a, wide)
             if held:
                 assert held_wide
             noise = event_noise_window(traj)
             if check_noise_energy_event(noise, inputs)[0]:
                 assert check_noise_energy_event(noise, wide)[0]
-            if check_cross_term_event(traj, noise, ss, inputs)[0]:
-                assert check_cross_term_event(traj, noise, ss, wide)[0]
+            if check_cross_term_event(traj, noise, a, inputs)[0]:
+                assert check_cross_term_event(traj, noise, a, wide)[0]
 
     def test_noise_energy_constant_noise_is_exact(self, ar1, ar1_stats):
         inputs = BoundInputs(process=ar1, stats=ar1_stats, epsilon=0.01, horizon=400)
@@ -82,35 +81,36 @@ class TestEventCheckers:
         assert held and radius == 0.0
 
     def test_cross_term_zero_noise(self, ar1, ar1_stats, ar1_setup):
-        ss, inputs, _, _ = ar1_setup
+        a, inputs, _, _ = ar1_setup
         traj = simulate_stationary(ar1, 400, 11)
-        held, radius = check_cross_term_event(traj, np.zeros(399), ss, inputs)
+        held, radius = check_cross_term_event(traj, np.zeros(399), a, inputs)
         assert held and radius == 0.0
 
     def test_cross_term_closed_form_matches_dense_eigensolve(self, ar2, ar2_stats):
-        ss = build_companion(ar2)
+        a = build_companion(ar2)
         inputs = BoundInputs(process=ar2, stats=ar2_stats, epsilon=0.2, horizon=300)
         traj = simulate_stationary(ar2, 300, 21)
         window = event_noise_window(traj)
-        _, radius = check_cross_term_event(traj, window, ss, inputs)
-        # Dense oracle: materialise S B^T + B S^T and take its eigenvalues.
+        _, radius = check_cross_term_event(traj, window, a, inputs)
+        # Dense oracle: materialise S e1^T + e1 S^T and take its eigenvalues.
         images = np.array([
-            np.concatenate(([ss.coeffs @ lag_window(traj, t)], lag_window(traj, t)))
+            np.concatenate(([a[0, :-1] @ lag_window(traj, t)], lag_window(traj, t)))
             for t in range(1, 299)
         ])
         s_vec = window @ images
-        dense = np.outer(s_vec, ss.b_vector) + np.outer(ss.b_vector, s_vec)
+        e1 = np.eye(3)[0]
+        dense = np.outer(s_vec, e1) + np.outer(e1, s_vec)
         oracle = np.max(np.abs(np.linalg.eigvalsh(dense)))
         assert radius == pytest.approx(oracle, rel=1e-10)
 
     def test_boundary_radius_matches_windows(self, ar2, ar2_stats):
         # The event uses the first and last lag windows through the companion map.
-        ss = build_companion(ar2)
+        a = build_companion(ar2)
         inputs = BoundInputs(process=ar2, stats=ar2_stats, epsilon=0.2, horizon=50)
         traj = simulate_stationary(ar2, 50, 3)
-        _, radius = check_boundary_event(traj, ss, inputs)
-        u = np.concatenate(([ss.coeffs @ lag_window(traj, 1)], lag_window(traj, 1)))
-        v = np.concatenate(([ss.coeffs @ lag_window(traj, 49)], lag_window(traj, 49)))
+        _, radius = check_boundary_event(traj, a, inputs)
+        u = np.concatenate(([a[0, :-1] @ lag_window(traj, 1)], lag_window(traj, 1)))
+        v = np.concatenate(([a[0, :-1] @ lag_window(traj, 49)], lag_window(traj, 49)))
         oracle = np.max(np.abs(np.linalg.eigvalsh(np.outer(u, u) - np.outer(v, v))))
         assert radius == pytest.approx(oracle, rel=1e-12)
 
@@ -127,7 +127,7 @@ class TestEventCheckers:
     def test_self_normalized_unsatisfiable_when_delta_dominates(self, ar1_setup):
         # At this short horizon delta exceeds the determinant term: the
         # threshold is imaginary, so even zero noise cannot satisfy the event.
-        ss, inputs, cert, _ = ar1_setup
+        _, inputs, cert, _ = ar1_setup
         assert cert.delta > 1.0
         traj = simulate_stationary(inputs.process, 400, 14)
         design, _ = build_regressors(traj)
@@ -161,31 +161,6 @@ class TestTrialOutcome:
 
     def test_vacuous_deviation_allowed(self):
         assert_implications(self.good() | {"deviation:e1": None})
-
-
-class TestResolveDirection:
-    def test_basis_shorthand(self):
-        label, w = resolve_direction("e2", 3, "w1")
-        assert label == "e2"
-        np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
-
-    def test_uniform(self):
-        label, w = resolve_direction("uniform", 4, "w1")
-        assert label == "uniform"
-        np.testing.assert_allclose(w, 0.5 * np.ones(4))
-
-    def test_vector_normalised(self):
-        label, w = resolve_direction([3.0, 4.0], 2, fallback_label="w1")
-        assert label == "w1"
-        np.testing.assert_allclose(w, [0.6, 0.8])
-
-    def test_errors(self):
-        with pytest.raises(ConfigError):
-            resolve_direction("e5", 2, "w1")
-        with pytest.raises(ConfigError):
-            resolve_direction("sideways", 2, "w1")
-        with pytest.raises(ConfigError):
-            resolve_direction([0.0, 0.0], 2, "w1")
 
 
 class TestCampaignConfigValidation:
@@ -242,8 +217,8 @@ def reference_failures(config: CampaignConfig) -> dict:
     """Failure counts of every event, re-run trial by trial through the
     single-trial reference checkers on the substreams the campaign uses."""
     process = config.process
-    ss = build_companion(process)
-    stats = stationary_stats(ss, process.noise_variance)
+    a = build_companion(process)
+    stats = stationary_stats(a, process.noise_variance)
     inputs = BoundInputs(process=process, stats=stats, epsilon=config.epsilon,
                          horizon=config.horizon)
     cert = covariance_certificate(inputs)
@@ -253,7 +228,7 @@ def reference_failures(config: CampaignConfig) -> dict:
     for i in range(config.trials):
         traj = simulate_stationary(process, config.horizon,
                                    substream(config.master_seed, i))
-        for event, held in evaluate_trial(process, ss, inputs, cert, dev_certs,
+        for event, held in evaluate_trial(process, a, inputs, cert, dev_certs,
                                           traj).items():
             fails[event] = None if held is None else fails.get(event, 0) + (not held)
     return fails

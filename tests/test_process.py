@@ -87,28 +87,27 @@ class TestArProcess:
 
 class TestCompanion:
     def test_first_order(self, ar1):
-        ss = build_companion(ar1)
-        np.testing.assert_array_equal(ss.a_matrix, [[0.5, 0.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(ss.b_vector, [1.0, 0.0])
+        np.testing.assert_array_equal(build_companion(ar1), [[0.5, 0.0], [1.0, 0.0]])
 
     def test_second_order(self, ar2):
-        ss = build_companion(ar2)
         np.testing.assert_array_equal(
-            ss.a_matrix, [[0.3, 0.4, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+            build_companion(ar2), [[0.3, 0.4, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         )
-        np.testing.assert_array_equal(ss.b_vector, [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4], [0.2, -0.3, 0.1]])
     def test_singular_with_pole_spectrum(self, coeffs):
-        ss = build_companion(ArProcess(coeffs=coeffs))
-        assert np.linalg.det(ss.a_matrix) == pytest.approx(0.0, abs=1e-12)
-        eigs = np.sort_complex(np.linalg.eigvals(ss.a_matrix))
+        a = build_companion(ArProcess(coeffs=coeffs))
+        assert np.linalg.det(a) == pytest.approx(0.0, abs=1e-12)
+        eigs = np.sort_complex(np.linalg.eigvals(a))
         poles = np.sort_complex(np.append(np.roots([1.0] + [-c for c in coeffs]), 0.0))
         np.testing.assert_allclose(eigs, poles, atol=1e-10)
 
     def test_first_row_recovers_coeffs(self, ar2):
-        ss = build_companion(ar2)
-        np.testing.assert_array_equal(ss.a_matrix[0, : ar2.order], ar2.coeffs)
+        np.testing.assert_array_equal(build_companion(ar2)[0, : ar2.order], ar2.coeffs)
+
+    def test_read_only(self, ar2):
+        with pytest.raises(ValueError):
+            build_companion(ar2)[0, 0] = 0.9
 
 
 class TestRecursion:

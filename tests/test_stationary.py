@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 
 from arcert import (
     ArProcess,
+    BoundInputs,
     StabilityError,
     build_companion,
+    characteristic_roots,
     check_schur_stable,
+    covariance_certificate,
+    max_feasible_epsilon,
     peak_transfer_gain,
     simulate_stationary,
     stationary_stats,
@@ -128,12 +133,12 @@ class TestStationaryStats:
     @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4], [0.2, -0.3, 0.1]])
     def test_lyapunov_residuals(self, coeffs):
         process = ArProcess(coeffs=coeffs, noise_variance=1.7)
-        ss = build_companion(process)
-        stats = stationary_stats(ss, 1.7)
-        a = ss.a_matrix
+        a = build_companion(process)
+        stats = stationary_stats(a, 1.7)
+        e1 = np.eye(a.shape[0])[0]
         v = stats.state_covariance
         g = stats.gramian
-        v_res = np.linalg.norm(v - a @ v @ a.T - 1.7 * np.outer(ss.b_vector, ss.b_vector))
+        v_res = np.linalg.norm(v - a @ v @ a.T - 1.7 * np.outer(e1, e1))
         g_res = np.linalg.norm(g - a @ g @ a.T - np.eye(a.shape[0]))
         assert v_res <= 1e-10 * np.linalg.norm(v)
         assert g_res <= 1e-10 * np.linalg.norm(g)
@@ -152,10 +157,10 @@ class TestStationaryStats:
         # strongly non-normal companion on which a squared Smith iteration
         # misses its residual tolerance (5e-8).
         process = ArProcess(coeffs=CLUSTERED_POLES_AR8)
-        ss = build_companion(process)
-        stats = stationary_stats(ss, 1.0)
-        a = ss.a_matrix
-        for x, q in ((stats.state_covariance, np.outer(ss.b_vector, ss.b_vector)),
+        a = build_companion(process)
+        stats = stationary_stats(a, 1.0)
+        e1 = np.eye(a.shape[0])[0]
+        for x, q in ((stats.state_covariance, np.outer(e1, e1)),
                      (stats.gramian, np.eye(a.shape[0]))):
             assert np.linalg.norm(x - a @ x @ a.T - q) <= 1e-13 * np.linalg.norm(x)
             # The series sums positive terms and is within 6e-12 of a 40-digit
@@ -212,3 +217,41 @@ class TestToeplitzCovariance:
             np.testing.assert_allclose(diag, diag[0])
         assert m.shape == (6, 6)
         assert m[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+#: Processes whose deterministic layer is pinned bit for bit: AR(1), AR(2),
+#: AR(6), a pole near the unit circle, a sharp resonance and clustered poles.
+PINNED_COEFFS = [[0.5], [0.3, 0.4], [0.4, -0.2, 0.1, 0.05, -0.1, 0.1], [0.95], [1.6, -0.9],
+                 CLUSTERED_POLES_AR8]
+
+
+def deterministic_layer(coeffs) -> dict:
+    """Every deterministic input to a certificate, plus delta and log delta at
+    half the feasibility ceiling and N = 5000."""
+    process = ArProcess(coeffs=coeffs, noise_variance=1.7)
+    stats = stationary_stats(build_companion(process), process.noise_variance)
+    epsilon = 0.5 * max_feasible_epsilon(process, stats)
+    cert = covariance_certificate(BoundInputs(process=process, stats=stats, epsilon=epsilon,
+                                              horizon=5000))
+    return {"state_covariance": stats.state_covariance, "gramian": stats.gramian,
+            "peak_gain": stats.peak_gain,
+            "roots": np.sort_complex(characteristic_roots(coeffs)),
+            "delta": cert.delta, "log_delta": cert.log_delta}
+
+
+# SHA-256 of each quantity's float64 bytes over PINNED_COEFFS in order.  A
+# change that moves any of them in the last bit moves certificates and
+# campaign verdicts with it, so it has to say so.
+@pytest.mark.parametrize("quantity, digest", [
+    ("state_covariance", "dea59913516917b6a6f9650f1ffced0152572cbe2315b12d51af5a66a3c8b21f"),
+    ("gramian", "9cbbff855126adcad91a43c47fda4b07ec044d0334c0c6f296c7a3084ed535a2"),
+    ("peak_gain", "c46dbd7c9fcdb092cb688597b64170a89522f61deb624e6572b9e9aa638bb3c0"),
+    ("roots", "8616f02835376d1a63341654031f31cd74c718371ef5a9159b22958a18caf427"),
+    ("delta", "bc119a5a81ac3054244fea252c2c449a3a47cbe29e144d9335a025045688f5ea"),
+    ("log_delta", "574fd5887825454e933ef6cc0aadc1ef3bca69f1eff35b420408fa3e9c371774"),
+])
+def test_deterministic_layer_bytes_pinned(quantity, digest):
+    h = hashlib.sha256()
+    for coeffs in PINNED_COEFFS:
+        h.update(np.asarray(deterministic_layer(coeffs)[quantity]).tobytes())
+    assert h.hexdigest() == digest
