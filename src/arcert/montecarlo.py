@@ -13,10 +13,13 @@ trial, not just in aggregate:
 The campaign kernel never materialises a trajectory.  Each batch of trials is
 simulated CHUNK time steps at a time (:func:`arcert.process.simulate_chunks`)
 and only per-trial sufficient statistics are carried between chunks: the
-normal matrix Y^T Y, the regressor-innovation sums over the residual and the
-event windows, the innovation energy, and the first and last lag windows.
-Every event is a function of those, and the least-squares error follows from
-the normal equations, theta_hat - theta = (Y^T Y)^{-1} Y^T e.  Each batch's
+Gram matrix of (lagged regressors, innovation) over the residual window,
+whose blocks are Y^T Y and Y^T e, and its two end vectors.  The event window
+is the residual window one step earlier, so its cross sums and innovation
+energy are the Gram sums plus the first end term minus the last, and the end
+vectors' lags are the states the boundary event bounds.  Every event is a
+function of those, and the least-squares error follows from the normal
+equations, theta_hat - theta = (Y^T Y)^{-1} Y^T e.  Each batch's
 simulator allocates its chunk buffers once and refills them, so memory is
 O(threads * batch * CHUNK) whatever the horizon.  The test suite's
 ``reference`` module re-derives every event trial by trial from a whole
@@ -207,62 +210,56 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     batch = stop - start
 
     # Per-trial sufficient statistics.  With x[f] entry f = 0 .. N + n - 1 of
-    # the path (y_{1-n}, ..., y_N) and e[f] the innovation that drives it:
-    #   normal[j, k] = sum_{f=2n}^{N+n-1} x[f-1-j] x[f-1-k]   (Y^T Y)
-    #   s_sn[k]      = sum_{f=2n}^{N+n-1} e[f] x[f-1-k]       (Y^T e, residual window)
-    #   s_tail[k]    = sum_{f=2n-1}^{N+n-2} e[f] x[f-1-k]     (event window)
-    #   energy       = sum_{f=2n-1}^{N+n-2} e[f]^2
-    # plus the lag windows x[n-1 .. 2n-2] and x[N-1 .. N+n-2], in time order.
-    normal = np.zeros((batch, n, n))
-    s_sn = np.zeros((batch, n))
-    s_tail = np.zeros((batch, n))
-    energy = np.zeros(batch)
-    first = np.empty((batch, n))
-    last = np.empty((batch, n))
+    # the path (y_{1-n}, ..., y_N), e[f] the innovation that drives it and
+    # z_f = (x[f-1], ..., x[f-n], e[f]):
+    #   gram = sum_{f=2n}^{N+n-1} z_f z_f^T   (the residual window)
+    # with Y^T Y its leading n x n block and Y^T e its last column, plus the
+    # end vectors head = z_{2n-1} and tail = z_{N+n-1}.  The event window
+    # f = 2n-1 .. N+n-2 is the residual window shifted back one step, so its
+    # sums are the gram sums plus the head term minus the tail term.
+    gram = np.zeros((batch, n + 1, n + 1))
+    head = np.empty((batch, n + 1))
+    tail = np.empty((batch, n + 1))
     finite = np.ones(batch, dtype=bool)
 
     seeds = [substream(config.master_seed, i) for i in range(start, stop)]
     for lo, window, noise in simulate_chunks(process, horizon, seeds):
         # The chunks are time-major: window row p is x[lo + p] and noise row
-        # p is e[lo + n + p], one column per trial.  Every statistic below
-        # sums over contiguous row blocks.
+        # p is e[lo + n + p], one column per trial.  Every z_f with
+        # lo + n <= f < hi lies whole in this chunk, one row per entry.
         hi = lo + window.shape[0]
         finite &= np.isfinite(window[n:]).all(axis=0)
-        reg_lo, evt_lo = max(2 * n, lo + n) - lo, max(2 * n - 1, lo + n) - lo
-        reg_hi, evt_hi = hi - lo, min(horizon + n - 1, hi) - lo
-        lagged = [window[reg_lo - 1 - k : reg_hi - 1 - k] for k in range(n)]
-        e_reg = noise[reg_lo - n : reg_hi - n]
-        e_evt = noise[evt_lo - n : evt_hi - n]
-        for j in range(n):
-            for k in range(j, n):
-                normal[:, j, k] += np.einsum("ib,ib->b", lagged[j], lagged[k])
-            s_sn[:, j] += np.einsum("ib,ib->b", e_reg, lagged[j])
-            s_tail[:, j] += np.einsum(
-                "ib,ib->b", e_evt, window[evt_lo - 1 - j : evt_hi - 1 - j]
-            )
-        energy += np.einsum("ib,ib->b", e_evt, e_evt)
-        for dst, f0 in ((first, n - 1), (last, horizon - 1)):
-            a, b = max(f0, lo), min(f0 + n, hi)
-            if a < b:
-                dst[:, a - f0 : b - f0] = window[a - lo : b - lo].T
-    upper_tri = np.triu_indices(n, 1)
-    normal[:, upper_tri[1], upper_tri[0]] = normal[:, upper_tri[0], upper_tri[1]]
+        reg_lo = max(2 * n, lo + n) - lo
+        z = [window[reg_lo - 1 - k : hi - lo - 1 - k] for k in range(n)]
+        z.append(noise[reg_lo - n :])
+        for j in range(n + 1):
+            for k in range(j, n + 1):
+                gram[:, j, k] += np.einsum("ib,ib->b", z[j], z[k])
+        for end, f in ((head, 2 * n - 1), (tail, horizon + n - 1)):
+            if lo + n <= f < hi:
+                end[:, :n] = window[f - lo - n : f - lo][::-1].T
+                end[:, n] = noise[f - lo - n]
+    upper_tri = np.triu_indices(n + 1, 1)
+    gram[:, upper_tri[1], upper_tri[0]] = gram[:, upper_tri[0], upper_tri[1]]
+    normal = gram[:, :n, :n]
+    # A contiguous copy: einsum rounds a strided operand differently.
+    s_sn = gram[:, :n, n].copy()
+    s_tail = s_sn + head[:, n:] * head[:, :n] - tail[:, n:] * tail[:, :n]
+    energy = gram[:, n, n] + head[:, n] ** 2 - tail[:, n] ** 2
 
     # Stand-in statistics keep the batched LAPACK calls defined on errored
     # trials; their events are never counted.
     errored = ~finite
     normal[errored] = np.eye(n)
-    first[errored] = last[errored] = 0.0
+    head[errored] = tail[errored] = 0.0
     eig = np.linalg.eigvalsh(normal)
     # The square of the 1e-12 diagonal ratio of a triangular factor of Y.
     errored |= eig[:, 0] <= 1e-24 * eig[:, -1]
     normal[errored] = np.eye(n)
 
-    # Boundary event from the first and last usable lag windows.
-    first_window = first[:, ::-1]
-    last_window = last[:, ::-1]
-    u = np.concatenate([(first_window @ coeffs)[:, None], first_window], axis=1)
-    v = np.concatenate([(last_window @ coeffs)[:, None], last_window], axis=1)
+    # Boundary event from the lag windows of the two end vectors.
+    u = np.concatenate([(head[:, :n] @ coeffs)[:, None], head[:, :n]], axis=1)
+    v = np.concatenate([(tail[:, :n] @ coeffs)[:, None], tail[:, :n]], axis=1)
     rank_two = u[:, :, None] * u[:, None, :] - v[:, :, None] * v[:, None, :]
     boundary_radius = np.abs(np.linalg.eigvalsh(rank_two)).max(axis=1)
     boundary_ok = boundary_radius <= threshold

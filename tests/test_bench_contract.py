@@ -7,6 +7,10 @@ without breaking any other test.  These checks fail first.
 
 import importlib
 import inspect
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,8 @@ from arcert import (
     max_feasible_epsilon,
     stationary_stats,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: Spans that bench/run.py ``_per_layer`` reads, as "<module>.<function>".
 #: Keep in step with ``_per_layer``; ``process.to_csv`` is the one method
@@ -65,3 +71,17 @@ def test_per_layer_span_is_public_function(span):
 
 def test_to_csv_span_is_trajectory_method():
     assert inspect.isfunction(vars(arcert.process.Trajectory).get("to_csv"))
+
+
+@pytest.mark.parametrize("workload", ["mc-long", "oneshot-cli"])
+def test_tiny_run_is_correct(workload):
+    # The benchmark's own check of every certificate and implication, on
+    # shrunken inputs; it writes only the ignored .bench_out/ and .bench_work/.
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "0", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0, result.stdout

@@ -67,6 +67,13 @@ class TestCertify:
         assert code == 2
         assert "Schur" in capsys.readouterr().err
 
+    def test_order_above_cap_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, coeffs=[0.01] * 33, noise_variance=1.0,
+                           epsilon=0.5, horizon=5000)
+        code = run(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "field 'coeffs': order 33 exceeds" in capsys.readouterr().err
+
     def test_ceiling_rule_infeasible_marks_output(self, tmp_path):
         # Ceiling is 0.5 for these coefficients, below 1/sqrt(3).
         cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=1.0,

@@ -399,10 +399,12 @@ class TestStreamingKernel:
         monkeypatch.setattr(montecarlo_module, "BATCH", 99)
         assert run_campaign(half_ceiling_config(AR3, horizon)) == one
 
-    @pytest.mark.parametrize("chunk", [2, 16])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 16])
     @pytest.mark.parametrize("coeffs", [[0.5], [0.5, -0.3, 0.2]])
     def test_edge_horizons_match_reference(self, monkeypatch, chunk, coeffs):
-        # A chunk of 2 is shorter than the AR(3) lag windows, so those span chunks.
+        # Chunks shorter than the AR(3) lag windows make those span chunks;
+        # at a chunk of n, the first end vector's innovation is the last
+        # noise row of the first chunk.
         monkeypatch.setattr(process_module, "CHUNK", chunk)
         process = ArProcess(coeffs=coeffs)
         shortest = 2 * process.order + 1

@@ -18,7 +18,7 @@ from arcert import (
     simulate_stationary,
     substream,
 )
-from arcert.process import stationary_state_covariance
+from arcert.process import MAX_ORDER, stationary_state_covariance
 from reference import lag_window, simulate_whole_horizon
 
 CHUNK = process_module.CHUNK
@@ -79,6 +79,13 @@ class TestArProcess:
             ArProcess(coeffs=[[0.5]])
         with pytest.raises(ValueError, match="finite"):
             ArProcess(coeffs=[np.nan])
+
+    def test_order_capped(self):
+        # The Lyapunov operator grows as (n+1)^4; a larger order is a named
+        # error, not an out-of-memory failure.
+        assert ArProcess(coeffs=np.full(MAX_ORDER, 0.01)).order == MAX_ORDER
+        with pytest.raises(ValueError, match=f"order {MAX_ORDER + 1} exceeds"):
+            ArProcess(coeffs=np.full(MAX_ORDER + 1, 0.01))
 
     def test_coeffs_immutable(self, ar1):
         with pytest.raises(ValueError):
