@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import sys
@@ -395,7 +396,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``arcert`` argument parser, built on the first call and returned
+    as the same shared instance on every later one.  Callers must not mutate
+    it (no ``set_defaults``, no added arguments): ``main`` parses with it on
+    every call in the process."""
     parser = argparse.ArgumentParser(
         prog="arcert",
         description="Finite-sample certificates for least-squares AR(n) identification",
@@ -403,11 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, blurb, seeded in (
-        ("certify", cmd_certify, "evaluate certificates for one configuration", False),
-        ("montecarlo", cmd_montecarlo, "run a Monte Carlo coverage campaign", True),
-        ("rate-sweep", cmd_rate_sweep, "decay-rate table over a horizon grid", False),
-        ("simulate", cmd_simulate, "simulate and dump one trajectory", True),
+    for name, blurb, seeded in (
+        ("certify", "evaluate certificates for one configuration", False),
+        ("montecarlo", "run a Monte Carlo coverage campaign", True),
+        ("rate-sweep", "decay-rate table over a horizon grid", False),
+        ("simulate", "simulate and dump one trajectory", True),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
@@ -417,14 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
                            help="master seed (overrides config)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads; only montecarlo uses them")
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up on every call, not bound into the shared parser, so that a
+    # wrapper or patch installed over a ``cmd_*`` function runs.
+    handler = {"certify": cmd_certify, "montecarlo": cmd_montecarlo,
+               "rate-sweep": cmd_rate_sweep, "simulate": cmd_simulate}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     # LinAlgError subclasses ValueError, so the numerical clause comes first.
     except (ConvergenceError, InfeasibleCertificateError, NumericalFailureError,
             FloatingPointError, np.linalg.LinAlgError) as exc:

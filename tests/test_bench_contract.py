@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import arcert.cli
 import arcert.montecarlo
 import arcert.process
 from arcert import (
@@ -85,3 +86,22 @@ def test_tiny_run_is_correct(workload):
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout.splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, result.stdout
+
+
+def test_main_looks_up_handler_at_call_time(tmp_path, monkeypatch):
+    # The tracer wraps arcert.cli.cmd_* by module attribute, and cli.main.self_s
+    # rests on those spans, so a warm main() must call what the attribute holds.
+    config = tmp_path / "certify.json"
+    config.write_text(json.dumps({"coeffs": [0.5], "noise_variance": 1.0,
+                                  "epsilon": 0.5, "horizon": 5000}))
+    argv = ["certify", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert arcert.cli.main(argv) == 0
+    calls = []
+
+    def stub(args):
+        calls.append(args.command)
+        return 0
+
+    monkeypatch.setattr(arcert.cli, "cmd_certify", stub)
+    assert arcert.cli.main(argv) == 0
+    assert calls == ["certify"]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -654,3 +655,47 @@ def test_missing_config_file_exit_two(tmp_path, capsys):
     assert run(["certify", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path)]) == 2
     assert "config" in capsys.readouterr().err
+
+
+class TestRepeatedMain:
+    """main() is called many times in one process (the benchmark loop, these
+    tests): the parser is built once and no call leaves state for the next."""
+
+    def test_warm_main_builds_no_parser(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0, epsilon=0.5,
+                           horizon=5000, horizon_grid=[1000], seed=3)
+        out = str(tmp_path / "out")
+        assert run(["certify", "--config", cfg, "--out", out]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for command in ("certify", "rate-sweep", "simulate"):
+            assert run([command, "--config", cfg, "--out", out]) == 0
+        assert built == []
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0, horizon=200,
+                           seed=11, output_dir=str(tmp_path / "config_out"))
+        assert run(["simulate", "--config", cfg, "--seed", "5",
+                    "--out", str(tmp_path / "a")]) == 0
+        assert run(["simulate", "--config", cfg]) == 0
+        assert run(["simulate", "--config", cfg, "--seed", "11",
+                    "--out", str(tmp_path / "b")]) == 0
+        plain_run = (tmp_path / "config_out" / "trajectory.csv").read_bytes()
+        assert plain_run == (tmp_path / "b" / "trajectory.csv").read_bytes()
+        assert plain_run != (tmp_path / "a" / "trajectory.csv").read_bytes()
+
+    def test_valid_call_after_argparse_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, coeffs=[0.5], noise_variance=1.0, epsilon=0.5,
+                           horizon=5000)
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            run(["certify", "--config", cfg, "--out", out, "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run(["certify", "--config", cfg, "--out", out]) == 0
