@@ -11,7 +11,11 @@ Given a stable process and a tightness parameter epsilon, this module builds:
   of epsilon, under which log delta falls off linearly in sqrt(N).
 
 delta does not depend on the innovation variance (all variance ratios cancel),
-and neither does the deviation radius.  All functions are pure.
+and neither does the deviation radius.  The radius and the ceiling are closed
+forms in the spectrum of the stationary covariance whitened by the Gramian
+(``StationaryStatistics.whitened_spectrum``), which is decomposed once per
+process; a sweep over horizons builds no sandwich matrix.  All functions are
+pure.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from .errors import InfeasibleCertificateError
 from .process import ArProcess
 from .stationary import StationaryStatistics
 
-#: Condition-number threshold above which inverse square roots warn.
+#: Threshold on mu_max / (mu_min - eps s2), over the whitened spectrum mu, above
+#: which the deviation radius warns.  The ratio bounds both the condition
+#: number of the whitened lower sandwich matrix diag(mu - eps s2) and the
+#: factor by which the gap mu_min - eps s2 magnifies rounding in mu_min.
 CONDITION_WARN_LIMIT = 1e12
 
 #: Relative clustering tolerance when counting the multiplicity of the
@@ -124,6 +131,24 @@ def _cross_term_exponents(inputs: BoundInputs, energy_scale: float) -> tuple[flo
     return first, second
 
 
+def _failure_bound(inputs: BoundInputs) -> tuple[float, tuple[float, ...], float, float]:
+    """(energy scale, failure terms, delta, log delta) of the sandwich.
+
+    delta(epsilon, N) is the sum of the four per-event failure terms
+    c exp(-a), with c = 2 sqrt(2) for the boundary event and 2 otherwise; its
+    logarithm is summed in log space, so it stays finite long after delta
+    underflows.  The one evaluation of delta: the certificate, the radius and
+    the sweep all read it from here.
+    """
+    scale = regressor_energy_scale(inputs)
+    exponents = (_boundary_exponent(inputs), _noise_energy_exponent(inputs),
+                 *_cross_term_exponents(inputs, scale))
+    leads = (2.0 * math.sqrt(2.0), 2.0, 2.0, 2.0)
+    terms = tuple(c * math.exp(-a) for c, a in zip(leads, exponents))
+    log_delta = float(np.logaddexp.reduce([math.log(c) - a for c, a in zip(leads, exponents)]))
+    return scale, terms, float(sum(terms)), log_delta
+
+
 @dataclass(frozen=True, eq=False)
 class CovarianceCertificate:
     """Two-sided PSD sandwich on the normal matrix Y^T Y.
@@ -167,10 +192,8 @@ class CovarianceCertificate:
 def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
     """Evaluate the sandwich matrices, the failure bound and the feasibility flag.
 
-    delta(epsilon, N) is the sum of the four per-event failure terms
-    c exp(-a), with c = 2 sqrt(2) for the boundary event and 2 otherwise.  An
-    infeasible epsilon (lower not positive definite) is reported through the
-    flag, not an error, so sweeps can chart where certificates become
+    An infeasible epsilon (lower not positive definite) is reported through
+    the flag, not an error, so callers can chart where certificates become
     informative.
     """
     rows = inputs.effective_samples
@@ -180,16 +203,11 @@ def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
     upper = rows * (v_block + spread)
     lower = 0.5 * (lower + lower.T)
     upper = 0.5 * (upper + upper.T)
-    scale = regressor_energy_scale(inputs)
-    exponents = (_boundary_exponent(inputs), _noise_energy_exponent(inputs),
-                 *_cross_term_exponents(inputs, scale))
-    leads = (2.0 * math.sqrt(2.0), 2.0, 2.0, 2.0)
-    terms = tuple(c * math.exp(-a) for c, a in zip(leads, exponents))
-    log_delta = float(np.logaddexp.reduce([math.log(c) - a for c, a in zip(leads, exponents)]))
+    scale, terms, delta, log_delta = _failure_bound(inputs)
     return CovarianceCertificate(
         lower=lower,
         upper=upper,
-        delta=float(sum(terms)),
+        delta=delta,
         failure_terms=terms,
         energy_scale=scale,
         log_delta=log_delta,
@@ -199,29 +217,13 @@ def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
     )
 
 
-def _whitened_spectrum(process: ArProcess,
-                       stats: StationaryStatistics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecomposition of W^{-1} V_blk W^{-T} with W W^T = s2 * Gramian block.
-
-    Returns (eigenvalues ascending, eigenvectors, W).  The smallest eigenvalue
-    is the feasibility ceiling for epsilon and the sqrt(N) decay rate of the
-    failure bound; it is invariant to the innovation variance since both blocks
-    scale linearly with it.
-    """
-    n = process.order
-    gamma_bar = process.noise_variance * stats.gramian_block
-    w_factor = np.linalg.cholesky(gamma_bar)
-    half = np.linalg.solve(w_factor, stats.state_covariance_block)
-    whitened = np.linalg.solve(w_factor, half.T).T
-    lam, u = np.linalg.eigh(0.5 * (whitened + whitened.T))
-    return lam, u, w_factor
-
-
 def max_feasible_epsilon(process: ArProcess, stats: StationaryStatistics) -> float:
     """Feasibility ceiling: the sandwich lower matrix is positive definite iff
-    epsilon is strictly below this value."""
-    lam, _, _ = _whitened_spectrum(process, stats)
-    return float(lam[0])
+    epsilon is strictly below this value, the smallest eigenvalue of the
+    pencil (V_blk, s2 G_blk).  It is also the sqrt(N) decay rate of the
+    failure bound, and invariant to the innovation variance since V scales
+    linearly with it."""
+    return float(stats.whitened_spectrum[0][0] / process.noise_variance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,55 +256,53 @@ def _unit_direction(direction, order: int) -> np.ndarray:
     return w
 
 
-def _log_det_ratio_term(cert: CovarianceCertificate) -> float:
-    """log det(upper lower^{-1} + I)^{1/2} = (logdet(upper+lower) - logdet(lower)) / 2."""
-    sign_sum, logdet_sum = np.linalg.slogdet(cert.upper + cert.lower)
-    sign_low, logdet_low = np.linalg.slogdet(cert.lower)
-    if sign_sum <= 0 or sign_low <= 0:
-        raise InfeasibleCertificateError("sandwich matrices are not positive definite")
-    return 0.5 * float(logdet_sum - logdet_low)
+def _radius(inputs: BoundInputs, w: np.ndarray, log_delta: float) -> float | None:
+    """The deviation radius
+    2 sigma ||w^T lower^{-1/2}|| sqrt(log(det(upper lower^{-1} + I)^{1/2} / delta)),
+    or None when the log argument is <= 0 (the radius is vacuous).
 
-
-def deviation_radius(cert: CovarianceCertificate, direction,
-                     noise_variance: float) -> DeviationCertificate:
-    """Evaluate the deviation radius
-    2 sigma ||w^T lower^{-1/2}|| sqrt(log(det(upper lower^{-1} + I)^{1/2} / delta)).
-
-    Requires a feasible certificate.  The inverse square root is taken through
-    a symmetric eigendecomposition so near-singular lower matrices degrade
-    gracefully (with a condition warning); when the log argument is <= 1 the
-    certificate is returned with the vacuous flag instead of a fake radius.
-    The radius is invariant to the innovation variance: the leading sigma
-    cancels against the sigma^2 carried by the sandwich matrices.
+    With (mu, U, W) the whitened spectrum, gap = mu - eps s2 and
+    rows = N - n, lower = rows W U diag(gap) U^T W^T and
+    upper + lower = 2 rows W U diag(mu) U^T W^T, so
+    w^T lower^{-1} w = sum_i (U^T W^{-1} w)_i^2 / (rows gap_i) and the log-det
+    term is 1/2 sum_i log(2 mu_i / gap_i).  No matrix of the sandwich is
+    formed or factored.
     """
-    if not cert.feasible:
+    mu, u, w_factor = inputs.stats.whitened_spectrum
+    sigma2 = inputs.process.noise_variance
+    gap = mu - inputs.epsilon * sigma2
+    if not gap[0] > 0.0:
         raise InfeasibleCertificateError(
-            "deviation radius requires a feasible certificate (epsilon below the ceiling)"
-        )
-    w = _unit_direction(direction, cert.order)
-    sigma2 = float(noise_variance)
-    if not np.isfinite(sigma2) or sigma2 <= 0.0:
-        raise ValueError("noise_variance must be a positive finite real")
-
-    lam, u = np.linalg.eigh(cert.lower)
-    if lam[0] <= 0.0:
-        raise InfeasibleCertificateError("lower sandwich matrix is not positive definite")
-    if lam[-1] / lam[0] > CONDITION_WARN_LIMIT:
+            "deviation radius requires a feasible certificate (epsilon below the ceiling)")
+    if mu[-1] / gap[0] > CONDITION_WARN_LIMIT:
         warnings.warn(
-            f"lower sandwich matrix condition number {lam[-1] / lam[0]:.3e} exceeds "
-            f"{CONDITION_WARN_LIMIT:.0e}; the radius may be inaccurate",
+            f"whitened spectrum ratio mu_max / (mu_min - eps s2) = {mu[-1] / gap[0]:.3e} "
+            f"exceeds {CONDITION_WARN_LIMIT:.0e}; the radius may be inaccurate",
             RuntimeWarning,
         )
-    weighted_norm_sq = float(np.sum((u.T @ w) ** 2 / lam))
-
-    log_argument = _log_det_ratio_term(cert) - cert.log_delta
-    total_failure = 2.0 * cert.delta
+    coords = u.T @ np.linalg.solve(w_factor, w)
+    weighted_norm_sq = float(np.sum(coords ** 2 / gap)) / inputs.effective_samples
+    log_argument = 0.5 * float(np.sum(np.log(2.0 * mu / gap))) - log_delta
     if log_argument <= 0.0:
-        return DeviationCertificate(direction=w, radius=None,
-                                    total_failure=total_failure, vacuous=True)
-    radius = 2.0 * math.sqrt(sigma2) * math.sqrt(weighted_norm_sq) * math.sqrt(log_argument)
-    return DeviationCertificate(direction=w, radius=radius,
-                                total_failure=total_failure, vacuous=False)
+        return None
+    return 2.0 * math.sqrt(sigma2) * math.sqrt(weighted_norm_sq) * math.sqrt(log_argument)
+
+
+def deviation_radius(inputs: BoundInputs, direction) -> DeviationCertificate:
+    """Certified radius on |w^T (theta_hat - theta)| for the sandwich of
+    ``inputs`` (see :func:`_radius`), failing with probability at most
+    2 delta.
+
+    Requires epsilon below the feasibility ceiling.  When the log argument is
+    <= 0 the certificate is returned with the vacuous flag instead of a fake
+    radius.  The radius is invariant to the innovation variance: the leading
+    sigma cancels against the sigma^2 carried by the sandwich.
+    """
+    w = _unit_direction(direction, inputs.process.order)
+    _, _, delta, log_delta = _failure_bound(inputs)
+    radius = _radius(inputs, w, log_delta)
+    return DeviationCertificate(direction=w, radius=radius, total_failure=2.0 * delta,
+                                vacuous=radius is None)
 
 
 @dataclass(frozen=True)
@@ -348,9 +348,11 @@ def rate_analysis(process: ArProcess, stats: StationaryStatistics,
                   horizon_grid, direction) -> RateAnalysis:
     """Sweep horizons with epsilon_N = ceiling - N^{-1/2} and fit the decay rate.
 
-    Horizons too small for a positive epsilon are marked infeasible.  The slope
-    is fitted on log(2 delta) computed in log space, so it stays exact far past
-    the underflow point of delta itself.
+    Horizons too small for a positive epsilon are marked infeasible; every
+    other epsilon sits below the ceiling, so its sandwich is feasible.  Each
+    point evaluates delta and the closed-form radius from the one whitened
+    spectrum of ``stats``.  The slope is fitted on log(2 delta) computed in
+    log space, so it stays exact far past the underflow point of delta itself.
     """
     grid = [int(h) for h in horizon_grid]
     if not grid:
@@ -361,9 +363,9 @@ def rate_analysis(process: ArProcess, stats: StationaryStatistics,
         raise ValueError("every horizon must exceed the process order")
     w = _unit_direction(direction, process.order)
 
-    lam, u, w_factor = _whitened_spectrum(process, stats)
-    ceiling = float(lam[0])
-    cluster = lam <= lam[0] * (1.0 + EIGENVALUE_CLUSTER_RTOL)
+    mu, u, w_factor = stats.whitened_spectrum
+    ceiling = max_feasible_epsilon(process, stats)
+    cluster = mu <= mu[0] * (1.0 + EIGENVALUE_CLUSTER_RTOL)
     multiplicity = int(np.count_nonzero(cluster))
     raw_basis = np.linalg.solve(w_factor.T, u[:, cluster])
     basis, _ = np.linalg.qr(raw_basis)
@@ -375,13 +377,11 @@ def rate_analysis(process: ArProcess, stats: StationaryStatistics,
             points.append(RatePoint(horizon=horizon, epsilon=eps, delta=None,
                                     log_delta=None, radius=None, feasible=False))
             continue
-        cert = covariance_certificate(
-            BoundInputs(process=process, stats=stats, epsilon=eps, horizon=horizon)
-        )
-        dev = deviation_radius(cert, w, process.noise_variance)
-        points.append(RatePoint(horizon=horizon, epsilon=eps, delta=cert.delta,
-                                log_delta=cert.log_delta, radius=dev.radius,
-                                feasible=cert.feasible))
+        inputs = BoundInputs(process=process, stats=stats, epsilon=eps, horizon=horizon)
+        _, _, delta, log_delta = _failure_bound(inputs)
+        points.append(RatePoint(horizon=horizon, epsilon=eps, delta=delta,
+                                log_delta=log_delta, radius=_radius(inputs, w, log_delta),
+                                feasible=True))
 
     usable = [(math.sqrt(p.horizon), math.log(2.0) + p.log_delta)
               for p in points if p.feasible]

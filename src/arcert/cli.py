@@ -291,9 +291,8 @@ def cmd_certify(args) -> int:
         lines.append(f"epsilon ({policy}): infeasible at this horizon")
         lines.append("certificate: infeasible")
     else:
-        cert = covariance_certificate(
-            BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
-        )
+        inputs = BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
+        cert = covariance_certificate(inputs)
         payload.update({"epsilon": epsilon, "feasible": cert.feasible,
                         "covariance": cert})
         lines.append(f"epsilon ({policy}): {epsilon!r}")
@@ -302,7 +301,7 @@ def cmd_certify(args) -> int:
         deviations = {}
         if cert.feasible:
             for label, w in directions:
-                dev = deviation_radius(cert, w, process.noise_variance)
+                dev = deviation_radius(inputs, w)
                 deviations[label] = dev
                 shown = "vacuous" if dev.vacuous else repr(dev.radius)
                 lines.append(f"radius[{label}]: {shown} (failure <= {dev.total_failure!r})")

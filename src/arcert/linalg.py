@@ -1,4 +1,5 @@
-"""Dense matrix primitives: discrete Lyapunov solves, spectral radius, square roots.
+"""Dense matrix primitives: discrete Lyapunov solves (a general Kronecker solve
+and a structured one for AR companion matrices), spectral radius, square roots.
 
 Everything here operates on plain numpy arrays and is pure, so all functions
 are safe for concurrent use.
@@ -55,15 +56,80 @@ def solve_discrete_lyapunov(a, q) -> np.ndarray:
     # Row-major vec: vec(A X A^T) = (A (x) A) vec X.
     x = np.linalg.solve(np.eye(n * n) - np.kron(a, a), q.reshape(n * n)).reshape(n, n)
     x = 0.5 * (x + x.T)
+    _check_residual(a, x, q)
+    return x
 
+
+def _check_residual(a: np.ndarray, x: np.ndarray, q: np.ndarray) -> None:
+    """Raise ConvergenceError when ||X - A X A^T - Q|| exceeds ``LYAPUNOV_TOL``
+    relative to the larger of ||X|| and ||Q||."""
     scale = max(np.linalg.norm(x), np.linalg.norm(q), 1e-300)
     residual = np.linalg.norm(x - a @ x @ a.T - q) / scale
     if residual > LYAPUNOV_TOL:
         raise ConvergenceError(
-            f"Lyapunov residual {residual:.3e} above tolerance {LYAPUNOV_TOL:.1e} "
-            f"(rho(A) = {rho:.12g})"
-        )
-    return x
+            f"Lyapunov residual {residual:.3e} above tolerance {LYAPUNOV_TOL:.1e}")
+
+
+def companion_coefficients(a) -> np.ndarray:
+    """The AR coefficients (c_1, ..., c_n) in the first row of a companion
+    matrix A; ValueError if A is not one (see
+    :func:`arcert.process.build_companion`)."""
+    a = np.asarray(a, dtype=float)
+    _require_square(a, "a")
+    n = a.shape[0] - 1
+    if n < 1 or a[0, n] != 0.0 or not np.array_equal(a[1:], np.eye(n, n + 1)):
+        raise ValueError("a must be an AR companion matrix: coefficients in the first "
+                         "row, an identity shift below it and a zero last column")
+    return a[0, :n]
+
+
+def solve_companion_lyapunov(a, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve V = A V A^T + sigma2 e1 e1^T and G = A G A^T + I for an AR
+    companion matrix A (see :func:`arcert.process.build_companion`).
+
+    The state is x_t = (y_t, ..., y_{t-n}), so V = toeplitz(gamma_0..gamma_n)
+    holds the autocovariances, and the shift rows give G_{pq} = G_{p-1,q-1} +
+    [p = q], so G = toeplitz(g_0..g_n) + diag(0, 1, ..., n).  Both first rows
+    solve the Yule-Walker equations read backwards (Brockwell & Davis 1991,
+    sec. 3.3): x_k - sum_j c_j x_{|k-j|} = b_k, k = 0..n, with b = sigma2 e1
+    for V and b = (1, 0, c_2, 2 c_3, ..., (n-1) c_n) for G.  One
+    (n+1) x (n+1) solve serves both right-hand sides.  One refinement step,
+    with the matrix and the residual formed in ``np.longdouble``, makes the
+    solution forward accurate (Higham 2002, ch. 12), and the corrected first
+    rows are rounded to float64 only after the diagonal of G is added.
+
+    Only the first row of A is read for the coefficients, so anything but a
+    companion matrix is rejected.  A must be stable: this solve does not
+    check it (a stable ``ArProcess`` guarantees it).  Raises
+    ConvergenceError when either relative residual exceeds ``LYAPUNOV_TOL``.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0] - 1
+    coeffs = np.zeros(2 * n + 1, dtype=np.longdouble)  # coeffs[j] = c_j, 0 off 1..n
+    coeffs[1 : n + 1] = companion_coefficients(a)
+    idx = np.arange(n + 1)
+    diff = idx[:, None] - idx[None, :]
+    # Row k: the coefficient of x_m gathers -c_j over j = k - m and j = k + m
+    # (once for m = 0).
+    hankel = coeffs[idx[:, None] + idx[None, :]]
+    hankel[:, 0] = 0.0
+    system = np.eye(n + 1, dtype=np.longdouble) - coeffs[np.maximum(diff, 0)] - hankel
+    rhs = np.zeros((n + 1, 2), dtype=np.longdouble)
+    rhs[0] = sigma2, 1.0
+    rhs[2:, 1] = idx[1:n] * coeffs[2 : n + 1]
+    system64 = system.astype(float)
+    first = np.linalg.solve(system64, rhs.astype(float))
+    residual = rhs - system @ first.astype(np.longdouble)
+    first_rows = first + np.linalg.solve(system64, residual.astype(float)).astype(np.longdouble)
+
+    lag = np.abs(diff)
+    v = first_rows[lag, 0].astype(float)
+    g = (first_rows[lag, 1] + np.diag(idx)).astype(float)
+    q = np.zeros_like(v)
+    q[0, 0] = sigma2
+    _check_residual(a, v, q)
+    _check_residual(a, g, np.eye(n + 1))
+    return v, g
 
 
 def symmetric_sqrt(m) -> np.ndarray:

@@ -359,7 +359,7 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
             "pass allow_vacuous to run anyway"
         )
 
-    deviations = [(f"deviation:{label}", w, deviation_radius(cert, w, process.noise_variance))
+    deviations = [(f"deviation:{label}", w, deviation_radius(inputs, w))
                   for label, w in config.directions]
     _, logdet_lower = np.linalg.slogdet(cert.lower)
 

@@ -1,15 +1,19 @@
 """Stationary second-order structure of a stable AR(n) process.
 
-Computes the stationary state covariance, the reachability-style Gramian
-sum_i A^i (A^T)^i and the peak squared gain of the AR transfer function on
-the unit circle.  These are the deterministic ingredients of every
-certificate.  The autocovariance sequence and the Toeplitz autocovariance
-matrices, which only the tests need, live in the test suite's ``reference``
-module.
+Computes the stationary state covariance V, the reachability-style Gramian
+G = sum_i A^i (A^T)^i, the peak squared gain of the AR transfer function on
+the unit circle and, on first use, the spectrum of V whitened by G.  These
+are the deterministic ingredients of every certificate.  V and G are both
+Toeplitz up to a known diagonal, so one (n+1) x (n+1) Yule-Walker solve gives
+them (:func:`arcert.linalg.solve_companion_lyapunov`); nothing here builds the
+(n+1)^2 x (n+1)^2 Kronecker operator.  The autocovariance sequence and the
+Toeplitz autocovariance matrices, which only the tests need, live in the test
+suite's ``reference`` module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +21,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import StabilityError
-from .linalg import solve_discrete_lyapunov
-from .process import check_schur_stable, stationary_state_covariance
+from .linalg import companion_coefficients, solve_companion_lyapunov
+from .process import check_schur_stable
 
 
 def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -94,16 +98,34 @@ class StationaryStatistics:
     def gramian_block(self) -> np.ndarray:
         return self.gramian[: self.order, : self.order]
 
+    @functools.cached_property
+    def whitened_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, U, W): W is the Cholesky factor of the Gramian block and
+        U diag(mu) U^T, mu ascending, the eigendecomposition of
+        W^{-1} V_blk W^{-T}.  With s2 the innovation variance V was solved
+        for, mu / s2 are the eigenvalues of the pencil (V_blk, s2 G_blk); the
+        smallest is the feasibility ceiling on epsilon.
+        Computed on first use and kept, read-only, so a process is
+        decomposed once whatever number of bounds is evaluated for it."""
+        w_factor = np.linalg.cholesky(self.gramian_block)
+        half = np.linalg.solve(w_factor, self.state_covariance_block)
+        whitened = np.linalg.solve(w_factor, half.T).T
+        mu, u = np.linalg.eigh(0.5 * (whitened + whitened.T))
+        for m in (mu, u, w_factor):
+            m.flags.writeable = False
+        return mu, u, w_factor
+
 
 def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
-    """Solve the two Lyapunov equations for the companion matrix A (see
-    :func:`arcert.process.build_companion`) and evaluate the peak gain of the
-    coefficients in its first row."""
+    """Evaluate the peak gain of the coefficients in the first row of the
+    companion matrix A (see :func:`arcert.process.build_companion`), which
+    rejects unstable coefficients, then solve both Lyapunov equations of A.
+    A matrix that is not a companion matrix is a ValueError."""
     sigma2 = float(sigma2)
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
-    state_cov = stationary_state_covariance(a, sigma2)
-    gramian = solve_discrete_lyapunov(a, np.eye(a.shape[0]))
+    peak_gain = peak_transfer_gain(companion_coefficients(a))
+    state_cov, gramian = solve_companion_lyapunov(a, sigma2)
     y_var = float(state_cov[0, 0])
     if y_var <= 0.0:
         raise ValueError("stationary output variance must be positive")
@@ -111,5 +133,5 @@ def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
         state_covariance=state_cov,
         gramian=gramian,
         output_variance=y_var,
-        peak_gain=peak_transfer_gain(a[0, :-1]),
+        peak_gain=peak_gain,
     )

@@ -6,7 +6,9 @@ trial by trial on a whole :class:`arcert.Trajectory`, fit least squares by an
 orthogonal factorisation, and give the closed-form chi-square tail thresholds
 the sandwich bound rests on, with samplers that try to break them.  The
 whole-horizon simulator draws one path in a single pass, the oracle for the
-chunked simulator.  Only the tests use them.
+chunked simulator.  The deviation radius and the rate sweep are evaluated
+from the sandwich matrices themselves (eigendecomposition and log
+determinants), the oracle for their closed forms.  Only the tests use them.
 
 Index convention (pinned by tests against hand enumeration, since an
 off-by-one here silently corrupts every event frequency): the design matrix
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from arcert import (
@@ -25,9 +28,14 @@ from arcert import (
     BoundInputs,
     CovarianceCertificate,
     DeviationCertificate,
+    InfeasibleCertificateError,
+    RatePoint,
+    StationaryStatistics,
     Trajectory,
     build_companion,
+    covariance_certificate,
     event_threshold,
+    max_feasible_epsilon,
     spectral_radius,
     symmetric_sqrt,
 )
@@ -84,6 +92,36 @@ def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
     return gamma
 
 
+def lyapunov_mpmath(a, qs, dps: int = 50) -> list[np.ndarray]:
+    """Solutions of X = A X A^T + Q, one per Q in ``qs``, from an LU solve at
+    ``dps`` decimal digits rounded to float64 at the end.
+
+    The unknowns are the entries X_ij, i <= j, of the symmetric solution, one
+    equation each, so nothing here uses the companion or Toeplitz structure
+    the library's solve rests on.  One LU factorisation (mpmath caches it on
+    the matrix) serves every Q.
+    """
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    nonzero = [[(k, a[i, k]) for k in range(m) if a[i, k] != 0.0] for i in range(m)]
+    solutions = []
+    with mpmath.workdps(dps):
+        system = mpmath.eye(len(pairs))
+        for r, (i, j) in enumerate(pairs):
+            for k, a_ik in nonzero[i]:
+                for l, a_jl in nonzero[j]:
+                    system[r, index[min(k, l), max(k, l)]] -= mpmath.mpf(a_ik) * mpmath.mpf(a_jl)
+        for q in qs:
+            x = mpmath.lu_solve(system, mpmath.matrix([float(q[i][j]) for i, j in pairs]))
+            out = np.empty((m, m))
+            for r, (i, j) in enumerate(pairs):
+                out[i, j] = out[j, i] = float(x[r])
+            solutions.append(out)
+    return solutions
+
+
 def toeplitz_covariance(process: ArProcess, dimension: int) -> np.ndarray:
     """Covariance matrix of (y_1, ..., y_D) for a stationary run.
 
@@ -107,6 +145,59 @@ def psd_order_holds(lower, middle, upper) -> bool:
     lo_gap = float(np.min(np.linalg.eigvalsh(0.5 * ((middle - lower) + (middle - lower).T))))
     hi_gap = float(np.min(np.linalg.eigvalsh(0.5 * ((upper - middle) + (upper - middle).T))))
     return lo_gap >= -tol and hi_gap >= -tol
+
+
+# --- certificates from the sandwich matrices ---------------------------------
+
+
+def deviation_radius_oracle(cert: CovarianceCertificate, direction,
+                            noise_variance: float) -> DeviationCertificate:
+    """The deviation radius
+    2 sigma ||w^T lower^{-1/2}|| sqrt(log(det(upper lower^{-1} + I)^{1/2} / delta))
+    from the sandwich matrices: w^T lower^{-1} w through a symmetric
+    eigendecomposition of lower, the log-det term as
+    (logdet(upper + lower) - logdet(lower)) / 2 from two ``slogdet`` calls.
+    None (vacuous) when the log argument is <= 0."""
+    w = np.asarray(direction, dtype=float)
+    lam, u = np.linalg.eigh(cert.lower)
+    sign_sum, logdet_sum = np.linalg.slogdet(cert.upper + cert.lower)
+    sign_low, logdet_low = np.linalg.slogdet(cert.lower)
+    if not cert.feasible or lam[0] <= 0.0 or sign_sum <= 0 or sign_low <= 0:
+        raise InfeasibleCertificateError("sandwich matrices are not positive definite")
+    weighted_norm_sq = float(np.sum((u.T @ w) ** 2 / lam))
+    log_argument = 0.5 * float(logdet_sum - logdet_low) - cert.log_delta
+    radius = None
+    if log_argument > 0.0:
+        radius = (2.0 * math.sqrt(noise_variance) * math.sqrt(weighted_norm_sq)
+                  * math.sqrt(log_argument))
+    return DeviationCertificate(direction=w, radius=radius, total_failure=2.0 * cert.delta,
+                                vacuous=radius is None)
+
+
+def rate_sweep_oracle(process: ArProcess, stats: StationaryStatistics, horizon_grid,
+                      direction) -> tuple[list[RatePoint], float | None]:
+    """(points, slope) of the decay-rate sweep with epsilon_N = ceiling - N^{-1/2},
+    each point from a full covariance certificate (feasibility from the
+    eigenvalues of lower) and :func:`deviation_radius_oracle`."""
+    ceiling = max_feasible_epsilon(process, stats)
+    points = []
+    for horizon in horizon_grid:
+        eps = ceiling - horizon ** -0.5
+        if eps <= 0.0:
+            points.append(RatePoint(horizon, eps, None, None, None, False))
+            continue
+        cert = covariance_certificate(BoundInputs(process=process, stats=stats,
+                                                  epsilon=eps, horizon=horizon))
+        radius = (deviation_radius_oracle(cert, direction, process.noise_variance).radius
+                  if cert.feasible else None)
+        points.append(RatePoint(horizon, eps, cert.delta, cert.log_delta, radius,
+                                cert.feasible))
+    usable = [(math.sqrt(p.horizon), math.log(2.0) + p.log_delta) for p in points if p.feasible]
+    slope = None
+    if len(usable) >= 2:
+        xs, ys = np.array(usable).T
+        slope = float(np.polyfit(xs, ys, 1)[0])
+    return points, slope
 
 
 # --- regression -------------------------------------------------------------

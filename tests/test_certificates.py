@@ -1,8 +1,11 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from arcert import (
     ArProcess,
@@ -17,8 +20,9 @@ from arcert import (
     regressor_energy_scale,
     stationary_stats,
 )
-from arcert.certificates import _noise_energy_exponent
-from conftest import truncated_lyapunov_series
+from arcert.certificates import CONDITION_WARN_LIMIT, _noise_energy_exponent
+from conftest import CLUSTERED_POLES_AR8, stable_ar_coeffs, truncated_lyapunov_series
+from reference import deviation_radius_oracle, rate_sweep_oracle
 
 
 def make_inputs(process, stats, epsilon, horizon):
@@ -264,9 +268,7 @@ class TestDeviationRadius:
         for sigma2 in [0.25, 1.0, 4.0]:
             process = ArProcess(coeffs=[0.3, 0.4], noise_variance=sigma2)
             stats = stationary_stats(build_companion(process), sigma2)
-            cert = covariance_certificate(
-                make_inputs(process, stats, 0.2, 5000))
-            dev = deviation_radius(cert, [1.0, 0.0], sigma2)
+            dev = deviation_radius(make_inputs(process, stats, 0.2, 5000), [1.0, 0.0])
             radii.append(dev.radius)
         np.testing.assert_allclose(radii, radii[0], rtol=1e-10)
 
@@ -277,8 +279,8 @@ class TestDeviationRadius:
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         lower = 0.5 * (lower + flip @ lower @ flip)  # force exchange symmetry
         cert = synthetic_certificate(lower, 3 * lower, 0.05)
-        r1 = deviation_radius(cert, [1.0, 0.0], 1.0).radius
-        r2 = deviation_radius(cert, [0.0, 1.0], 1.0).radius
+        r1 = deviation_radius_oracle(cert, [1.0, 0.0], 1.0).radius
+        r2 = deviation_radius_oracle(cert, [0.0, 1.0], 1.0).radius
         assert r1 == pytest.approx(r2, rel=1e-10)
 
     def test_radius_shrinks_to_zero_at_det_term(self):
@@ -289,10 +291,10 @@ class TestDeviationRadius:
         radii = []
         for gap in [1e-2, 1e-4, 1e-6]:
             cert = synthetic_certificate(lower, upper, math.exp(log_det_term - gap))
-            radii.append(deviation_radius(cert, [1.0, 0.0], 1.0).radius)
+            radii.append(deviation_radius_oracle(cert, [1.0, 0.0], 1.0).radius)
         assert radii[0] > radii[1] > radii[2]
         assert radii[2] == pytest.approx(2.0 * math.sqrt(1e-6 / 2.0), rel=1e-6)
-        vacuous = deviation_radius(
+        vacuous = deviation_radius_oracle(
             synthetic_certificate(lower, upper, math.exp(log_det_term + 0.1)), [1.0, 0.0], 1.0
         )
         assert vacuous.vacuous and vacuous.radius is None
@@ -300,29 +302,38 @@ class TestDeviationRadius:
     def test_monotone_decreasing_in_delta(self):
         lower = np.diag([2.0, 3.0])
         upper = np.diag([4.0, 6.0])
-        radii = [deviation_radius(synthetic_certificate(lower, upper, d), [1.0, 0.0], 1.0).radius
+        radii = [deviation_radius_oracle(synthetic_certificate(lower, upper, d), [1.0, 0.0],
+                                         1.0).radius
                  for d in [0.01, 0.05, 0.2]]
         assert radii[0] > radii[1] > radii[2]
 
     def test_monotone_in_weighted_norm(self):
         lower = np.diag([1.0, 9.0])  # e1 has the larger inverse-weighted norm
         cert = synthetic_certificate(lower, 2 * lower, 0.05)
-        r1 = deviation_radius(cert, [1.0, 0.0], 1.0).radius
-        r2 = deviation_radius(cert, [0.0, 1.0], 1.0).radius
+        r1 = deviation_radius_oracle(cert, [1.0, 0.0], 1.0).radius
+        r2 = deviation_radius_oracle(cert, [0.0, 1.0], 1.0).radius
         assert r1 == pytest.approx(3.0 * r2, rel=1e-10)
 
     def test_total_failure_is_twice_delta(self, ar1, ar1_stats):
-        cert = covariance_certificate(make_inputs(ar1, ar1_stats, 0.5, 5000))
-        dev = deviation_radius(cert, [1.0], 1.0)
-        assert dev.total_failure == pytest.approx(2.0 * cert.delta, rel=1e-15)
+        inputs = make_inputs(ar1, ar1_stats, 0.5, 5000)
+        dev = deviation_radius(inputs, [1.0])
+        assert dev.total_failure == 2.0 * covariance_certificate(inputs).delta
+
+    def test_condition_warning(self, ar2, ar2_stats):
+        ceiling = max_feasible_epsilon(ar2, ar2_stats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deviation_radius(make_inputs(ar2, ar2_stats, 0.5 * ceiling, 5000), [1.0, 0.0])
+        # A gap mu_min - eps s2 of 1e-14 mu_min puts mu_max / gap near 2e14.
+        near = make_inputs(ar2, ar2_stats, ceiling * (1.0 - 1e-14), 5000)
+        with pytest.warns(RuntimeWarning, match=re.escape(f"exceeds {CONDITION_WARN_LIMIT:.0e}")):
+            deviation_radius(near, [1.0, 0.0])
 
     def test_preconditions(self, ar1, ar1_stats):
-        infeasible = covariance_certificate(make_inputs(ar1, ar1_stats, 5.0, 100))
         with pytest.raises(InfeasibleCertificateError):
-            deviation_radius(infeasible, [1.0], 1.0)
-        feasible = covariance_certificate(make_inputs(ar1, ar1_stats, 0.5, 5000))
+            deviation_radius(make_inputs(ar1, ar1_stats, 5.0, 100), [1.0])
         with pytest.raises(ValueError):
-            deviation_radius(feasible, [0.5], 1.0)
+            deviation_radius(make_inputs(ar1, ar1_stats, 0.5, 5000), [0.5])
 
 
 class TestRateAnalysis:
@@ -373,3 +384,74 @@ class TestRateAnalysis:
         analysis = rate_analysis(ar2, ar2_stats, [10 ** 6, 4 * 10 ** 6], [1.0, 0.0])
         r1, r2 = analysis.points[0].radius, analysis.points[1].radius
         assert 0.5 <= r2 / r1 <= 2.0
+
+
+def radius_mpmath(inputs, w, log_delta) -> mpmath.mpf:
+    """The deviation radius at 50 digits from the float64 V and G of
+    ``inputs``: lower^{-1} w by an LU solve, the log-det term from two
+    determinants."""
+    with mpmath.workdps(50):
+        v = mpmath.matrix(inputs.stats.state_covariance_block.tolist())
+        g = mpmath.matrix(inputs.stats.gramian_block.tolist())
+        spread = mpmath.mpf(inputs.epsilon) * inputs.process.noise_variance * g
+        lower = inputs.effective_samples * (v - spread)
+        upper = inputs.effective_samples * (v + spread)
+        w = mpmath.matrix([float(x) for x in w])
+        weighted_norm_sq = (w.T * mpmath.lu_solve(lower, w))[0]
+        log_det = (mpmath.log(mpmath.det(upper + lower)) - mpmath.log(mpmath.det(lower))) / 2
+        return (2 * mpmath.sqrt(inputs.process.noise_variance * weighted_norm_sq)
+                * mpmath.sqrt(log_det - log_delta))
+
+
+class TestClosedFormAgainstMatrixOracle:
+    """The closed forms against the radius and sweep evaluated from the
+    sandwich matrices themselves (``reference``)."""
+
+    @settings(max_examples=200)
+    @given(stable_ar_coeffs())
+    def test_sweep_and_radius(self, coeffs):
+        # The benchmark's l1 cap.  Beyond it both forms can lose digits to
+        # the conditioning of G: for poles 0.9375, 0.75 and 0.5, each double
+        # (l1 norm 24.8), both radii are about 1e-7 off the 50-digit one.
+        assume(np.abs(coeffs).sum() <= 5.0)
+        process = ArProcess(coeffs=coeffs)
+        stats = stationary_stats(build_companion(process), 1.0)
+        n = process.order
+        uniform = np.full(n, 1.0 / math.sqrt(n))
+        grid = [1000, 10_000, 100_000, 1_000_000]
+        analysis = rate_analysis(process, stats, grid, uniform)
+        points, slope = rate_sweep_oracle(process, stats, grid, uniform)
+        assert analysis.slope == slope
+        for got, want in zip(analysis.points, points):
+            assert (got.delta, got.log_delta, got.feasible) == (
+                want.delta, want.log_delta, want.feasible)
+            assert (got.radius is None) == (want.radius is None)
+            if want.radius is not None:
+                assert got.radius == pytest.approx(want.radius, rel=1e-7)
+
+        inputs = make_inputs(process, stats, 0.5 * analysis.epsilon_ceiling, 5000)
+        cert = covariance_certificate(inputs)
+        for w in (np.eye(n)[0], uniform):
+            got = deviation_radius(inputs, w)
+            want = deviation_radius_oracle(cert, w, 1.0)
+            assert (got.total_failure, got.vacuous) == (want.total_failure, want.vacuous)
+            if not want.vacuous:
+                assert got.radius == pytest.approx(want.radius, rel=1e-7)
+
+    def test_closed_form_closer_to_mpmath_next_to_the_ceiling(self):
+        # Clustered poles at N = 1e6: epsilon = ceiling - 1e-3 is 7% of the
+        # ceiling 1.07e-3, so lower is nearly singular.  Forming it entry by
+        # entry and decomposing it is 2.4e-6 off the 50-digit radius of the
+        # same float64 V and G; the closed form, which subtracts only in the
+        # whitened eigenvalues, is within 1e-8.
+        process = ArProcess(coeffs=CLUSTERED_POLES_AR8)
+        stats = stationary_stats(build_companion(process), 1.0)
+        w = np.full(8, 1.0 / math.sqrt(8))
+        [closed] = rate_analysis(process, stats, [10 ** 6], w).points
+        [matrix], _ = rate_sweep_oracle(process, stats, [10 ** 6], w)
+        exact = radius_mpmath(make_inputs(process, stats, closed.epsilon, 10 ** 6), w,
+                              closed.log_delta)
+        closed_error = float(abs(closed.radius - exact) / exact)
+        matrix_error = float(abs(matrix.radius - exact) / exact)
+        assert closed_error <= 1e-7
+        assert matrix_error > 100 * closed_error

@@ -44,7 +44,7 @@ def ar1_setup(ar1, ar1_stats):
     a = build_companion(ar1)
     inputs = BoundInputs(process=ar1, stats=ar1_stats, epsilon=0.5, horizon=400)
     cert = covariance_certificate(inputs)
-    dev = deviation_radius(cert, [1.0], ar1.noise_variance)
+    dev = deviation_radius(inputs, [1.0])
     return a, inputs, cert, dev
 
 
@@ -222,7 +222,7 @@ def reference_failures(config: CampaignConfig) -> dict:
     inputs = BoundInputs(process=process, stats=stats, epsilon=config.epsilon,
                          horizon=config.horizon)
     cert = covariance_certificate(inputs)
-    dev_certs = {label: deviation_radius(cert, w, process.noise_variance)
+    dev_certs = {label: deviation_radius(inputs, w)
                  for label, w in config.directions}
     fails = {}
     for i in range(config.trials):

@@ -17,16 +17,12 @@ from arcert import (
     max_feasible_epsilon,
     peak_transfer_gain,
     simulate_stationary,
+    solve_discrete_lyapunov,
     stationary_stats,
 )
-from conftest import truncated_lyapunov_series
-from reference import autocovariance_sequence, toeplitz_covariance
-
-
-#: AR(8) with clustered poles near 0.9 (coefficient l1 norm 27.3).
-CLUSTERED_POLES_AR8 = [4.69949818406541, -8.757256044433852, 7.639449995718014,
-                       -2.0155058955713896, -1.7926502176999795, 1.7338231339568202,
-                       -0.5784750162877226, 0.07110408097301613]
+from arcert.linalg import solve_companion_lyapunov
+from conftest import CLUSTERED_POLES_AR8, stable_ar_coeffs, truncated_lyapunov_series
+from reference import autocovariance_sequence, lyapunov_mpmath, toeplitz_covariance
 
 
 def dense_grid_gain_oracle(coeffs, points=200_001, omega=None):
@@ -164,10 +160,76 @@ class TestStationaryStats:
                      (stats.gramian, np.eye(a.shape[0]))):
             assert np.linalg.norm(x - a @ x @ a.T - q) <= 1e-13 * np.linalg.norm(x)
             # The series sums positive terms and is within 6e-12 of a 40-digit
-            # solve here; the direct solve is backward stable only, so its
-            # forward error scales with ||(I - A (x) A)^{-1}|| (4.2e-6 here).
+            # solve here.  A direct Kronecker solve is backward stable only,
+            # so its forward error scales with ||(I - A (x) A)^{-1}|| (4.2e-6
+            # here); TestCompanionSolve pins the structured solve to 1e-9.
             oracle = truncated_lyapunov_series(a, q, 1000)
             assert np.abs(x - oracle).max() <= 1e-5 * np.abs(oracle).max()
+
+
+def max_relative_error(x, exact):
+    return float(np.abs(x - exact).max() / np.abs(exact).max())
+
+
+class TestCompanionSolve:
+    """V and G from the one Yule-Walker solve against a 50-digit solve of the
+    Lyapunov equations, and against the Kronecker solve's error."""
+
+    @staticmethod
+    def errors(coeffs):
+        """(structured, Kronecker) max-entry relative errors of V and of G."""
+        a = build_companion(ArProcess(coeffs=coeffs, noise_variance=1.7))
+        qs = (np.diag(np.r_[1.7, np.zeros(len(coeffs))]), np.eye(a.shape[0]))
+        exact = lyapunov_mpmath(a, qs)
+        structured = solve_companion_lyapunov(a, 1.7)
+        kronecker = [solve_discrete_lyapunov(a, q) for q in qs]
+        return [(max_relative_error(x, e), max_relative_error(k, e))
+                for x, k, e in zip(structured, kronecker, exact)]
+
+    @staticmethod
+    def assert_no_worse(errors):
+        # Half a unit in the last place of the largest entry is correct
+        # rounding; no float64 result can do better, whatever the Kronecker
+        # solve happens to round to.
+        for structured, kronecker in errors:
+            assert structured <= max(kronecker, 2.0 ** -53)
+
+    @settings(max_examples=15)
+    @given(stable_ar_coeffs(max_modulus=0.99))
+    def test_no_less_accurate_than_kronecker(self, coeffs):
+        self.assert_no_worse(self.errors(coeffs))
+
+    @pytest.mark.parametrize("coeffs", [[0.95], [1.6, -0.9], CLUSTERED_POLES_AR8])
+    def test_named_processes(self, coeffs):
+        errors = self.errors(coeffs)
+        self.assert_no_worse(errors)
+        if coeffs == CLUSTERED_POLES_AR8:
+            # Refinement in extended precision: 1.7e-10 (V) and 3.8e-10 (G),
+            # where the Kronecker solve is 4.2e-6 off.
+            assert all(structured <= 1e-9 for structured, _ in errors)
+            assert all(kronecker > 1e-6 for _, kronecker in errors)
+
+    def test_rejects_non_companion(self):
+        a = np.array([[0.5, 0.0], [1.0, 0.1]])
+        with pytest.raises(ValueError, match="companion matrix"):
+            stationary_stats(a, 1.0)
+        with pytest.raises(ValueError, match="square"):
+            stationary_stats(np.zeros((2, 3)), 1.0)
+
+    def test_unstable_companion_raises_stability_error(self):
+        # build_companion takes only stable processes, so a hand-built
+        # companion; the peak gain's stability check runs before the solve.
+        with pytest.raises(StabilityError):
+            stationary_stats(np.array([[1.5, 0.0], [1.0, 0.0]]), 1.0)
+
+    def test_whitened_spectrum_decomposed_once(self, ar2_stats):
+        mu, u, w = ar2_stats.whitened_spectrum
+        assert ar2_stats.whitened_spectrum[0] is mu
+        np.testing.assert_allclose(w @ w.T, ar2_stats.gramian_block, rtol=1e-14)
+        whitened = np.linalg.solve(w, np.linalg.solve(w, ar2_stats.state_covariance_block).T)
+        np.testing.assert_allclose(u @ np.diag(mu) @ u.T, whitened, rtol=1e-12)
+        with pytest.raises(ValueError):
+            mu[0] = 0.0
 
 
 class TestAutocovariance:
@@ -243,12 +305,12 @@ def deterministic_layer(coeffs) -> dict:
 # change that moves any of them in the last bit moves certificates and
 # campaign verdicts with it, so it has to say so.
 @pytest.mark.parametrize("quantity, digest", [
-    ("state_covariance", "dea59913516917b6a6f9650f1ffced0152572cbe2315b12d51af5a66a3c8b21f"),
-    ("gramian", "9cbbff855126adcad91a43c47fda4b07ec044d0334c0c6f296c7a3084ed535a2"),
+    ("state_covariance", "964e6d6b4299274dc9891e99dd341ba6cfc533654820f143b169fd0a33980239"),
+    ("gramian", "885201f7e7e4400392c0fd14c64cf44035102665cc3dc39ecca2aa4121986610"),
     ("peak_gain", "c46dbd7c9fcdb092cb688597b64170a89522f61deb624e6572b9e9aa638bb3c0"),
     ("roots", "8616f02835376d1a63341654031f31cd74c718371ef5a9159b22958a18caf427"),
-    ("delta", "bc119a5a81ac3054244fea252c2c449a3a47cbe29e144d9335a025045688f5ea"),
-    ("log_delta", "574fd5887825454e933ef6cc0aadc1ef3bca69f1eff35b420408fa3e9c371774"),
+    ("delta", "1771e068df8ad65dd4f0621416d124893abfb53927c4ca177e767423e10bacf5"),
+    ("log_delta", "83642568685b8a4ad4c26203d190f5acf7b69aece7356ed682b8e47f3ad1d646"),
 ])
 def test_deterministic_layer_bytes_pinned(quantity, digest):
     h = hashlib.sha256()
