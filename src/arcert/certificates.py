@@ -12,10 +12,11 @@ Given a stable process and a tightness parameter epsilon, this module builds:
 
 delta does not depend on the innovation variance (all variance ratios cancel),
 and neither does the deviation radius.  The radius and the ceiling are closed
-forms in the spectrum of the stationary covariance whitened by the Gramian
-(``StationaryStatistics.whitened_spectrum``), which is decomposed once per
-process; a sweep over horizons builds no sandwich matrix.  All functions are
-pure.
+forms in the spectrum mu of the stationary covariance whitened by the Gramian
+(``StationaryStatistics.whitened_spectrum``), decomposed once per process; a
+sweep over horizons builds no sandwich matrix.  One predicate decides
+feasibility for the certificate, the radius, the sweep and the campaign:
+mu_min - eps s2 > 0 (:func:`_lower_gap`).  All functions are pure.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .errors import InfeasibleCertificateError
 from .process import ArProcess
 from .stationary import StationaryStatistics
 
-#: Threshold on mu_max / (mu_min - eps s2), over the whitened spectrum mu, above
-#: which the deviation radius warns.  The ratio bounds both the condition
-#: number of the whitened lower sandwich matrix diag(mu - eps s2) and the
-#: factor by which the gap mu_min - eps s2 magnifies rounding in mu_min.
+#: Threshold on cond(G_blk) mu_max / (mu_min - eps s2), over the whitened
+#: spectrum mu, above which the deviation radius warns: mu_max / (mu_min -
+#: eps s2) bounds how the gap magnifies rounding in mu, and cond(G_blk) the
+#: rounding of the whitening itself, which mu cannot show.
 CONDITION_WARN_LIMIT = 1e12
 
 #: Relative clustering tolerance when counting the multiplicity of the
@@ -156,8 +157,8 @@ class CovarianceCertificate:
     lower/upper are (N-n) [I 0] (V -/+ eps s2 G) [I 0]^T built from the
     stationary state covariance V and Gramian G; the sandwich
     lower <= Y^T Y <= upper holds with probability at least 1 - delta.
-    ``feasible`` records whether lower is strictly positive definite, i.e.
-    whether epsilon sits below the feasibility ceiling.
+    ``feasible`` records whether lower is strictly positive definite, by the
+    one predicate of :func:`_lower_gap`.
 
     ``failure_terms`` are (boundary, noise-energy, cross-martingale,
     regressor-energy), each including its outer factor; ``delta`` is their sum
@@ -184,9 +185,12 @@ class CovarianceCertificate:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
-    @property
-    def order(self) -> int:
-        return int(self.lower.shape[0])
+
+def _lower_gap(inputs: BoundInputs) -> np.ndarray | None:
+    """The whitened gap mu - eps s2 if lower = (N - n) W U diag(gap) U^T W^T
+    is positive definite (gap[0] > 0), else None: the one feasibility test."""
+    gap = inputs.stats.whitened_spectrum[0] - inputs.epsilon * inputs.process.noise_variance
+    return gap if gap[0] > 0.0 else None
 
 
 def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
@@ -199,30 +203,26 @@ def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
     rows = inputs.effective_samples
     spread = inputs.epsilon * inputs.process.noise_variance * inputs.stats.gramian_block
     v_block = inputs.stats.state_covariance_block
-    lower = rows * (v_block - spread)
-    upper = rows * (v_block + spread)
-    lower = 0.5 * (lower + lower.T)
-    upper = 0.5 * (upper + upper.T)
     scale, terms, delta, log_delta = _failure_bound(inputs)
     return CovarianceCertificate(
-        lower=lower,
-        upper=upper,
+        lower=rows * (v_block - spread),
+        upper=rows * (v_block + spread),
         delta=delta,
         failure_terms=terms,
         energy_scale=scale,
         log_delta=log_delta,
-        feasible=bool(np.linalg.eigvalsh(lower)[0] > 0.0),
+        feasible=_lower_gap(inputs) is not None,
         epsilon=inputs.epsilon,
         horizon=inputs.horizon,
     )
 
 
 def max_feasible_epsilon(process: ArProcess, stats: StationaryStatistics) -> float:
-    """Feasibility ceiling: the sandwich lower matrix is positive definite iff
-    epsilon is strictly below this value, the smallest eigenvalue of the
-    pencil (V_blk, s2 G_blk).  It is also the sqrt(N) decay rate of the
-    failure bound, and invariant to the innovation variance since V scales
-    linearly with it."""
+    """Feasibility ceiling mu_min / s2, the smallest eigenvalue of the pencil
+    (V_blk, s2 G_blk): lower is positive definite iff mu_min - eps s2 > 0
+    (:func:`_lower_gap`), so this epsilon itself is infeasible up to the
+    rounding of eps s2.  It is also the sqrt(N) decay rate of the failure
+    bound, and invariant to the innovation variance."""
     return float(stats.whitened_spectrum[0][0] / process.noise_variance)
 
 
@@ -256,31 +256,25 @@ def _unit_direction(direction, order: int) -> np.ndarray:
     return w
 
 
-def _radius(inputs: BoundInputs, w: np.ndarray, log_delta: float) -> float | None:
+def _radius(inputs: BoundInputs, gap: np.ndarray, coords: np.ndarray,
+            log_delta: float) -> float | None:
     """The deviation radius
     2 sigma ||w^T lower^{-1/2}|| sqrt(log(det(upper lower^{-1} + I)^{1/2} / delta)),
     or None when the log argument is <= 0 (the radius is vacuous).
 
-    With (mu, U, W) the whitened spectrum, gap = mu - eps s2 and
-    rows = N - n, lower = rows W U diag(gap) U^T W^T and
-    upper + lower = 2 rows W U diag(mu) U^T W^T, so
-    w^T lower^{-1} w = sum_i (U^T W^{-1} w)_i^2 / (rows gap_i) and the log-det
+    With (mu, U, W) the whitened spectrum, gap from :func:`_lower_gap`,
+    coords = U^T W^{-1} w and rows = N - n, lower = rows W U diag(gap) U^T W^T
+    and upper + lower = 2 rows W U diag(mu) U^T W^T, so
+    w^T lower^{-1} w = sum_i coords_i^2 / (rows gap_i) and the log-det
     term is 1/2 sum_i log(2 mu_i / gap_i).  No matrix of the sandwich is
     formed or factored.
     """
-    mu, u, w_factor = inputs.stats.whitened_spectrum
+    mu = inputs.stats.whitened_spectrum[0]
     sigma2 = inputs.process.noise_variance
-    gap = mu - inputs.epsilon * sigma2
-    if not gap[0] > 0.0:
-        raise InfeasibleCertificateError(
-            "deviation radius requires a feasible certificate (epsilon below the ceiling)")
-    if mu[-1] / gap[0] > CONDITION_WARN_LIMIT:
-        warnings.warn(
-            f"whitened spectrum ratio mu_max / (mu_min - eps s2) = {mu[-1] / gap[0]:.3e} "
-            f"exceeds {CONDITION_WARN_LIMIT:.0e}; the radius may be inaccurate",
-            RuntimeWarning,
-        )
-    coords = u.T @ np.linalg.solve(w_factor, w)
+    ratio = inputs.stats.gramian_condition * mu[-1] / gap[0]
+    if ratio > CONDITION_WARN_LIMIT:
+        warnings.warn(f"cond(G_blk) mu_max / (mu_min - eps s2) = {ratio:.3e} exceeds "
+                      f"{CONDITION_WARN_LIMIT:.0e}; the radius may be inaccurate", RuntimeWarning)
     weighted_norm_sq = float(np.sum(coords ** 2 / gap)) / inputs.effective_samples
     log_argument = 0.5 * float(np.sum(np.log(2.0 * mu / gap))) - log_delta
     if log_argument <= 0.0:
@@ -290,17 +284,21 @@ def _radius(inputs: BoundInputs, w: np.ndarray, log_delta: float) -> float | Non
 
 def deviation_radius(inputs: BoundInputs, direction) -> DeviationCertificate:
     """Certified radius on |w^T (theta_hat - theta)| for the sandwich of
-    ``inputs`` (see :func:`_radius`), failing with probability at most
-    2 delta.
+    ``inputs`` (see :func:`_radius`), failing with probability at most 2 delta.
 
-    Requires epsilon below the feasibility ceiling.  When the log argument is
-    <= 0 the certificate is returned with the vacuous flag instead of a fake
-    radius.  The radius is invariant to the innovation variance: the leading
-    sigma cancels against the sigma^2 carried by the sandwich.
+    Requires a feasible certificate (:func:`_lower_gap`).  When the log
+    argument is <= 0 the certificate is returned with the vacuous flag instead
+    of a fake radius.  The radius is invariant to the innovation variance: the
+    leading sigma cancels against the sigma^2 of the sandwich.
     """
     w = _unit_direction(direction, inputs.process.order)
+    gap = _lower_gap(inputs)
+    if gap is None:
+        raise InfeasibleCertificateError(
+            "deviation radius requires a feasible certificate (epsilon below the ceiling)")
+    _, u, w_factor = inputs.stats.whitened_spectrum
     _, _, delta, log_delta = _failure_bound(inputs)
-    radius = _radius(inputs, w, log_delta)
+    radius = _radius(inputs, gap, u.T @ np.linalg.solve(w_factor, w), log_delta)
     return DeviationCertificate(direction=w, radius=radius, total_failure=2.0 * delta,
                                 vacuous=radius is None)
 
@@ -348,11 +346,11 @@ def rate_analysis(process: ArProcess, stats: StationaryStatistics,
                   horizon_grid, direction) -> RateAnalysis:
     """Sweep horizons with epsilon_N = ceiling - N^{-1/2} and fit the decay rate.
 
-    Horizons too small for a positive epsilon are marked infeasible; every
-    other epsilon sits below the ceiling, so its sandwich is feasible.  Each
-    point evaluates delta and the closed-form radius from the one whitened
-    spectrum of ``stats``.  The slope is fitted on log(2 delta) computed in
-    log space, so it stays exact far past the underflow point of delta itself.
+    Horizons too small for a positive epsilon are marked infeasible, and so
+    is an epsilon that rounds to the ceiling (:func:`_lower_gap`).  Each point
+    evaluates delta and the closed-form radius from the one whitened spectrum
+    of ``stats``.  The slope is fitted on log(2 delta) computed in log space,
+    so it stays exact far past the underflow point of delta itself.
     """
     grid = [int(h) for h in horizon_grid]
     if not grid:
@@ -364,6 +362,7 @@ def rate_analysis(process: ArProcess, stats: StationaryStatistics,
     w = _unit_direction(direction, process.order)
 
     mu, u, w_factor = stats.whitened_spectrum
+    coords = u.T @ np.linalg.solve(w_factor, w)  # free of epsilon and N: once per sweep
     ceiling = max_feasible_epsilon(process, stats)
     cluster = mu <= mu[0] * (1.0 + EIGENVALUE_CLUSTER_RTOL)
     multiplicity = int(np.count_nonzero(cluster))
@@ -379,16 +378,16 @@ def rate_analysis(process: ArProcess, stats: StationaryStatistics,
             continue
         inputs = BoundInputs(process=process, stats=stats, epsilon=eps, horizon=horizon)
         _, _, delta, log_delta = _failure_bound(inputs)
+        gap = _lower_gap(inputs)
+        radius = None if gap is None else _radius(inputs, gap, coords, log_delta)
         points.append(RatePoint(horizon=horizon, epsilon=eps, delta=delta,
-                                log_delta=log_delta, radius=_radius(inputs, w, log_delta),
-                                feasible=True))
+                                log_delta=log_delta, radius=radius, feasible=gap is not None))
 
     usable = [(math.sqrt(p.horizon), math.log(2.0) + p.log_delta)
               for p in points if p.feasible]
     slope = None
     if len(usable) >= 2:
-        xs = np.array([x for x, _ in usable])
-        ys = np.array([y for _, y in usable])
+        xs, ys = np.array(usable).T
         slope = float(np.polyfit(xs, ys, 1)[0])
 
     return RateAnalysis(epsilon_ceiling=ceiling, multiplicity=multiplicity,

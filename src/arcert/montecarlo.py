@@ -45,6 +45,7 @@ from .certificates import (
     BoundInputs,
     CovarianceCertificate,
     DeviationCertificate,
+    _lower_gap,
     _unit_direction,
     covariance_certificate,
     deviation_radius,
@@ -348,11 +349,10 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     inputs = BoundInputs(process=process, stats=stats,
                          epsilon=config.epsilon, horizon=config.horizon)
     cert = covariance_certificate(inputs)
-    if not cert.feasible:
-        raise ConfigError(
-            "epsilon: infeasible (the lower sandwich matrix is not positive definite); "
-            "choose epsilon below the feasibility ceiling"
-        )
+    gap = _lower_gap(inputs)
+    if gap is None:
+        raise ConfigError("epsilon: infeasible (the lower sandwich matrix is not positive "
+                          "definite); choose epsilon below the feasibility ceiling")
     if cert.delta >= 1.0 and not config.allow_vacuous:
         raise ConfigError(
             f"epsilon/horizon: the failure bound delta = {cert.delta:.4g} is vacuous (>= 1); "
@@ -361,13 +361,16 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
 
     deviations = [(f"deviation:{label}", w, deviation_radius(inputs, w))
                   for label, w in config.directions]
-    _, logdet_lower = np.linalg.slogdet(cert.lower)
+    # lower = (N - n) W U diag(gap) U^T W^T with W the Gramian's Cholesky factor.
+    logdet_lower = float(process.order * math.log(inputs.effective_samples)
+                         + 2.0 * np.sum(np.log(np.diag(stats.whitened_spectrum[2])))
+                         + np.sum(np.log(gap)))
 
     batches = [(lo, min(lo + BATCH, config.trials))
                for lo in range(0, config.trials, BATCH)]
 
     def work(bounds: tuple[int, int]) -> Counter:
-        return _run_batch(config, inputs, cert, deviations, float(logdet_lower),
+        return _run_batch(config, inputs, cert, deviations, logdet_lower,
                           bounds[0], bounds[1])
 
     if config.threads > 1:

@@ -264,13 +264,6 @@ def substream(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(trial_index),))
 
 
-def stationary_state_covariance(a: np.ndarray, sigma2: float) -> np.ndarray:
-    """Stationary covariance V of the companion state: the solution of
-    V = A V A^T + sigma2 e1 e1^T for the companion matrix A of a stable
-    process, from the structured solve :func:`arcert.linalg.solve_companion_lyapunov`."""
-    return solve_companion_lyapunov(a, sigma2)[0]
-
-
 def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
     """Uninitialised float array whose data starts on a 64-byte boundary.
 
@@ -314,8 +307,8 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     if horizon <= process.order:
         raise ValueError("horizon must exceed the process order")
     n = process.order
-    factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
-                                                       process.noise_variance))
+    state_cov, _ = solve_companion_lyapunov(build_companion(process), process.noise_variance)
+    factor = symmetric_sqrt(state_cov)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     size = min(CHUNK, horizon)
     drawn = _aligned_empty((len(rngs), size))

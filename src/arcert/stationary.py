@@ -115,6 +115,11 @@ class StationaryStatistics:
             m.flags.writeable = False
         return mu, u, w_factor
 
+    @functools.cached_property
+    def gramian_condition(self) -> float:
+        """cond(G_blk) in the 2-norm, computed on first use and kept."""
+        return float(np.linalg.cond(self.gramian_block))
+
 
 def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
     """Evaluate the peak gain of the coefficients in the first row of the

@@ -39,9 +39,9 @@ from arcert import (
     spectral_radius,
     symmetric_sqrt,
 )
-from arcert.linalg import PSD_ORDER_RTOL
+from arcert.linalg import PSD_ORDER_RTOL, solve_companion_lyapunov
 from arcert.montecarlo import EventCoverage, _frequency_row
-from arcert.process import SeedLike, stationary_state_covariance
+from arcert.process import SeedLike
 
 # --- simulation -------------------------------------------------------------
 
@@ -56,8 +56,8 @@ def simulate_whole_horizon(process: ArProcess, horizon: int, seed: SeedLike) -> 
     simulator must reproduce bit for bit.
     """
     n = process.order
-    factor = symmetric_sqrt(stationary_state_covariance(build_companion(process),
-                                                       process.noise_variance))
+    state_cov, _ = solve_companion_lyapunov(build_companion(process), process.noise_variance)
+    factor = symmetric_sqrt(state_cov)
     rng = np.random.default_rng(seed)
     state = factor @ rng.standard_normal(n + 1)
     # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0).
@@ -83,7 +83,7 @@ def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
     is gamma(k); gamma(0) is the stationary output variance.
     """
     a = build_companion(process)
-    cur = stationary_state_covariance(a, process.noise_variance)
+    cur, _ = solve_companion_lyapunov(a, process.noise_variance)
     gamma = np.empty(max_lag + 1)
     gamma[0] = cur[0, 0]
     for k in range(1, max_lag + 1):

@@ -1,15 +1,21 @@
 import math
 import re
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import arcert.certificates as certificates_module
+import arcert.montecarlo as montecarlo_module
 from arcert import (
     ArProcess,
     BoundInputs,
+    CampaignConfig,
+    ConfigError,
     CovarianceCertificate,
     InfeasibleCertificateError,
     build_companion,
@@ -18,6 +24,7 @@ from arcert import (
     max_feasible_epsilon,
     rate_analysis,
     regressor_energy_scale,
+    run_campaign,
     stationary_stats,
 )
 from arcert.certificates import CONDITION_WARN_LIMIT, _noise_energy_exponent
@@ -27,6 +34,13 @@ from reference import deviation_radius_oracle, rate_sweep_oracle
 
 def make_inputs(process, stats, epsilon, horizon):
     return BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
+
+
+#: AR(6) with poles 0.9375, 0.75 and 0.5, each double (l1 norm 24.9, outside
+#: the benchmark's cap of 5): cond(G_blk) is 1e9, while mu_max / (mu_min -
+#: eps s2) at half the ceiling is only 8.8.
+DOUBLED_POLES_AR6 = [float(-c) for c in np.real(np.poly([0.9375, 0.9375, 0.75, 0.75,
+                                                          0.5, 0.5]))[1:]]
 
 
 def failure_terms(inputs):
@@ -329,6 +343,36 @@ class TestDeviationRadius:
         with pytest.warns(RuntimeWarning, match=re.escape(f"exceeds {CONDITION_WARN_LIMIT:.0e}")):
             deviation_radius(near, [1.0, 0.0])
 
+    def test_condition_warning_sees_the_gramian(self, monkeypatch):
+        # Both radii are about 1e-7 off the 50-digit one here; the whitened
+        # spectrum alone (ratio 8.8) cannot show it, cond(G_blk) can.
+        process = ArProcess(coeffs=DOUBLED_POLES_AR6)
+        stats = stationary_stats(build_companion(process), 1.0)
+        inputs = make_inputs(process, stats, 0.5 * max_feasible_epsilon(process, stats), 5000)
+        w = np.full(6, 1.0 / math.sqrt(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deviation_radius(inputs, w)
+        monkeypatch.setattr(certificates_module, "CONDITION_WARN_LIMIT", 1e9)
+        with pytest.warns(RuntimeWarning, match=r"cond\(G_blk\) .* exceeds 1e\+09"):
+            deviation_radius(inputs, w)
+
+    @settings(max_examples=100)
+    @given(stable_ar_coeffs(), st.sampled_from([1.0, 1.7]))
+    def test_no_condition_warning_on_the_benchmark_pool(self, coeffs, sigma2):
+        # The benchmark's certify (half the ceiling, N = 5000, e1 and
+        # uniform) and rate-sweep (N = 1e3 .. 1e6) at the real limit.
+        assume(np.abs(coeffs).sum() <= 5.0)
+        process = ArProcess(coeffs=coeffs, noise_variance=sigma2)
+        stats = stationary_stats(build_companion(process), sigma2)
+        n = process.order
+        inputs = make_inputs(process, stats, 0.5 * max_feasible_epsilon(process, stats), 5000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (np.eye(n)[0], np.full(n, 1.0 / math.sqrt(n))):
+                deviation_radius(inputs, w)
+            rate_analysis(process, stats, [1000, 10_000, 100_000, 1_000_000], np.eye(n)[0])
+
     def test_preconditions(self, ar1, ar1_stats):
         with pytest.raises(InfeasibleCertificateError):
             deviation_radius(make_inputs(ar1, ar1_stats, 5.0, 100), [1.0])
@@ -355,6 +399,28 @@ class TestRateAnalysis:
         analysis = rate_analysis(ar1, ar1_stats, [1000], [1.0])
         assert len(analysis.points) == 1
         assert analysis.slope is None
+
+    def test_epsilon_rounding_to_the_ceiling_is_infeasible(self, ar1, ar1_stats):
+        # At N = 1e40, ceiling - N^{-1/2} rounds to the ceiling, where the
+        # whitened gap is 0: the point is infeasible, not an error.
+        analysis = rate_analysis(ar1, ar1_stats, [1000, 10 ** 40], [1.0])
+        point = analysis.points[1]
+        assert point.epsilon == analysis.epsilon_ceiling
+        assert not point.feasible and point.radius is None and point.log_delta is not None
+        assert analysis.points[0].feasible and analysis.slope is None
+
+    def test_direction_whitened_once_per_sweep(self, ar2, monkeypatch):
+        stats = stationary_stats(build_companion(ar2), ar2.noise_variance)
+        stats.whitened_spectrum  # decomposed before counting
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        counts = []
+        for grid in ([1000], [1000, 10_000, 100_000, 1_000_000]):
+            calls.clear()
+            rate_analysis(ar2, stats, grid, [1.0, 0.0])
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_grid_must_increase(self, ar1, ar1_stats):
         with pytest.raises(ValueError):
@@ -455,3 +521,60 @@ class TestClosedFormAgainstMatrixOracle:
         matrix_error = float(abs(matrix.radius - exact) / exact)
         assert closed_error <= 1e-7
         assert matrix_error > 100 * closed_error
+
+
+class TestOneFeasibilityPredicate:
+    """The certificate's flag, the radius and the campaign's setup decide
+    feasibility with the one whitened-gap predicate, so they agree at the
+    ceiling and at its neighbouring floats."""
+
+    @staticmethod
+    def campaign_setup(process, epsilon):
+        """(passed, log det(lower) handed to the batches) of ``run_campaign``,
+        with the batches stubbed out."""
+        seen = []
+
+        def no_trials(config, inputs, cert, deviations, logdet_lower, start, stop):
+            seen.append(logdet_lower)
+            return Counter(evaluated=stop - start)
+
+        config = CampaignConfig(process=process, horizon=5000, epsilon=epsilon, trials=100,
+                                master_seed=0, directions=(("e1", np.eye(process.order)[0]),),
+                                allow_vacuous=True)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(montecarlo_module, "_run_batch", no_trials)
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                run_campaign(config)
+            except ConfigError as exc:
+                assert "epsilon: infeasible" in str(exc)
+                return False, None
+        return True, seen[0]
+
+    @settings(max_examples=100)
+    @given(stable_ar_coeffs(), st.sampled_from([1.0, 1.7]))
+    def test_certificate_radius_and_campaign_agree(self, coeffs, sigma2):
+        assume(np.abs(coeffs).sum() <= 5.0)
+        process = ArProcess(coeffs=coeffs, noise_variance=sigma2)
+        stats = stationary_stats(build_companion(process), sigma2)
+        ceiling = max_feasible_epsilon(process, stats)
+        w = np.eye(process.order)[0]
+        for eps in (np.nextafter(ceiling, 0.0), ceiling, np.nextafter(ceiling, np.inf),
+                    0.5 * ceiling):
+            inputs = make_inputs(process, stats, eps, 5000)
+            cert = covariance_certificate(inputs)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    deviation_radius(inputs, w)
+                radius_returned = True
+            except InfeasibleCertificateError:
+                radius_returned = False
+            passed, logdet_lower = self.campaign_setup(process, eps)
+            assert cert.feasible == radius_returned == passed
+            if sigma2 == 1.0:  # eps s2 is exact, so the ceiling is sharp
+                assert cert.feasible == (eps < ceiling)
+            if eps == 0.5 * ceiling:
+                assert cert.feasible
+                assert logdet_lower == pytest.approx(np.linalg.slogdet(cert.lower)[1],
+                                                     rel=1e-10)

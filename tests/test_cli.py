@@ -47,6 +47,15 @@ def run(argv):
 AR1_MC = dict(coeffs=[0.5], noise_variance=1.0, epsilon={"fraction_of_ceiling": 0.5},
               horizon=3000, trials=150, seed=99)
 
+#: An AR(5) whose lower sandwich matrix, formed entry by entry at epsilon equal
+#: to the ceiling, still has a positive smallest eigenvalue; the whitened gap
+#: mu_min - eps s2 is exactly 0 there.
+AR5_AT_CEILING = dict(
+    coeffs=[-2.3421558999492644, -2.105598033801749, -0.9098127882790601,
+            -0.18901062844095312, -0.015092346249685062],
+    noise_variance=1.0, epsilon={"fraction_of_ceiling": 1.0}, horizon=5000,
+    direction=["e1", "uniform"])
+
 
 class TestCertify:
     def test_writes_certificate_and_summary(self, tmp_path, capsys):
@@ -120,8 +129,9 @@ class TestCertify:
 
     def test_eigvals_and_kron_calls(self, tmp_path, monkeypatch):
         # eigvals runs for the ArProcess stability check and the peak gain's;
-        # an order-2 peak gain needs no root finder.  No Kronecker operator.
-        calls = {"eigvals": 0, "kron": 0}
+        # an order-2 peak gain needs no root finder.  No Kronecker operator,
+        # and no eigvalsh: feasibility is read off the whitened spectrum.
+        calls = {"eigvals": 0, "kron": 0, "eigvalsh": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -132,12 +142,30 @@ class TestCertify:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(np.linalg, "eigvals")
+        counting(np.linalg, "eigvalsh")
         counting(np, "kron")
         cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=1.0,
                            epsilon={"fraction_of_ceiling": 0.5}, horizon=5000,
                            direction=["e1", "uniform"])
         assert run(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert calls["eigvals"] <= 2 and calls["kron"] == 0
+        assert calls["eigvalsh"] == 0
+
+    @pytest.mark.parametrize("config", [
+        AR5_AT_CEILING,
+        # One float above this process's ceiling 0.1776825172036712.
+        dict(coeffs=[2.09911033122312, -1.4535666771519975, 0.33217755939282567],
+             noise_variance=1.0, epsilon=0.17768251720367123, horizon=5000,
+             direction=["e1", "uniform"]),
+    ], ids=["ar5-fraction-one", "ar3-one-float-above"])
+    def test_epsilon_at_or_above_ceiling_reported_infeasible(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, **config)
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        assert payload["feasible"] is False and payload["deviations"] == {}
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "feasible: False" in summary
+        assert "deviation radii: skipped (infeasible epsilon)" in summary
 
     @pytest.mark.parametrize("command", ["certify", "rate-sweep"])
     def test_inaccurate_lyapunov_solve_exit_three(self, tmp_path, monkeypatch, capsys,
@@ -161,6 +189,11 @@ class TestMontecarlo:
         report = json.loads((tmp_path / "out" / "coverage.json").read_text())["report"]
         assert report["trials"] == 150
         assert report["sandwich_chain_violations"] == 0
+
+    def test_epsilon_at_ceiling_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **AR5_AT_CEILING, trials=100, seed=1, allow_vacuous=True)
+        assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: epsilon: infeasible" in capsys.readouterr().err
 
     def test_missing_trials_named(self, tmp_path, capsys):
         payload = dict(AR1_MC)

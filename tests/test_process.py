@@ -18,7 +18,8 @@ from arcert import (
     simulate_stationary,
     substream,
 )
-from arcert.process import MAX_ORDER, stationary_state_covariance
+from arcert.linalg import solve_companion_lyapunov
+from arcert.process import MAX_ORDER
 from reference import lag_window, simulate_whole_horizon
 
 CHUNK = process_module.CHUNK
@@ -211,7 +212,7 @@ class TestSimulation:
         # Closed form sigma^2/(1-theta^2) = 4/3, cross-checked against the
         # Lyapunov route before comparing with the simulation.
         closed_form = 1.0 / (1.0 - 0.25)
-        v = stationary_state_covariance(build_companion(ar1), ar1.noise_variance)
+        v, _ = solve_companion_lyapunov(build_companion(ar1), ar1.noise_variance)
         assert v[0, 0] == pytest.approx(closed_form, rel=1e-12)
         traj = simulate_stationary(ar1, 1_000_000, 2024)
         sample_var = float(np.mean(traj.observed ** 2))
