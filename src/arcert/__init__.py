@@ -20,7 +20,6 @@ from .certificates import (
     deviation_radius,
     max_feasible_epsilon,
     rate_analysis,
-    regressor_energy_scale,
 )
 from .errors import (
     ArcertError,
@@ -30,12 +29,10 @@ from .errors import (
     NumericalFailureError,
     StabilityError,
 )
-from .linalg import solve_discrete_lyapunov, spectral_radius, symmetric_sqrt
 from .montecarlo import (
     CampaignConfig,
     CoverageReport,
     EventCoverage,
-    event_threshold,
     run_campaign,
 )
 from .process import (

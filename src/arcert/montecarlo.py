@@ -248,8 +248,8 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     s_tail = s_sn + head[:, n:] * head[:, :n] - tail[:, n:] * tail[:, :n]
     energy = gram[:, n, n] + head[:, n] ** 2 - tail[:, n] ** 2
 
-    # Stand-in statistics keep the batched LAPACK calls defined on errored
-    # trials; their events are never counted.
+    # Stand-in statistics keep the batched LAPACK calls and the boundary
+    # closed form finite on errored trials; their events are never counted.
     errored = ~finite
     normal[errored] = np.eye(n)
     head[errored] = tail[errored] = 0.0
@@ -261,8 +261,11 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     # Boundary event from the lag windows of the two end vectors.
     u = np.concatenate([(head[:, :n] @ coeffs)[:, None], head[:, :n]], axis=1)
     v = np.concatenate([(tail[:, :n] @ coeffs)[:, None], tail[:, :n]], axis=1)
-    rank_two = u[:, :, None] * u[:, None, :] - v[:, :, None] * v[:, None, :]
-    boundary_radius = np.abs(np.linalg.eigvalsh(rank_two)).max(axis=1)
+    # Rank-2 closed form: u u^T - v v^T has the nonzero eigenvalues
+    # (|u|^2 - |v|^2 +- |u - v| |u + v|) / 2, and |u|^2 - |v|^2 = d . s.
+    d, s = u - v, u + v
+    boundary_radius = 0.5 * (np.abs(np.einsum("bi,bi->b", d, s)) + np.sqrt(
+        np.einsum("bi,bi->b", d, d) * np.einsum("bi,bi->b", s, s)))
     boundary_ok = boundary_radius <= threshold
 
     # Innovation energy event on the state-driving window (e_n .. e_{N-1}).

@@ -23,11 +23,14 @@ from arcert import (
     deviation_radius,
     max_feasible_epsilon,
     rate_analysis,
-    regressor_energy_scale,
     run_campaign,
     stationary_stats,
 )
-from arcert.certificates import CONDITION_WARN_LIMIT, _noise_energy_exponent
+from arcert.certificates import (
+    CONDITION_WARN_LIMIT,
+    _noise_energy_exponent,
+    regressor_energy_scale,
+)
 from conftest import CLUSTERED_POLES_AR8, stable_ar_coeffs, truncated_lyapunov_series
 from reference import deviation_radius_oracle, rate_sweep_oracle
 

@@ -3,86 +3,64 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arcert import (
-    ArProcess,
-    ConvergenceError,
-    StabilityError,
-    build_companion,
-    solve_discrete_lyapunov,
-    spectral_radius,
-    symmetric_sqrt,
-)
-from arcert.linalg import LYAPUNOV_TOL
+from arcert import ArProcess, ConvergenceError, build_companion
+from arcert.linalg import LYAPUNOV_TOL, solve_companion_lyapunov, symmetric_sqrt
 from conftest import truncated_lyapunov_series
 from reference import psd_order_holds
 
 
-class TestSpectralRadius:
-    def test_identity(self):
-        assert spectral_radius(np.eye(3)) == pytest.approx(1.0)
-
-    def test_nilpotent(self):
-        assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_companion_matches_polynomial_roots(self):
-        # Oracle: roots of x^2 - 0.3 x - 0.4 via numpy's root finder.
-        roots = np.roots([1.0, -0.3, -0.4])
-        companion = np.array([[0.3, 0.4], [1.0, 0.0]])
-        assert spectral_radius(companion) == pytest.approx(np.max(np.abs(roots)), rel=1e-12)
-        assert spectral_radius(companion) == pytest.approx(0.8, rel=1e-12)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            spectral_radius([[np.nan, 0.0], [0.0, 1.0]])
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.ones((2, 3)))
+def relative_residual(a, x, q):
+    return np.linalg.norm(x - a @ x @ a.T - q) / np.linalg.norm(x)
 
 
 class TestLyapunov:
+    """V = A V A^T + s2 e1 e1^T and G = A G A^T + I from the companion solve."""
+
     def test_zero_matrix_fixed_point(self):
-        x = solve_discrete_lyapunov(np.zeros((3, 3)), np.eye(3))
-        np.testing.assert_array_equal(x, np.eye(3))
+        # All coefficients zero: A is the nilpotent shift, so the series ends
+        # after n + 1 terms and V = s2 I, G = diag(1, ..., n + 1) exactly.
+        v, g = solve_companion_lyapunov(np.eye(3, k=-1), 2.0)
+        np.testing.assert_array_equal(v, 2.0 * np.eye(3))
+        np.testing.assert_array_equal(g, np.diag([1.0, 2.0, 3.0]))
 
     def test_scalar_geometric_series(self):
-        x = solve_discrete_lyapunov([[0.5]], [[1.0]])
-        assert x[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-14)
+        # AR(1) with c = 0.5: V[0, 0] and G[0, 0] both sum 0.25^i.
+        v, g = solve_companion_lyapunov([[0.5, 0.0], [1.0, 0.0]], 1.0)
+        assert v[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert g[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_matches_truncated_series_oracle(self):
         a = np.array([[0.3, 0.4, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        q = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        qs = (np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), np.eye(3))
         # rho(a) = 0.8 so 200 terms push the tail below 1e-12 * ||q||.
-        oracle = truncated_lyapunov_series(a, q, 200)
-        x = solve_discrete_lyapunov(a, q)
-        assert np.abs(x - oracle).max() <= 1e-10 * np.abs(x).max()
+        for x, q in zip(solve_companion_lyapunov(a, 1.0), qs):
+            oracle = truncated_lyapunov_series(a, q, 200)
+            assert np.abs(x - oracle).max() <= 1e-10 * np.abs(x).max()
 
     @pytest.mark.parametrize("rho_target", [0.2, 0.7, 0.95])
     def test_residual_tolerance(self, rho_target):
+        # AR(4) with two random conjugate pole pairs, the outer one of modulus
+        # rho_target.
         rng = np.random.default_rng(5)
-        raw = rng.standard_normal((4, 4))
-        a = raw * (rho_target / spectral_radius(raw))
-        basis = rng.standard_normal((4, 4))
-        q = basis @ basis.T
-        x = solve_discrete_lyapunov(a, q)
-        residual = np.linalg.norm(x - a @ x @ a.T - q) / np.linalg.norm(x)
-        assert residual <= 1e-10
-        np.testing.assert_allclose(x, x.T)
-
-    def test_unstable_raises(self):
-        with pytest.raises(StabilityError):
-            solve_discrete_lyapunov([[1.0]], [[1.0]])
-
-    def test_asymmetric_q_raises(self):
-        with pytest.raises(ValueError):
-            solve_discrete_lyapunov(np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]])
+        moduli = rho_target * np.array([1.0, rng.uniform(0.3, 1.0)])
+        poles = moduli * np.exp(1j * rng.uniform(0.0, np.pi, 2))
+        coeffs = -np.real(np.poly(np.concatenate([poles, poles.conj()])))[1:]
+        a = build_companion(ArProcess(coeffs=coeffs))
+        v, g = solve_companion_lyapunov(a, 1.0)
+        e1 = np.eye(5)[0]
+        assert relative_residual(a, v, np.outer(e1, e1)) <= 1e-10
+        assert relative_residual(a, g, np.eye(5)) <= 1e-10
+        np.testing.assert_array_equal(v, v.T)
+        np.testing.assert_array_equal(g, g.T)
 
     def test_nonconvergence_surfaces(self, monkeypatch):
-        # The residual check catches a solve that comes back inaccurate.
+        # The residual check catches a solve that comes back inaccurate.  A
+        # relative error of 1e-6 in both solves would be refined away to
+        # 1e-12, inside the tolerance; 1e-3 leaves 1e-6.
         exact = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda m, b: exact(m, b) * (1.0 + 1e-6))
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: exact(m, b) * (1.0 + 1e-3))
         with pytest.raises(ConvergenceError):
-            solve_discrete_lyapunov([[0.5]], [[1.0]])
+            solve_companion_lyapunov([[0.5, 0.0], [1.0, 0.0]], 1.0)
 
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.floats(0.1, 0.95), st.floats(0.0, np.pi)), max_size=4),
@@ -99,10 +77,9 @@ class TestLyapunov:
         assume(poles)
         a = build_companion(ArProcess(coeffs=-np.real(np.poly(poles))[1:]))
         e1 = np.eye(a.shape[0])[0]
-        for q in (np.outer(e1, e1), np.eye(a.shape[0])):
-            x = solve_discrete_lyapunov(a, q)
-            residual = np.linalg.norm(x - a @ x @ a.T - q) / np.linalg.norm(x)
-            assert residual <= LYAPUNOV_TOL
+        qs = (np.outer(e1, e1), np.eye(a.shape[0]))
+        for x, q in zip(solve_companion_lyapunov(a, 1.0), qs):
+            assert relative_residual(a, x, q) <= LYAPUNOV_TOL
             np.testing.assert_array_equal(x, x.T)
 
 

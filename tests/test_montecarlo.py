@@ -18,7 +18,6 @@ from arcert import (
     build_companion,
     covariance_certificate,
     deviation_radius,
-    event_threshold,
     max_feasible_epsilon,
     run_campaign,
     simulate_stationary,
@@ -26,6 +25,7 @@ from arcert import (
     substream,
 )
 from arcert.cli import _csv_text
+from arcert.montecarlo import event_threshold
 from reference import (
     assert_implications,
     build_regressors,

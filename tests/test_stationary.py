@@ -17,12 +17,16 @@ from arcert import (
     max_feasible_epsilon,
     peak_transfer_gain,
     simulate_stationary,
-    solve_discrete_lyapunov,
     stationary_stats,
 )
 from arcert.linalg import solve_companion_lyapunov
 from conftest import CLUSTERED_POLES_AR8, stable_ar_coeffs, truncated_lyapunov_series
-from reference import autocovariance_sequence, lyapunov_mpmath, toeplitz_covariance
+from reference import (
+    autocovariance_sequence,
+    kronecker_lyapunov,
+    lyapunov_mpmath,
+    toeplitz_covariance,
+)
 
 
 def dense_grid_gain_oracle(coeffs, points=200_001, omega=None):
@@ -182,7 +186,7 @@ class TestCompanionSolve:
         qs = (np.diag(np.r_[1.7, np.zeros(len(coeffs))]), np.eye(a.shape[0]))
         exact = lyapunov_mpmath(a, qs)
         structured = solve_companion_lyapunov(a, 1.7)
-        kronecker = [solve_discrete_lyapunov(a, q) for q in qs]
+        kronecker = [kronecker_lyapunov(a, q) for q in qs]
         return [(max_relative_error(x, e), max_relative_error(k, e))
                 for x, k, e in zip(structured, kronecker, exact)]
 
