@@ -41,7 +41,6 @@ from .process import (
     ar_recursion,
     build_companion,
     characteristic_roots,
-    check_schur_stable,
     simulate_batch,
     simulate_chunks,
     simulate_stationary,

@@ -43,6 +43,22 @@ CONDITION_WARN_LIMIT = 1e12
 EIGENVALUE_CLUSTER_RTOL = 1e-8
 
 
+def _integer(value, field: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int; ``error`` naming ``field`` unless it is a Python or
+    numpy integer, so a bool or a float such as 5000.7 is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{field}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_same_process(process: ArProcess, stats: StationaryStatistics) -> None:
+    """ValueError unless ``stats`` were solved for ``process``: every bound
+    reads V, G, E{y^2} and the peak gain of the true process."""
+    if not (stats.process.noise_variance == process.noise_variance
+            and np.array_equal(stats.process.coeffs, process.coeffs)):
+        raise ValueError("stats were solved for another process (coefficients or sigma2)")
+
+
 @dataclass(frozen=True, eq=False)
 class BoundInputs:
     """Everything a bound evaluation needs: process, its stationary statistics,
@@ -60,13 +76,12 @@ class BoundInputs:
 
     def __post_init__(self):
         eps = float(self.epsilon)
-        horizon = int(self.horizon)
+        horizon = _integer(self.horizon, "horizon")
         if not np.isfinite(eps) or eps < 0.0:
             raise ValueError(f"epsilon must be a finite nonnegative real, got {eps!r}")
         if horizon <= self.process.order:
             raise ValueError("horizon must exceed the process order")
-        if self.stats.order != self.process.order:
-            raise ValueError("stats and process disagree on the order")
+        _check_same_process(self.process, self.stats)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "horizon", horizon)
 
@@ -223,6 +238,7 @@ def max_feasible_epsilon(process: ArProcess, stats: StationaryStatistics) -> flo
     (:func:`_lower_gap`), so this epsilon itself is infeasible up to the
     rounding of eps s2.  It is also the sqrt(N) decay rate of the failure
     bound, and invariant to the innovation variance."""
+    _check_same_process(process, stats)
     return float(stats.whitened_spectrum[0][0] / process.noise_variance)
 
 
@@ -352,7 +368,7 @@ def rate_analysis(process: ArProcess, stats: StationaryStatistics,
     of ``stats``.  The slope is fitted on log(2 delta) computed in log space,
     so it stays exact far past the underflow point of delta itself.
     """
-    grid = [int(h) for h in horizon_grid]
+    grid = [_integer(h, "horizon_grid") for h in horizon_grid]
     if not grid:
         raise ValueError("horizon_grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):

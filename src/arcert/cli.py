@@ -438,7 +438,7 @@ def main(argv=None) -> int:
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, StabilityError, ValueError, KeyError) as exc:
+    except (ConfigError, StabilityError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

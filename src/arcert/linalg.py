@@ -1,6 +1,6 @@
 """Dense matrix primitives: the discrete Lyapunov solve for AR companion
 matrices behind every stationary covariance and Gramian, and the symmetric
-square root.  Stability is checked upstream (``process.check_schur_stable``).
+square root.  Stability is checked upstream: an ``ArProcess`` is stable.
 
 Everything here operates on plain numpy arrays and is pure, so all functions
 are safe for concurrent use.

@@ -45,6 +45,7 @@ from .certificates import (
     BoundInputs,
     CovarianceCertificate,
     DeviationCertificate,
+    _integer,
     _lower_gap,
     _unit_direction,
     covariance_certificate,
@@ -110,16 +111,19 @@ class CampaignConfig:
 
     def __post_init__(self):
         n = self.process.order
-        if int(self.horizon) < 2 * n + 1:
+        horizon, trials, master_seed, threads = (
+            _integer(getattr(self, name), name, ConfigError)
+            for name in ("horizon", "trials", "master_seed", "threads"))
+        if horizon < 2 * n + 1:
             raise ConfigError("horizon: must be at least 2 * order + 1 for a full-rank design")
-        if int(self.trials) < 100:
+        if trials < 100:
             raise ConfigError("trials: at least 100 trials are required")
-        if int(self.trials) > MAX_TRIALS:
+        if trials > MAX_TRIALS:
             raise ConfigError(f"trials: at most {MAX_TRIALS} trials are supported")
         eps = float(self.epsilon)
         if not np.isfinite(eps) or eps <= 0.0:
             raise ConfigError("epsilon: must be a positive finite real")
-        if int(self.master_seed) < 0:
+        if master_seed < 0:
             raise ConfigError("seed: must be a nonnegative integer")
         if not self.directions:
             raise ConfigError("direction: at least one direction is required")
@@ -135,14 +139,14 @@ class CampaignConfig:
                 raise ConfigError(f"direction '{label}': {exc}") from exc
             vec.flags.writeable = False
             resolved.append((str(label), vec))
-        if not 1 <= int(self.threads) <= MAX_THREADS:
+        if not 1 <= threads <= MAX_THREADS:
             raise ConfigError(f"threads: must be in 1..{MAX_THREADS}")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "master_seed", master_seed)
         object.__setattr__(self, "directions", tuple(resolved))
-        object.__setattr__(self, "threads", int(self.threads))
+        object.__setattr__(self, "threads", threads)
 
 
 @dataclass(frozen=True)

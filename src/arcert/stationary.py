@@ -1,14 +1,12 @@
 """Stationary second-order structure of a stable AR(n) process.
 
-Computes the stationary state covariance V, the reachability-style Gramian
+The n x n blocks of the stationary state covariance V and of the Gramian
 G = sum_i A^i (A^T)^i, the peak squared gain of the AR transfer function on
-the unit circle and, on first use, the spectrum of V whitened by G.  These
-are the deterministic ingredients of every certificate.  V and G are both
-Toeplitz up to a known diagonal, so one (n+1) x (n+1) Yule-Walker solve gives
-them (:func:`arcert.linalg.solve_companion_lyapunov`); nothing here builds the
-(n+1)^2 x (n+1)^2 Kronecker operator.  The autocovariance sequence and the
-Toeplitz autocovariance matrices, which only the tests need, live in the test
-suite's ``reference`` module.
+the unit circle and, on first use, the spectrum of V whitened by G: the
+deterministic inputs of every certificate.  V and G are Toeplitz up to a known
+diagonal, so one (n+1) x (n+1) Yule-Walker solve gives both
+(:func:`arcert.linalg.solve_companion_lyapunov`).  The autocovariances, which
+only the tests need, live in the test suite's ``reference`` module.
 """
 
 from __future__ import annotations
@@ -20,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import StabilityError
 from .linalg import companion_coefficients, solve_companion_lyapunov
-from .process import check_schur_stable
+from .process import ArProcess
 
 
 def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -34,7 +31,7 @@ def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def peak_transfer_gain(coeffs) -> float:
+def peak_transfer_gain(process: ArProcess) -> float:
     """Peak squared magnitude of the AR transfer function 1/p(e^{j w}).
 
     Equals 1 / min_w |p(e^{j w})|^2, taken over its exact critical points (the
@@ -44,11 +41,10 @@ def peak_transfer_gain(coeffs) -> float:
     series h, so the critical points are w = 0, w = pi and the arccosines of
     the roots of h'.  Root-finding error enters only to second order at a
     critical point.  Scaled by the innovation variance the result bounds every
-    eigenvalue of the Toeplitz autocovariance matrices.
+    eigenvalue of the Toeplitz autocovariance matrices (finite: an ArProcess
+    is stable).
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if not check_schur_stable(c):
-        raise StabilityError("peak gain is unbounded or meaningless for unstable coefficients")
+    c = process.coeffs
     a = np.concatenate(([1.0], -c))
     dh = chebyshev.chebder(np.correlate(a, a, mode="full")[c.size:])
     # Leading coefficients at rounding level (a near-zero c_n) would put huge
@@ -63,40 +59,26 @@ def peak_transfer_gain(coeffs) -> float:
 class StationaryStatistics:
     """Deterministic stationary quantities of one process.
 
-    state_covariance: (n+1) x (n+1) stationary covariance of the companion
-        state, solving V = A V A^T + noise_variance * e1 e1^T.
-    gramian: (n+1) x (n+1) solution of G = A G A^T + I (so G >= I); measures
-        how system memory inflates the concentration bounds.
-    output_variance: stationary variance of the scalar output, the (1,1)
-        entry of state_covariance.
+    process: the process they were solved for (see stationary_stats).
+    state_covariance_block, gramian_block: leading n x n blocks of the
+        solutions of V = A V A^T + noise_variance * e1 e1^T (the stationary
+        covariance of the state) and G = A G A^T + I (so G >= I; it measures
+        how system memory inflates the concentration bounds).
+    output_variance: stationary variance of the scalar output, V[0, 0].
     peak_gain: peak squared transfer gain (see peak_transfer_gain).
     """
 
-    state_covariance: np.ndarray
-    gramian: np.ndarray
+    process: ArProcess
+    state_covariance_block: np.ndarray
+    gramian_block: np.ndarray
     output_variance: float
     peak_gain: float
 
     def __post_init__(self):
-        v = np.asarray(self.state_covariance, dtype=float).copy()
-        g = np.asarray(self.gramian, dtype=float).copy()
-        v.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "state_covariance", v)
-        object.__setattr__(self, "gramian", g)
-
-    @property
-    def order(self) -> int:
-        return int(self.state_covariance.shape[0] - 1)
-
-    @property
-    def state_covariance_block(self) -> np.ndarray:
-        """Top-left n x n block: stationary covariance of n consecutive outputs."""
-        return self.state_covariance[: self.order, : self.order]
-
-    @property
-    def gramian_block(self) -> np.ndarray:
-        return self.gramian[: self.order, : self.order]
+        for name in ("state_covariance_block", "gramian_block"):
+            m = np.array(getattr(self, name), dtype=float)
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     @functools.cached_property
     def whitened_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,21 +104,19 @@ class StationaryStatistics:
 
 
 def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
-    """Evaluate the peak gain of the coefficients in the first row of the
-    companion matrix A (see :func:`arcert.process.build_companion`), which
-    rejects unstable coefficients, then solve both Lyapunov equations of A.
-    A matrix that is not a companion matrix is a ValueError."""
-    sigma2 = float(sigma2)
-    if not np.isfinite(sigma2) or sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
-    peak_gain = peak_transfer_gain(companion_coefficients(a))
-    state_cov, gramian = solve_companion_lyapunov(a, sigma2)
-    y_var = float(state_cov[0, 0])
-    if y_var <= 0.0:
+    """Statistics of the process with the first row of the companion matrix A
+    (see :func:`arcert.process.build_companion`) as coefficients and sigma2
+    as innovation variance, whose ArProcess validates them once; then one
+    solve of both Lyapunov equations.  A non-companion A is a ValueError."""
+    process = ArProcess(coeffs=companion_coefficients(a), noise_variance=sigma2)
+    state_cov, gramian = solve_companion_lyapunov(a, process.noise_variance)
+    if not state_cov[0, 0] > 0.0:
         raise ValueError("stationary output variance must be positive")
+    n = process.order
     return StationaryStatistics(
-        state_covariance=state_cov,
-        gramian=gramian,
-        output_variance=y_var,
-        peak_gain=peak_gain,
+        process=process,
+        state_covariance_block=state_cov[:n, :n],
+        gramian_block=gramian[:n, :n],
+        output_variance=float(state_cov[0, 0]),
+        peak_gain=peak_transfer_gain(process),
     )

@@ -17,6 +17,7 @@ import pytest
 import arcert.cli
 import arcert.montecarlo
 import arcert.process
+import arcert.stationary
 from arcert import (
     ArProcess,
     BoundInputs,
@@ -50,12 +51,29 @@ PER_LAYER_SPANS = [
 
 
 def test_certificate_calls():
+    # The benchmark solves the stats from its own process's companion and
+    # noise variance, so the pair passes the certificates' same-process check.
     process = ArProcess(coeffs=[0.3, 0.4], noise_variance=1.0)
     stats = stationary_stats(build_companion(process), process.noise_variance)
+    assert stats.process is not process
     epsilon = 0.5 * max_feasible_epsilon(process, stats)
     cert = covariance_certificate(BoundInputs(process=process, stats=stats, epsilon=epsilon,
                                               horizon=5000))
     assert cert.feasible
+
+
+def test_stability_checked_once_per_stationary_stats(monkeypatch):
+    # stationary_stats' span includes the one stability check, made where it
+    # reads the companion into an ArProcess; peak_transfer_gain's makes none.
+    a = build_companion(ArProcess(coeffs=[0.3, 0.4], noise_variance=1.0))
+    calls = []
+    check = arcert.process.check_schur_stable
+    monkeypatch.setattr(arcert.process, "check_schur_stable",
+                        lambda coeffs: calls.append(1) or check(coeffs))
+    stats = stationary_stats(a, 1.0)
+    assert len(calls) == 1
+    arcert.stationary.peak_transfer_gain(stats.process)
+    assert len(calls) == 1
 
 
 def test_simulate_batch_reexported_by_montecarlo():

@@ -78,6 +78,38 @@ class TestBoundInputs:
         inputs = make_inputs(ar1, ar1_stats, 0.0, 100)
         assert inputs.effective_samples == 99
 
+    @pytest.mark.parametrize("coeffs, sigma2", [([0.1], 1.0), ([0.9], 4.0)],
+                             ids=["other-coeffs", "other-noise-variance"])
+    def test_stats_of_another_process_rejected(self, coeffs, sigma2):
+        # [0.9] with the stats of [0.1] used to certify delta = 0.34 at half
+        # the ceiling and N = 5000, where its own stats give 1.86.
+        process = ArProcess(coeffs=[0.9], noise_variance=1.0)
+        stats = stationary_stats(build_companion(ArProcess(coeffs=coeffs)), sigma2)
+        with pytest.raises(ValueError, match="another process"):
+            make_inputs(process, stats, 0.1, 5000)
+        with pytest.raises(ValueError, match="another process"):
+            max_feasible_epsilon(process, stats)
+        with pytest.raises(ValueError, match="another process"):
+            rate_analysis(process, stats, [1000, 2000], [1.0])
+
+    def test_stats_of_an_equal_process_accepted(self):
+        # The benchmark's pair: stats solved from an equal but separately
+        # constructed process.
+        process = ArProcess(coeffs=[0.3, 0.4], noise_variance=2.0)
+        stats = stationary_stats(build_companion(ArProcess(coeffs=[0.3, 0.4],
+                                                           noise_variance=2.0)), 2.0)
+        ceiling = max_feasible_epsilon(process, stats)
+        assert make_inputs(process, stats, 0.5 * ceiling, 5000).stats is stats
+
+    @pytest.mark.parametrize("horizon", [5000.9, 5000.0, True, "5000"])
+    def test_horizon_must_be_an_integer(self, ar1, ar1_stats, horizon):
+        with pytest.raises(ValueError, match="horizon: must be an integer"):
+            make_inputs(ar1, ar1_stats, 0.1, horizon)
+
+    def test_numpy_integer_horizon_accepted(self, ar1, ar1_stats):
+        inputs = make_inputs(ar1, ar1_stats, 0.1, np.int64(5000))
+        assert inputs.horizon == 5000 and type(inputs.horizon) is int
+
 
 class TestBoundaryFailureBound:
     def test_direct_formula_evaluation(self, ar1, ar1_stats):
@@ -428,6 +460,11 @@ class TestRateAnalysis:
     def test_grid_must_increase(self, ar1, ar1_stats):
         with pytest.raises(ValueError):
             rate_analysis(ar1, ar1_stats, [100, 100], [1.0])
+
+    @pytest.mark.parametrize("grid", [[1000.5], [100, 1000.0], [True]])
+    def test_grid_must_hold_integers(self, ar1, ar1_stats, grid):
+        with pytest.raises(ValueError, match="horizon_grid: must be an integer"):
+            rate_analysis(ar1, ar1_stats, grid, [1.0])
 
     def test_slow_subspace_separates_learning_rates(self, ar2, ar2_stats):
         analysis = rate_analysis(ar2, ar2_stats, [10 ** 3, 10 ** 6], [1.0, 0.0])

@@ -128,9 +128,11 @@ class TestCertify:
         assert "numerical error" in capsys.readouterr().err
 
     def test_eigvals_and_kron_calls(self, tmp_path, monkeypatch):
-        # eigvals runs for the ArProcess stability check and the peak gain's;
-        # an order-2 peak gain needs no root finder.  No Kronecker operator,
-        # and no eigvalsh: feasibility is read off the whitened spectrum.
+        # eigvals runs for the stability checks of two ArProcess objects: the
+        # config's and the one stationary_stats reads the companion into.  The
+        # peak gain checks no stability, and at order 2 needs no root finder.
+        # No Kronecker operator, and no eigvalsh: feasibility is read off the
+        # whitened spectrum.
         calls = {"eigvals": 0, "kron": 0, "eigvalsh": 0}
 
         def counting(module, name):
@@ -150,6 +152,16 @@ class TestCertify:
         assert run(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert calls["eigvals"] <= 2 and calls["kron"] == 0
         assert calls["eigvalsh"] == 0
+
+    def test_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # No config path raises KeyError (a missing field is a ConfigError),
+        # so one is a program bug, not exit 2.
+        def broken(args):
+            raise KeyError("synthetic")
+
+        monkeypatch.setattr(cli_module, "cmd_certify", broken)
+        with pytest.raises(KeyError, match="synthetic"):
+            run(["certify", "--config", str(tmp_path / "unused.json")])
 
     @pytest.mark.parametrize("config", [
         AR5_AT_CEILING,
@@ -333,6 +345,35 @@ class TestRateSweep:
         assert run(["rate-sweep", "--config", cfg, "--out", str(out_a)]) == 0
         assert run(["rate-sweep", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "rate_sweep.csv").read_bytes() == (out_b / "rate_sweep.csv").read_bytes()
+
+    def test_certify_ceiling_rule_matches_sweep_points(self, tmp_path):
+        # Both commands set epsilon = ceiling - N^{-1/2}: certify with
+        # "ceiling-rule" at N reports the sweep's point at N, bit for bit, and
+        # both call the same horizons infeasible.
+        grid = [3, 4, 5, 50, 1000, 5000]
+        base = dict(coeffs=[0.3, 0.4], noise_variance=1.0, direction="e1")
+        cfg = write_config(tmp_path, name="sweep.json", horizon_grid=grid, **base)
+        assert run(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+        analysis = json.loads((tmp_path / "sweep" / "rate_analysis.json").read_text())
+        infeasible = []
+        for point in analysis["analysis"]["points"]:
+            horizon, out = point["horizon"], tmp_path / f"certify-{point['horizon']}"
+            cfg = write_config(tmp_path, name=f"{horizon}.json", epsilon="ceiling-rule",
+                               horizon=horizon, **base)
+            assert run(["certify", "--config", cfg, "--out", str(out)]) == 0
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["feasible"] is point["feasible"]
+            if not point["feasible"]:
+                infeasible.append(horizon)
+            if cert["epsilon"] is None:
+                assert point["epsilon"] <= 0.0 and point["delta"] is None
+                continue
+            assert cert["epsilon"] == point["epsilon"]
+            assert cert["covariance"]["delta"] == point["delta"]
+            assert cert["covariance"]["log_delta"] == point["log_delta"]
+            radius = cert["deviations"]["e1"]["radius"] if cert["feasible"] else None
+            assert radius == point["radius"]
+        assert infeasible == [3, 4]
 
 
 class TestSimulate:

@@ -191,6 +191,23 @@ class TestCampaignConfigValidation:
             with pytest.raises(ConfigError, match="threads"):
                 CampaignConfig(**base, threads=threads)
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 5000.7), ("trials", 150.9), ("master_seed", 2.5), ("master_seed", True),
+        ("threads", 1.9), ("threads", True), ("threads", "1"),
+    ])
+    def test_integer_fields_not_truncated(self, ar1, field, value):
+        base = dict(process=ar1, horizon=5000, epsilon=0.5, trials=150, master_seed=2,
+                    directions=(("e1", np.array([1.0])),), threads=1)
+        with pytest.raises(ConfigError, match=f"{field}: must be an integer"):
+            CampaignConfig(**{**base, field: value})
+
+    def test_numpy_integer_fields_accepted(self, ar1):
+        config = CampaignConfig(process=ar1, horizon=np.int64(5000), epsilon=0.5,
+                                trials=np.int32(150), master_seed=np.uint64(2),
+                                directions=(("e1", np.array([1.0])),), threads=np.int8(1))
+        values = (config.horizon, config.trials, config.master_seed, config.threads)
+        assert values == (5000, 150, 2, 1) and all(type(v) is int for v in values)
+
     def test_duplicate_labels_rejected(self, ar1):
         with pytest.raises(ConfigError):
             CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=200,

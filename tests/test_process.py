@@ -13,13 +13,12 @@ from arcert import (
     ar_recursion,
     build_companion,
     characteristic_roots,
-    check_schur_stable,
     simulate_batch,
     simulate_stationary,
     substream,
 )
 from arcert.linalg import solve_companion_lyapunov
-from arcert.process import MAX_ORDER
+from arcert.process import MAX_ORDER, check_schur_stable
 from reference import lag_window, simulate_whole_horizon
 
 CHUNK = process_module.CHUNK

@@ -12,7 +12,6 @@ from arcert import (
     StabilityError,
     build_companion,
     characteristic_roots,
-    check_schur_stable,
     covariance_certificate,
     max_feasible_epsilon,
     peak_transfer_gain,
@@ -20,6 +19,7 @@ from arcert import (
     stationary_stats,
 )
 from arcert.linalg import solve_companion_lyapunov
+from arcert.process import MAX_ORDER, check_schur_stable
 from conftest import CLUSTERED_POLES_AR8, stable_ar_coeffs, truncated_lyapunov_series
 from reference import (
     autocovariance_sequence,
@@ -45,19 +45,20 @@ def dense_grid_gain_oracle(coeffs, points=200_001, omega=None):
 class TestPeakGain:
     def test_first_order_positive(self):
         # Analytic: |e^{jw} - 0.5|^2 minimised at w = 0, value 0.25.
-        assert peak_transfer_gain([0.5]) == pytest.approx(4.0, rel=1e-10)
-        assert peak_transfer_gain([0.5]) == pytest.approx(dense_grid_gain_oracle([0.5]), rel=1e-8)
+        gain = peak_transfer_gain(ArProcess(coeffs=[0.5]))
+        assert gain == pytest.approx(4.0, rel=1e-10)
+        assert gain == pytest.approx(dense_grid_gain_oracle([0.5]), rel=1e-8)
 
     def test_first_order_negative(self):
         # Mirror case: minimum at w = pi.
-        assert peak_transfer_gain([-0.5]) == pytest.approx(4.0, rel=1e-10)
+        assert peak_transfer_gain(ArProcess(coeffs=[-0.5])) == pytest.approx(4.0, rel=1e-10)
 
     def test_white_noise(self):
-        assert peak_transfer_gain([0.0]) == pytest.approx(1.0, rel=1e-12)
+        assert peak_transfer_gain(ArProcess(coeffs=[0.0])) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("coeffs", [[0.3, 0.4], [0.9], [-0.2, 0.5], [0.5, -0.7, 0.2]])
     def test_matches_dense_grid_oracle(self, coeffs):
-        assert peak_transfer_gain(coeffs) == pytest.approx(
+        assert peak_transfer_gain(ArProcess(coeffs=coeffs)) == pytest.approx(
             dense_grid_gain_oracle(coeffs), rel=1e-8
         )
 
@@ -75,7 +76,7 @@ class TestPeakGain:
         # Dense grid with spacing 1e-9 around each resonance.
         omega = np.concatenate([w + np.linspace(-2e-4, 2e-4, 400_001) for w in angles])
         oracle = dense_grid_gain_oracle(coeffs, omega=omega)
-        gain = peak_transfer_gain(coeffs)
+        gain = peak_transfer_gain(ArProcess(coeffs=coeffs))
         assert gain == pytest.approx(1.4781e9, rel=1e-4)
         assert oracle * (1.0 - 1e-9) <= gain <= oracle * (1.0 + 1e-6)
 
@@ -104,7 +105,7 @@ class TestPeakGain:
         # Above a gain of about 1e8 the rounding error of |p|^2 itself, shared
         # by the oracle, exceeds the 1e-9 tolerance below.
         assume(oracle <= 1e8)
-        gain = peak_transfer_gain(coeffs)
+        gain = peak_transfer_gain(ArProcess(coeffs=coeffs))
         # Never below a value the transfer function actually attains, and
         # within the oracle's own grid error above it.
         assert oracle * (1.0 - 1e-9) <= gain <= oracle * (1.0 + 1e-3)
@@ -112,11 +113,13 @@ class TestPeakGain:
     @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4], [-0.2, 0.5]])
     def test_crude_lower_bound(self, coeffs):
         floor = 1.0 / (1.0 + np.abs(coeffs).sum()) ** 2
-        assert peak_transfer_gain(coeffs) >= floor
+        assert peak_transfer_gain(ArProcess(coeffs=coeffs)) >= floor
 
     def test_unstable_rejected(self):
+        # The peak gain takes an ArProcess, whose construction rejects
+        # unstable coefficients: no unbounded peak reaches it.
         with pytest.raises(StabilityError):
-            peak_transfer_gain([1.5])
+            peak_transfer_gain(ArProcess(coeffs=[1.5]))
 
 
 class TestStationaryStats:
@@ -127,17 +130,15 @@ class TestStationaryStats:
     def test_white_noise_state_covariance_is_identity(self):
         # Nilpotent companion: the series sum terminates after n+1 shifts.
         process = ArProcess(coeffs=[0.0, 0.0], noise_variance=2.5)
-        stats = stationary_stats(build_companion(process), 2.5)
-        np.testing.assert_allclose(stats.state_covariance, 2.5 * np.eye(3), atol=1e-12)
+        v, _ = solve_companion_lyapunov(build_companion(process), 2.5)
+        np.testing.assert_allclose(v, 2.5 * np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4], [0.2, -0.3, 0.1]])
     def test_lyapunov_residuals(self, coeffs):
         process = ArProcess(coeffs=coeffs, noise_variance=1.7)
         a = build_companion(process)
-        stats = stationary_stats(a, 1.7)
+        v, g = solve_companion_lyapunov(a, 1.7)
         e1 = np.eye(a.shape[0])[0]
-        v = stats.state_covariance
-        g = stats.gramian
         v_res = np.linalg.norm(v - a @ v @ a.T - 1.7 * np.outer(e1, e1))
         g_res = np.linalg.norm(g - a @ g @ a.T - np.eye(a.shape[0]))
         assert v_res <= 1e-10 * np.linalg.norm(v)
@@ -147,10 +148,14 @@ class TestStationaryStats:
     def test_gramian_dominates_identity(self, coeffs):
         process = ArProcess(coeffs=coeffs)
         stats = stationary_stats(build_companion(process), 1.0)
-        assert np.linalg.eigvalsh(stats.gramian)[0] >= 1.0 - 1e-10
+        assert np.linalg.eigvalsh(stats.gramian_block)[0] >= 1.0 - 1e-10
 
-    def test_output_variance_is_corner_entry(self, ar2_stats):
-        assert ar2_stats.output_variance == ar2_stats.state_covariance[0, 0]
+    def test_output_variance_is_corner_entry(self, ar2, ar2_stats):
+        # The statistics are the leading blocks of the one solve, bit for bit.
+        v, g = solve_companion_lyapunov(build_companion(ar2), ar2.noise_variance)
+        assert ar2_stats.output_variance == v[0, 0]
+        np.testing.assert_array_equal(ar2_stats.state_covariance_block, v[:2, :2])
+        np.testing.assert_array_equal(ar2_stats.gramian_block, g[:2, :2])
 
     def test_clustered_pole_process_solves(self):
         # Poles of modulus 0.95, 0.90, 0.89, 0.82 at nearly the same angle: a
@@ -158,10 +163,9 @@ class TestStationaryStats:
         # misses its residual tolerance (5e-8).
         process = ArProcess(coeffs=CLUSTERED_POLES_AR8)
         a = build_companion(process)
-        stats = stationary_stats(a, 1.0)
+        v, g = solve_companion_lyapunov(a, 1.0)
         e1 = np.eye(a.shape[0])[0]
-        for x, q in ((stats.state_covariance, np.outer(e1, e1)),
-                     (stats.gramian, np.eye(a.shape[0]))):
+        for x, q in ((v, np.outer(e1, e1)), (g, np.eye(a.shape[0]))):
             assert np.linalg.norm(x - a @ x @ a.T - q) <= 1e-13 * np.linalg.norm(x)
             # The series sums positive terms and is within 6e-12 of a 40-digit
             # solve here.  A direct Kronecker solve is backward stable only,
@@ -220,9 +224,19 @@ class TestCompanionSolve:
         with pytest.raises(ValueError, match="square"):
             stationary_stats(np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_noise_variance_named(self, ar2, sigma2):
+        with pytest.raises(ValueError, match="noise_variance"):
+            stationary_stats(build_companion(ar2), sigma2)
+
+    def test_order_above_max_rejected(self):
+        # The zero-coefficient companion of order MAX_ORDER + 1.
+        with pytest.raises(ValueError, match="maximum order"):
+            stationary_stats(np.eye(MAX_ORDER + 2, k=-1), 1.0)
+
     def test_unstable_companion_raises_stability_error(self):
         # build_companion takes only stable processes, so a hand-built
-        # companion; the peak gain's stability check runs before the solve.
+        # companion; the ArProcess it is read into rejects it before the solve.
         with pytest.raises(StabilityError):
             stationary_stats(np.array([[1.5, 0.0], [1.0, 0.0]]), 1.0)
 
@@ -270,7 +284,7 @@ class TestToeplitzCovariance:
         sigma2 = 1.3
         process = ArProcess(coeffs=coeffs, noise_variance=sigma2)
         cov = toeplitz_covariance(process, dim)
-        peak = sigma2 * peak_transfer_gain(coeffs)
+        peak = sigma2 * peak_transfer_gain(process)
         eigs = np.linalg.eigvalsh(cov)
         assert eigs[-1] <= peak * (1.0 + 1e-10)
         assert eigs[0] >= -1e-10 * eigs[-1]
@@ -295,11 +309,13 @@ def deterministic_layer(coeffs) -> dict:
     """Every deterministic input to a certificate, plus delta and log delta at
     half the feasibility ceiling and N = 5000."""
     process = ArProcess(coeffs=coeffs, noise_variance=1.7)
-    stats = stationary_stats(build_companion(process), process.noise_variance)
+    a = build_companion(process)
+    stats = stationary_stats(a, process.noise_variance)
+    state_covariance, gramian = solve_companion_lyapunov(a, process.noise_variance)
     epsilon = 0.5 * max_feasible_epsilon(process, stats)
     cert = covariance_certificate(BoundInputs(process=process, stats=stats, epsilon=epsilon,
                                               horizon=5000))
-    return {"state_covariance": stats.state_covariance, "gramian": stats.gramian,
+    return {"state_covariance": state_covariance, "gramian": gramian,
             "peak_gain": stats.peak_gain,
             "roots": np.sort_complex(characteristic_roots(coeffs)),
             "delta": cert.delta, "log_delta": cert.log_delta}
