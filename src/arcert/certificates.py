@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleCertificateError
-from .process import ArProcess
+from .process import ArProcess, _integer
 from .stationary import StationaryStatistics
 
 #: Threshold on cond(G_blk) mu_max / (mu_min - eps s2), over the whitened
@@ -41,14 +41,6 @@ CONDITION_WARN_LIMIT = 1e12
 #: smallest whitened eigenvalue (exact algebraic multiplicity is numerically
 #: undecidable).
 EIGENVALUE_CLUSTER_RTOL = 1e-8
-
-
-def _integer(value, field: str, error: type[Exception] = ValueError) -> int:
-    """``value`` as an int; ``error`` naming ``field`` unless it is a Python or
-    numpy integer, so a bool or a float such as 5000.7 is never truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{field}: must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_same_process(process: ArProcess, stats: StationaryStatistics) -> None:

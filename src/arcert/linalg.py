@@ -23,11 +23,12 @@ def _require_square(m: np.ndarray, name: str) -> None:
 
 
 def _check_residual(a: np.ndarray, x: np.ndarray, q: np.ndarray) -> None:
-    """Raise ConvergenceError when ||X - A X A^T - Q|| exceeds ``LYAPUNOV_TOL``
-    relative to the larger of ||X|| and ||Q||."""
+    """Raise ConvergenceError unless ||X - A X A^T - Q|| is within
+    ``LYAPUNOV_TOL`` relative to the larger of ||X|| and ||Q||; a NaN
+    residual fails too."""
     scale = max(np.linalg.norm(x), np.linalg.norm(q), 1e-300)
     residual = np.linalg.norm(x - a @ x @ a.T - q) / scale
-    if residual > LYAPUNOV_TOL:
+    if not residual <= LYAPUNOV_TOL:
         raise ConvergenceError(
             f"Lyapunov residual {residual:.3e} above tolerance {LYAPUNOV_TOL:.1e}")
 

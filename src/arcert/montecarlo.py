@@ -45,7 +45,6 @@ from .certificates import (
     BoundInputs,
     CovarianceCertificate,
     DeviationCertificate,
-    _integer,
     _lower_gap,
     _unit_direction,
     covariance_certificate,
@@ -55,6 +54,7 @@ from .errors import ConfigError, NumericalFailureError
 from .linalg import PSD_ORDER_RTOL
 from .process import (
     ArProcess,
+    _integer,
     build_companion,
     simulate_batch,  # noqa: F401  (the benchmark's span tracer wraps it in this namespace)
     simulate_chunks,
@@ -76,7 +76,7 @@ MAX_TRIALS = 10 ** 7
 
 #: Most worker threads a campaign accepts.  The pool starts a thread per
 #: batch while none is idle, and each running batch holds its chunk buffers
-#: (about 6 MB at BATCH x CHUNK), so this caps them near 0.4 GB.
+#: (about 4.3 MB at BATCH x CHUNK), so this caps them near 0.3 GB.
 MAX_THREADS = 64
 
 
@@ -225,7 +225,6 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     gram = np.zeros((batch, n + 1, n + 1))
     head = np.empty((batch, n + 1))
     tail = np.empty((batch, n + 1))
-    finite = np.ones(batch, dtype=bool)
 
     seeds = [substream(config.master_seed, i) for i in range(start, stop)]
     for lo, window, noise in simulate_chunks(process, horizon, seeds):
@@ -233,7 +232,6 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
         # p is e[lo + n + p], one column per trial.  Every z_f with
         # lo + n <= f < hi lies whole in this chunk, one row per entry.
         hi = lo + window.shape[0]
-        finite &= np.isfinite(window[n:]).all(axis=0)
         reg_lo = max(2 * n, lo + n) - lo
         z = [window[reg_lo - 1 - k : hi - lo - 1 - k] for k in range(n)]
         z.append(noise[reg_lo - n :])
@@ -244,6 +242,11 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
             if lo + n <= f < hi:
                 end[:, :n] = window[f - lo - n : f - lo][::-1].T
                 end[:, n] = noise[f - lo - n]
+    # Every path value and innovation that a statistic reads enters the Gram
+    # diagonal or an end vector, so one that is not finite leaves them not
+    # finite; y_N, the one sample they leave out, enters no statistic.
+    finite = (np.isfinite(gram.diagonal(axis1=1, axis2=2)).all(axis=1)
+              & np.isfinite(head).all(axis=1) & np.isfinite(tail).all(axis=1))
     upper_tri = np.triu_indices(n + 1, 1)
     gram[:, upper_tri[1], upper_tri[0]] = gram[:, upper_tri[0], upper_tri[1]]
     normal = gram[:, :n, :n]

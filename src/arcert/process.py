@@ -30,14 +30,22 @@ MAX_ORDER = 32
 #: Time steps simulated per chunk by :func:`simulate_chunks`.  A fixed
 #: constant, not a setting: chunk boundaries fix the order in which campaign
 #: statistics are summed, so reports stay independent of batch size and
-#: thread count.  At 1024 steps a 256-trial batch's draw, noise and window
-#: buffers take 2 MB each.  A 256-trial AR(1) campaign at N = 1e5 (one
+#: thread count.  At 1024 steps a 256-trial batch's noise and window buffers
+#: take 2 MB each, and its block of draws (_DRAW_BLOCK trials) 256 KB.  A 256-trial AR(1) campaign at N = 1e5 (one
 #: thread, 2-core x86-64 VM, median of 12 interleaved rounds) ran at
 #: 264 / 272 / 274 / 279 / 263 trials/s for 256 / 512 / 1024 / 2048 / 4096
 #: steps in a slow phase of the shared VM, and at 572 / 590 / 604 / 617 / 621
 #: in a fast one: 1024 is within 3% of the best in both, with a quarter of
 #: the buffer memory of 4096.
 CHUNK = 1024
+
+#: Trials whose draws :func:`simulate_chunks` holds at once.  Their rows
+#: are transposed into the time-major noise buffer while still in cache:
+#: that many sequential input rows stay within the prefetchers' reach (on a
+#: 2-core x86-64 VM one strided pass over 256 trials x 4096 steps ran 2.5x
+#: slower), and at CHUNK steps the block takes 256 KB.  Each entry is drawn
+#: and multiplied once either way, so the bits do not depend on the block.
+_DRAW_BLOCK = 32
 
 #: Samples per block of text written by :meth:`Trajectory.to_csv`, which
 #: holds one block's text (about 80 KB) at a time.  Not tied to CHUNK: a
@@ -48,6 +56,14 @@ CHUNK = 1024
 _CSV_BLOCK = 4096
 
 SeedLike = Union[int, np.random.SeedSequence]
+
+
+def _integer(value, field: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int; ``error`` naming ``field`` unless it is a Python or
+    numpy integer, so a bool or a float such as 5000.7 is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{field}: must be an integer, got {value!r}")
+    return int(value)
 
 
 def _companion(coeffs: np.ndarray) -> np.ndarray:
@@ -142,7 +158,7 @@ class Trajectory:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float).view()
         noise = np.asarray(self.noise, dtype=float).view()
-        n, horizon = int(self.order), int(self.horizon)
+        n, horizon = _integer(self.order, "order"), _integer(self.horizon, "horizon")
         if n < 1 or horizon <= n:
             raise ValueError("require order >= 1 and horizon > order")
         if samples.shape != (horizon + n,):
@@ -234,24 +250,42 @@ def ar_recursion(coeffs, pre_samples, noise, out=None) -> np.ndarray:
         out[:, 0] = path
         return out
 
-    # Row n + t of out is written from e_{t+1} and the first lag term, then
-    # accumulates the other lag terms in place.  The coefficients are full
-    # rows, so no product pays for converting a Python float, and one
-    # scratch row holds each product: no step allocates.  Local ufunc names,
-    # positional outputs and the (k, c_k) pairs built once take 0.93 us per
-    # AR(1) step of 256 trials, against 1.4 us with float coefficients and
-    # keyword outputs (2-core x86-64 VM).
-    rows = list(out)
-    c_first, *c_rest = np.repeat(c[:, None], e.shape[1], axis=1)
-    lags = list(enumerate(c_rest, start=2))
-    tmp = np.empty(e.shape[1])
-    mul, add = np.multiply, np.add
-    for t, e_row in enumerate(e, start=n):
-        row = rows[t]
-        add(e_row, mul(rows[t - 1], c_first, tmp), row)
-        for k, c_row in lags:
-            add(row, mul(rows[t - k], c_row, tmp), row)
+    _step_plan(c, out, e)(e.shape[0])
     return out
+
+
+def _step_plan(coeffs: np.ndarray, out: np.ndarray, noise: np.ndarray):
+    """The batched recursion over ``out`` and ``noise`` with every view it
+    reads built once: returns ``run(width)``, which writes rows n, ...,
+    n + width - 1 of ``out``.
+
+    Step s writes row n + s from innovation row s and the first lag term,
+    then adds the other lag terms in increasing k, in place.  A step holds
+    its row, its innovation row, its first lag row and one tuple of its
+    other lag rows; the row views are shared, so the plan grows like n per
+    step.  The coefficients are full rows, so no product converts a Python
+    float, and one scratch row holds each product.  The plan holds views,
+    so it stays valid while the buffers are refilled in place.  Run 98
+    times over 1024 steps of 256 trials, an AR(1) step took 1.67 us and an
+    AR(6) step 9.4 us, against 2.18 us and 9.6 us when every call rebuilt
+    its views (2-core x86-64 VM, median of 21 interleaved rounds).
+    """
+    rows = list(out)
+    n = len(rows) - len(noise)
+    c_first, *c_rest = np.repeat(coeffs[:, None], noise.shape[1], axis=1)
+    steps = [(rows[t], e_row, rows[t - 1], tuple(rows[t - n : t - 1][::-1]))
+             for t, e_row in enumerate(noise, start=n)]
+    tmp = np.empty(noise.shape[1])
+
+    def run(width: int) -> None:
+        mul, add = np.multiply, np.add
+        for row, e_row, prev, lags in steps[:width]:
+            add(e_row, mul(prev, c_first, tmp), row)
+            if lags:  # an AR(1) step has none; an empty zip costs it a fifth
+                for lag, c_row in zip(lags, c_rest):
+                    add(row, mul(lag, c_row, tmp), row)
+
+    return run
 
 
 def substream(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -300,10 +334,13 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     innovations in time order.  Chunked ``standard_normal`` calls continue
     one stream bit for bit, so the chunks do not change the path.  The draws
     fill one contiguous row per trial (``Generator`` rejects a strided
-    ``out``); one scaled transpose per chunk turns them time-major, and the
-    recursion writes the new samples straight into the window.
+    ``out``), _DRAW_BLOCK trials at a time; one scaled transpose per block
+    turns them time-major, and the recursion writes the new samples straight
+    into the window.  A batch runs the recursion through one step plan over
+    the reused buffers (:func:`_step_plan`), built once per call; one seed
+    runs :func:`ar_recursion`'s plain-float loop.
     """
-    horizon = int(horizon)
+    horizon = _integer(horizon, "horizon")
     if horizon <= process.order:
         raise ValueError("horizon must exceed the process order")
     n = process.order
@@ -311,25 +348,27 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     factor = symmetric_sqrt(state_cov)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     size = min(CHUNK, horizon)
-    drawn = _aligned_empty((len(rngs), size))
+    drawn = _aligned_empty((min(_DRAW_BLOCK, len(rngs)), size))
     noise = _aligned_empty((size, len(rngs)))
     window = _aligned_empty((n + size, len(rngs)))
     for i, rng in enumerate(rngs):
         # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0), drop y_{-n}.
         window[:n, i] = (factor @ rng.standard_normal(n + 1))[n - 1 :: -1]
     scale = np.sqrt(process.noise_variance)
+    blocks = [(b, rngs[b : b + _DRAW_BLOCK]) for b in range(0, len(rngs), _DRAW_BLOCK)]
+    drawn_rows = list(drawn)
+    run = _step_plan(process.coeffs, window, noise) if len(rngs) > 1 else None
     for start in range(0, horizon, CHUNK):
         width = min(CHUNK, horizon - start)
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=drawn[i, :width])
-        # Transposed 32 trials at a time: that many sequential input rows
-        # stay within the prefetchers' reach (on a 2-core x86-64 VM one
-        # strided pass over 256 trials x 4096 steps ran 2.5x slower).  Each
-        # entry is multiplied once either way, so the bits do not depend on
-        # the blocking.
-        for b in range(0, len(rngs), 32):
-            np.multiply(drawn[b : b + 32, :width].T, scale, out=noise[:width, b : b + 32])
-        ar_recursion(process.coeffs, window[:n], noise[:width], out=window[: n + width])
+        for b, block in blocks:
+            for rng, row in zip(block, drawn_rows):
+                rng.standard_normal(out=row[:width])
+            np.multiply(drawn[: len(block), :width].T, scale,
+                        out=noise[:width, b : b + _DRAW_BLOCK])
+        if run is None:
+            ar_recursion(process.coeffs, window[:n], noise[:width], out=window[: n + width])
+        else:
+            run(width)
         yield start, window[: n + width], noise[:width]
         # The last n samples become the next chunk's carried rows.
         window[:n] = window[width : width + n]
@@ -351,7 +390,7 @@ def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
             # already contiguous, so ascontiguousarray would return a view
             # of the reused window.
             pre = window[:n].T.copy()
-            noise = np.empty((len(seeds), int(horizon)))
+            noise = np.empty((len(seeds), horizon))
             observed = np.empty_like(noise)
         for out, part in ((noise, chunk_noise), (observed, window[n:])):
             out[:, start : start + len(part)] = part.T

@@ -62,6 +62,13 @@ class TestLyapunov:
         with pytest.raises(ConvergenceError):
             solve_companion_lyapunov([[0.5, 0.0], [1.0, 0.0]], 1.0)
 
+    def test_nan_solve_surfaces(self, monkeypatch):
+        # A NaN residual compares False with any tolerance, so the check
+        # must reject it rather than pass it.
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: np.full(np.shape(b), np.nan))
+        with pytest.raises(ConvergenceError):
+            solve_companion_lyapunov([[0.5, 0.0], [1.0, 0.0]], 1.0)
+
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.floats(0.1, 0.95), st.floats(0.0, np.pi)), max_size=4),
            st.booleans(), st.floats(0.0, 0.05), st.integers(0, 8))

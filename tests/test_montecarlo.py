@@ -433,9 +433,10 @@ class TestStreamingKernel:
 
     def test_memory_independent_of_horizon(self, ar1):
         # A materialised 100 x 200 000 path alone would take 160 MB; the
-        # batch's draw, noise and window buffers, allocated once, take
-        # 0.8 MB each.  Chunks of 4096 steps allocated afresh, with the
-        # noise copied into each window, peak at 16 MiB and fail the bound.
+        # batch's noise and window buffers, allocated once, take 0.8 MB
+        # each, and its block of 32 trials' draws 0.25 MB.  Chunks of 4096
+        # steps allocated afresh, with the noise copied into each window,
+        # peak at 16 MiB and fail the bound.
         config = CampaignConfig(process=ar1, horizon=200_000, epsilon=0.5, trials=100,
                                 master_seed=5, directions=(("e1", np.array([1.0])),))
         tracemalloc.start()
@@ -464,6 +465,24 @@ class TestStreamingKernel:
         report = run_campaign(half_ceiling_config(AR3, 300))
         assert report.trial_errors == 2
         assert report.event("sandwich").evaluated == 98
+
+    @pytest.mark.parametrize("buffer", ["window", "noise"])
+    def test_one_interior_nan_is_one_error(self, monkeypatch, buffer):
+        # One NaN sample or innovation in the middle of one trial's second
+        # chunk, away from the carried rows, so the recursion never spreads
+        # it: the batch has no per-chunk finiteness scan, and the statistics
+        # it enters must still mark exactly that trial.
+        def spoiled(*args):
+            for lo, window, noise in process_module.simulate_chunks(*args):
+                if lo == process_module.CHUNK:
+                    {"window": window, "noise": noise}[buffer][500, 7] = np.nan
+                yield lo, window, noise
+
+        monkeypatch.setattr(montecarlo_module, "simulate_chunks", spoiled)
+        monkeypatch.setattr(montecarlo_module, "MAX_ERROR_FRACTION", 1.0)
+        report = run_campaign(half_ceiling_config(AR3, 2 * process_module.CHUNK + 37))
+        assert report.trial_errors == 1
+        assert report.event("sandwich").evaluated == 99
 
     def test_too_many_errors_is_a_numerical_failure(self, monkeypatch, small_config):
         monkeypatch.setattr(montecarlo_module, "MAX_ERROR_FRACTION", -1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import arcert.process as process_module
 from arcert import (
     ArProcess,
+    ConvergenceError,
     StabilityError,
     Trajectory,
     ar_recursion,
@@ -28,6 +30,9 @@ CSV_BLOCK = process_module._CSV_BLOCK
 #: and later ones whose carried rows have been moved up several times.
 CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
                4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 3]
+
+#: Seed counts around the edges of the 32-trial draw blocks.
+DRAW_BLOCK_EDGES = [31, 32, 33, 65]
 
 #: Stable high-order processes (l1 norm of the coefficients below 1).
 AR6_COEFFS = [0.3, -0.2, 0.15, 0.1, -0.1, 0.05]
@@ -315,6 +320,74 @@ class TestSimulation:
             assert window.ctypes.data % 64 == 0
             assert noise.ctypes.data % 64 == 0
 
+    @pytest.mark.parametrize("trials", DRAW_BLOCK_EDGES)
+    @pytest.mark.parametrize("total", CHUNK_EDGES)
+    def test_draw_block_edges_match_whole_horizon(self, total, trials):
+        # The draws are filled and transposed one block of 32 trials at a
+        # time; a partial last block must fill and move only its own rows.
+        process = ArProcess(coeffs=[0.3, 0.4], noise_variance=1.7)
+        horizon = total - process.order
+        seeds = [substream(9, i) for i in range(trials)]
+        pre, noise, y = simulate_batch(process, horizon, seeds)
+        for i, seed in enumerate(seeds):
+            assert_matches_whole_horizon(process, horizon, seed, pre[i], noise[i], y[i])
+
+    def test_chunk_bytes_pinned(self):
+        # Every chunk's window and noise bytes, for one seed (the plain-float
+        # loop) and 33 (the step plan, with a partial draw block), over three
+        # chunks whose last is ragged.  Recorded when the draws filled the
+        # whole batch at once and the recursion rebuilt its views on every
+        # chunk: the blocked draws and the step plan keep every bit.
+        digest = hashlib.sha256()
+        for coeffs in ([0.5], [0.3, 0.4], AR6_COEFFS):
+            process = ArProcess(coeffs=coeffs, noise_variance=1.7)
+            for trials in (1, 33):
+                seeds = [substream(12, i) for i in range(trials)]
+                for _, window, noise in process_module.simulate_chunks(
+                        process, 2 * CHUNK + 7, seeds):
+                    digest.update(window.tobytes())
+                    digest.update(noise.tobytes())
+        assert digest.hexdigest() == (
+            "de9792ec2f26e8e2f35409e243bdd2a9a8b3197d85981e7232f6a5490b4bff31")
+
+    @pytest.mark.parametrize("order", [1, 6, MAX_ORDER])
+    def test_batch_chunk_memory(self, order):
+        # At 256 trials the window and noise buffers take 2 MiB each and the
+        # block of 32 trials' draws 0.25 MiB; the step plan's views and lag
+        # tuples add under 0.4 MiB at MAX_ORDER.  Draws held for the whole
+        # batch (2 MiB), or a plan holding a (coefficient, lag) pair per lag
+        # and step, break the bound.
+        process = ArProcess(coeffs=np.full(order, 0.01))
+        seeds = [substream(4, i) for i in range(256)]
+        tracemalloc.start()
+        try:
+            for _ in process_module.simulate_chunks(process, 2 * CHUNK + 7, seeds):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 2 ** 20
+
+    @pytest.mark.parametrize("horizon", [100.7, True, "100"])
+    def test_horizon_must_be_an_integer(self, ar1, horizon):
+        # int() would turn 100.7 into 100 without a word.
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_stationary(ar1, horizon, 3)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_batch(ar1, horizon, [3, 4])
+
+    def test_numpy_integer_horizon_accepted(self, ar1):
+        traj = simulate_stationary(ar1, np.int64(100), 3)
+        assert traj.horizon == 100 and type(traj.horizon) is int
+        np.testing.assert_array_equal(traj.samples, simulate_stationary(ar1, 100, 3).samples)
+
+    def test_unsolvable_stationary_law_surfaces(self, ar1, monkeypatch):
+        # The simulator solves for the stationary covariance itself; a solve
+        # that returns NaN must stop it rather than seed NaN paths.
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: np.full(np.shape(b), np.nan))
+        with pytest.raises(ConvergenceError):
+            next(process_module.simulate_chunks(ar1, 100, [1, 2]))
+
     def test_single_path_memory(self, ar2):
         # The float data is 16 B per sample (path and noise); joining the
         # pre-samples to the observed row adds 8 more.  Holding the chunks,
@@ -366,6 +439,15 @@ class TestTrajectoryAccessors:
             traj.noise[0] = 9.0
         # The caller's own arrays stay writable.
         samples[0] = 9.0
+
+    @pytest.mark.parametrize("field, value", [("order", 1.0), ("horizon", 3.5),
+                                              ("horizon", True)])
+    def test_integer_fields_not_truncated(self, field, value):
+        fields = dict(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3), order=1, horizon=3,
+                      seed=0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            Trajectory(**fields)
 
     def test_lag_window_order_two(self):
         traj = Trajectory(samples=[1.0, 2.0, 3.0, 4.0, 5.0], noise=np.zeros(3),
