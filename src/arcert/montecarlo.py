@@ -185,12 +185,6 @@ class CoverageReport:
     deviation_chain_violations: dict[str, int]
     trial_errors: int
 
-    def event(self, name: str) -> EventCoverage:
-        for row in self.events:
-            if row.event == name:
-                return row
-        raise KeyError(name)
-
 
 def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCertificate,
                deviations: list[tuple[str, np.ndarray, DeviationCertificate]],

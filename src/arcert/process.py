@@ -4,6 +4,9 @@ The simulation contract is deterministic: a trajectory is a pure function of
 (process, horizon, seed).  Parallel Monte Carlo derives one RNG substream per
 trial through :func:`substream`, so campaigns reproduce bit-for-bit regardless
 of batch size or thread count.
+
+:func:`simulate_chunks` is the one simulator; its recursion runs
+:func:`ar_recursion` for one seed and :func:`_step_plan` for a batch.
 """
 
 from __future__ import annotations
@@ -143,8 +146,9 @@ class Trajectory:
     """A simulated sample path (y_{1-n}, ..., y_N) plus the realised innovations.
 
     ``samples`` has length N + n: the n pre-samples (y_{1-n}, ..., y_0) drawn
-    from the stationary law, then the N recursion outputs.  ``noise`` holds
-    the true innovations (e_1, ..., e_N), which residuals of a fit would only
+    from the stationary law, then the N recursion outputs, so the observed
+    path (y_1, ..., y_N) is ``samples[order:]``.  ``noise`` holds the true
+    innovations (e_1, ..., e_N), which residuals of a fit would only
     estimate.  Both are kept as read-only views of the arrays handed in, not
     copies.
     """
@@ -153,7 +157,6 @@ class Trajectory:
     noise: np.ndarray
     order: int
     horizon: int
-    seed: SeedLike
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float).view()
@@ -174,16 +177,6 @@ class Trajectory:
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "horizon", horizon)
 
-    @property
-    def pre_samples(self) -> np.ndarray:
-        """(y_{1-n}, ..., y_0) in time order."""
-        return self.samples[: self.order]
-
-    @property
-    def observed(self) -> np.ndarray:
-        """(y_1, ..., y_N)."""
-        return self.samples[self.order :]
-
     def to_csv(self, path) -> None:
         """Write the sample path as a single-column CSV with a one-line header.
 
@@ -198,59 +191,45 @@ class Trajectory:
 
 
 def ar_recursion(coeffs, pre_samples, noise, out=None) -> np.ndarray:
-    """Run the AR recursion y_t = sum_k c_k y_{t-k} + e_t and return the whole
-    path (y_{1-n}, ..., y_N).
+    """Run the AR recursion y_t = sum_k c_k y_{t-k} + e_t over one trajectory
+    and return the whole path (y_{1-n}, ..., y_N).
 
-    Time is the leading axis and column b is the trajectory of trial b:
-    ``pre_samples`` holds (y_{1-n}, ..., y_0), shape (n, B); ``noise`` holds
-    (e_1, ..., e_N), shape (N, B); the result has shape (n + N, B) and starts
-    with a copy of ``pre_samples``.  It is written into ``out`` when one is
-    given (``pre_samples`` may be a view of its first n rows) and into a new
-    array otherwise.  Every step adds the innovation and the first lag term,
-    then the other lag terms in increasing k, so a column comes out bit for
-    bit the same whatever B is.
+    ``pre_samples`` holds (y_{1-n}, ..., y_0), shape (n,); ``noise`` holds
+    (e_1, ..., e_N), shape (N,).  The result, shape (n + N,), starts with a
+    copy of ``pre_samples`` and is written into ``out`` when one is given
+    (``pre_samples`` may be a view of its first n entries).  A step adds the
+    innovation, then the lag terms in increasing k, in plain floats: the
+    order of :func:`_step_plan`, so a batch's columns match it bit for bit.
+    Lag k is read through a list iterator trailing the growing path by k
+    entries (it sees items appended after it was made), so a step indexes
+    nothing.  At N = 1e6 this takes 0.33 s for an AR(2) and 0.63 s for an
+    AR(6), against 0.59 s and 0.87 s when indexing path[-1 - k] (2-core
+    x86-64 VM, median of 7 interleaved rounds).
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     pre = np.asarray(pre_samples, dtype=float)
     e = np.asarray(noise, dtype=float)
     n = c.size
-    if pre.ndim != 2 or e.ndim != 2:
-        raise ValueError("pre_samples and noise must be time-major (time, batch) arrays")
-    if pre.shape[0] != n:
-        raise ValueError(f"pre_samples leading axis must have length {n}")
-    if pre.shape[1] != e.shape[1]:
-        raise ValueError("pre_samples and noise must have the same trailing (batch) shape")
-    shape = (n + e.shape[0], e.shape[1])
+    if pre.shape != (n,) or e.ndim != 1:
+        raise ValueError(f"pre_samples must have shape ({n},) and noise must be 1-D")
+    shape = (n + e.size,)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out must have shape {shape}")
-    out[:n] = pre
-
-    if e.shape[1] == 1:
-        # One trajectory, in plain floats.  Lag k is read through a list
-        # iterator that trails the end of the growing path by k entries (a
-        # list iterator sees items appended after it was made, and these
-        # never reach the end), so a step indexes nothing.  At N = 1e6 this
-        # takes 0.33 s for an AR(2) and 0.63 s for an AR(6), against 0.59 s
-        # and 0.87 s when indexing path[-1 - k] (2-core x86-64 VM, median
-        # of 7 interleaved rounds); one-element rows would be ~10x slower.
-        path = pre[:, 0].tolist()
-        lags = []
-        for k, c_k in enumerate(c.tolist(), start=1):
-            lag = iter(path)
-            for _ in range(n - k):
-                next(lag)
-            lags.append((c_k, lag))
-        append = path.append
-        for acc in e[:, 0].tolist():
-            for c_k, lag in lags:
-                acc += c_k * next(lag)
-            append(acc)
-        out[:, 0] = path
-        return out
-
-    _step_plan(c, out, e)(e.shape[0])
+    path = pre.tolist()
+    lags = []
+    for k, c_k in enumerate(c.tolist(), start=1):
+        lag = iter(path)
+        for _ in range(n - k):
+            next(lag)
+        lags.append((c_k, lag))
+    append = path.append
+    for acc in e.tolist():
+        for c_k, lag in lags:
+            acc += c_k * next(lag)
+        append(acc)
+    out[:] = path
     return out
 
 
@@ -336,9 +315,9 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     fill one contiguous row per trial (``Generator`` rejects a strided
     ``out``), _DRAW_BLOCK trials at a time; one scaled transpose per block
     turns them time-major, and the recursion writes the new samples straight
-    into the window.  A batch runs the recursion through one step plan over
-    the reused buffers (:func:`_step_plan`), built once per call; one seed
-    runs :func:`ar_recursion`'s plain-float loop.
+    into the window: :func:`ar_recursion` for exactly one seed, otherwise
+    (no seeds included) one step plan over the reused buffers, built once
+    per call (:func:`_step_plan`).
     """
     horizon = _integer(horizon, "horizon")
     if horizon <= process.order:
@@ -357,7 +336,7 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     scale = np.sqrt(process.noise_variance)
     blocks = [(b, rngs[b : b + _DRAW_BLOCK]) for b in range(0, len(rngs), _DRAW_BLOCK)]
     drawn_rows = list(drawn)
-    run = _step_plan(process.coeffs, window, noise) if len(rngs) > 1 else None
+    run = _step_plan(process.coeffs, window, noise) if len(rngs) != 1 else None
     for start in range(0, horizon, CHUNK):
         width = min(CHUNK, horizon - start)
         for b, block in blocks:
@@ -366,7 +345,8 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
             np.multiply(drawn[: len(block), :width].T, scale,
                         out=noise[:width, b : b + _DRAW_BLOCK])
         if run is None:
-            ar_recursion(process.coeffs, window[:n], noise[:width], out=window[: n + width])
+            ar_recursion(process.coeffs, window[:n, 0], noise[:width, 0],
+                         out=window[: n + width, 0])
         else:
             run(width)
         yield start, window[: n + width], noise[:width]
@@ -399,8 +379,8 @@ def simulate_batch(process: ArProcess, horizon: int, seeds: list[SeedLike],
 
 def simulate_stationary(process: ArProcess, horizon: int, seed: SeedLike) -> Trajectory:
     """Simulate an exactly stationary trajectory of length horizon: the
-    one-seed case of :func:`simulate_batch`.  Deterministic given (process,
-    horizon, seed)."""
+    one-seed case of :func:`simulate_batch`, run by :func:`ar_recursion`.
+    Deterministic given (process, horizon, seed)."""
     pre, noise, observed = simulate_batch(process, horizon, [seed])
     return Trajectory(samples=np.concatenate([pre[0], observed[0]]), noise=noise[0],
-                      order=process.order, horizon=horizon, seed=seed)
+                      order=process.order, horizon=horizon)

@@ -39,7 +39,7 @@ from arcert import (
     max_feasible_epsilon,
 )
 from arcert.linalg import PSD_ORDER_RTOL, solve_companion_lyapunov, symmetric_sqrt
-from arcert.montecarlo import EventCoverage, _frequency_row, event_threshold
+from arcert.montecarlo import CoverageReport, EventCoverage, _frequency_row, event_threshold
 from arcert.process import SeedLike
 
 # --- simulation -------------------------------------------------------------
@@ -68,8 +68,7 @@ def simulate_whole_horizon(process: ArProcess, horizon: int, seed: SeedLike) -> 
         for k in range(n):
             acc += coeffs[k] * path[-1 - k]
         path.append(acc)
-    return Trajectory(samples=np.asarray(path), noise=noise, order=n, horizon=horizon,
-                      seed=seed)
+    return Trajectory(samples=np.asarray(path), noise=noise, order=n, horizon=horizon)
 
 
 # --- stationary second-order structure -------------------------------------
@@ -221,7 +220,7 @@ def lag_window(traj: Trajectory, t: int) -> np.ndarray:
 
 def build_regressors(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """(design, target): rows Y_t^T = [y_t ... y_{t-n+1}] and targets y_{t+1}."""
-    obs = traj.observed
+    obs = traj.samples[traj.order :]
     windows = np.lib.stride_tricks.sliding_window_view(obs[: traj.horizon - 1], traj.order)
     return np.ascontiguousarray(windows[:, ::-1]), obs[traj.order:].copy()
 
@@ -357,6 +356,11 @@ def assert_implications(held: dict[str, bool | None]) -> None:
         assert all(ok is not False for event, ok in held.items()
                    if event.startswith("deviation:")), \
             "sandwich and self-normalized held but a deviation exceeded its radius"
+
+
+def report_row(report: CoverageReport, name: str) -> EventCoverage:
+    """The coverage row of ``report`` for the event named ``name``."""
+    return {row.event: row for row in report.events}[name]
 
 
 # --- chi-square tail thresholds and their falsification ----------------------

@@ -81,6 +81,18 @@ def test_simulate_batch_reexported_by_montecarlo():
     assert arcert.montecarlo.simulate_batch is arcert.process.simulate_batch
 
 
+def test_simulate_stationary_runs_ar_recursion(monkeypatch):
+    # The tracer's process.ar_recursion span times simulate's recursion on
+    # oneshot-cli; a one-seed loop that bypassed the module attribute would
+    # leave the span reading 0.
+    calls = []
+    recursion = arcert.process.ar_recursion
+    monkeypatch.setattr(arcert.process, "ar_recursion",
+                        lambda *args, **kwargs: calls.append(1) or recursion(*args, **kwargs))
+    arcert.process.simulate_stationary(ArProcess(coeffs=[0.3, 0.4]), 50, 1)
+    assert calls
+
+
 @pytest.mark.parametrize("span", PER_LAYER_SPANS)
 def test_per_layer_span_is_public_function(span):
     module_name, name = span.split(".")

@@ -7,9 +7,8 @@ from reference import build_regressors, lag_window, ols_fit
 
 def noise_free_trajectory(coeffs, pre, horizon):
     noise = np.zeros(horizon)
-    path = ar_recursion(coeffs, np.reshape(pre, (-1, 1)), noise[:, None])
-    return Trajectory(samples=path[:, 0], noise=noise,
-                      order=len(coeffs), horizon=horizon, seed=0)
+    return Trajectory(samples=ar_recursion(coeffs, pre, noise), noise=noise,
+                      order=len(coeffs), horizon=horizon)
 
 
 class TestBuildRegressors:
@@ -17,7 +16,7 @@ class TestBuildRegressors:
         # samples = (y_0, y_1, y_2, y_3) = (1, 2, 3, 4) with order 1, N = 3:
         # regressor rows are (y_1, y_2) = (2, 3), targets (y_2, y_3) = (3, 4).
         traj = Trajectory(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3),
-                          order=1, horizon=3, seed=0)
+                          order=1, horizon=3)
         design, target = build_regressors(traj)
         np.testing.assert_array_equal(design, [[2.0], [3.0]])
         np.testing.assert_array_equal(target, [3.0, 4.0])
@@ -25,7 +24,7 @@ class TestBuildRegressors:
     def test_hand_enumerated_order_two(self):
         # samples = (y_-1, y_0, y_1, ..., y_4); first row is Y_2 = (y_2, y_1).
         traj = Trajectory(samples=np.arange(1.0, 8.0), noise=np.zeros(5),
-                          order=2, horizon=5, seed=0)
+                          order=2, horizon=5)
         design, target = build_regressors(traj)
         np.testing.assert_array_equal(design, [[4.0, 3.0], [5.0, 4.0], [6.0, 5.0]])
         np.testing.assert_array_equal(target, [5.0, 6.0, 7.0])

@@ -36,6 +36,7 @@ from reference import (
     evaluate_trial,
     event_noise_window,
     lag_window,
+    report_row,
 )
 
 
@@ -50,7 +51,7 @@ def ar1_setup(ar1, ar1_stats):
 
 def zero_trajectory(order, horizon):
     return Trajectory(samples=np.zeros(horizon + order), noise=np.zeros(horizon),
-                      order=order, horizon=horizon, seed=0)
+                      order=order, horizon=horizon)
 
 
 class TestEventCheckers:
@@ -227,7 +228,7 @@ class TestCampaignConfigValidation:
         with pytest.raises(ConfigError):
             run_campaign(CampaignConfig(**base))
         report = run_campaign(CampaignConfig(**base, allow_vacuous=True))
-        assert report.event("sandwich").verdict == "vacuous"
+        assert report_row(report, "sandwich").verdict == "vacuous"
 
 
 def reference_failures(config: CampaignConfig) -> dict:
@@ -304,7 +305,7 @@ class TestCampaign:
         monkeypatch.setattr(montecarlo_module, "covariance_certificate", lambda inputs: exact(
             dataclasses.replace(inputs, epsilon=inputs.epsilon * 1e-3)))
         report = run_campaign(dataclasses.replace(small_config, allow_vacuous=True))
-        assert [report.event(name).failures
+        assert [report_row(report, name).failures
                 for name in ("boundary", "noise_energy", "cross_term", "sandwich")] \
             == [0, 0, 0, 99]
         assert report.sandwich_chain_violations == 99
@@ -324,8 +325,8 @@ class TestCampaign:
         monkeypatch.setattr(montecarlo_module, "deviation_radius",
                             lambda *args: spoil(exact(*args)))
         report = run_campaign(dataclasses.replace(small_config, horizon=5000))
-        assert report.event("sandwich").failures == 0
-        assert report.event("self_normalized").failures == 1
+        assert report_row(report, "sandwich").failures == 0
+        assert report_row(report, "self_normalized").failures == 1
         assert report.sandwich_chain_violations == 0
         assert report.deviation_chain_violations == {"e1": 99}
 
@@ -354,7 +355,7 @@ class TestCampaign:
         config = CampaignConfig(process=ar1, horizon=5000, epsilon=0.95, trials=200,
                                 master_seed=909, directions=(("e1", np.array([1.0])),))
         report = run_campaign(config)
-        row = report.event("sandwich")
+        row = report_row(report, "sandwich")
         assert row.bound < 0.05
         assert row.failures == 0
         assert 1.0 - row.frequency >= 1.0 - row.bound
@@ -464,7 +465,7 @@ class TestStreamingKernel:
         monkeypatch.setattr(montecarlo_module, "BATCH", 50)
         report = run_campaign(half_ceiling_config(AR3, 300))
         assert report.trial_errors == 2
-        assert report.event("sandwich").evaluated == 98
+        assert report_row(report, "sandwich").evaluated == 98
 
     @pytest.mark.parametrize("buffer", ["window", "noise"])
     def test_one_interior_nan_is_one_error(self, monkeypatch, buffer):
@@ -482,7 +483,7 @@ class TestStreamingKernel:
         monkeypatch.setattr(montecarlo_module, "MAX_ERROR_FRACTION", 1.0)
         report = run_campaign(half_ceiling_config(AR3, 2 * process_module.CHUNK + 37))
         assert report.trial_errors == 1
-        assert report.event("sandwich").evaluated == 99
+        assert report_row(report, "sandwich").evaluated == 99
 
     def test_too_many_errors_is_a_numerical_failure(self, monkeypatch, small_config):
         monkeypatch.setattr(montecarlo_module, "MAX_ERROR_FRACTION", -1.0)

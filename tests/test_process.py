@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arcert.process as process_module
@@ -126,72 +126,43 @@ class TestRecursion:
     def test_noise_free_first_order(self):
         # Zero innovations: y_t = 0.5^t exactly (powers of two are exact floats);
         # the path starts with the pre-sample y_0 = 1.
-        y = ar_recursion([0.5], [[1.0]], np.zeros((6, 1)))
-        np.testing.assert_array_equal(y, 0.5 ** np.arange(0, 7)[:, None])
+        y = ar_recursion([0.5], [1.0], np.zeros(6))
+        np.testing.assert_array_equal(y, 0.5 ** np.arange(0, 7))
 
     def test_noise_free_second_order_hand_rolled(self):
-        y = ar_recursion([0.3, 0.4], [[1.0], [2.0]], np.zeros((3, 1)))
+        y = ar_recursion([0.3, 0.4], [1.0, 2.0], np.zeros(3))
         # (y_-1, y_0) = (1, 2); y1 = .3*2 + .4*1 = 1.0; y2 = .3*1.0 + .4*2 = 1.1;
         # y3 = .3*1.1 + .4*1.0
-        np.testing.assert_allclose(y[:, 0], [1.0, 2.0, 1.0, 1.1, 0.73], atol=1e-15)
-
-    def test_batch_matches_scalar_bitwise(self):
-        # Time-major batch: column i is trial i; a one-column call takes the
-        # plain-float loop.
-        rng = np.random.default_rng(0)
-        pre = rng.standard_normal((4, 2)).T
-        noise = rng.standard_normal((4, 50)).T
-        batch = ar_recursion([0.3, 0.4], pre, noise)
-        for i in range(4):
-            single = ar_recursion([0.3, 0.4], pre[:, i : i + 1], noise[:, i : i + 1])
-            np.testing.assert_array_equal(batch[:, i : i + 1], single)
+        np.testing.assert_allclose(y, [1.0, 2.0, 1.0, 1.1, 0.73], atol=1e-15)
 
     @settings(max_examples=150)
     @given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 50),
            st.integers(0, 2 ** 31 - 1))
-    def test_batch_columns_match_scalar_bitwise(self, order, batch, horizon, seed):
+    def test_batch_columns_match_scalar_bitwise(self, order, trials, horizon, seed):
+        # A batch runs the step plan and one trial (the last batch of some
+        # campaigns) the plain-float loop; every column must match the
+        # one-pass plain-float oracle bit for bit.
+        assume(horizon > order)
         rng = np.random.default_rng(seed)
-        coeffs = rng.uniform(-1.0, 1.0, order) / order
-        pre = rng.standard_normal((order, batch))
-        noise = rng.standard_normal((horizon, batch))
-        out = ar_recursion(coeffs, pre, noise)
-        assert out.shape == (order + horizon, batch)
-        np.testing.assert_array_equal(out[:order], pre)
-        # A one-trial batch (the last batch of some campaigns) takes the
-        # plain-float loop; every column must match it bit for bit.
-        for b in range(batch):
-            single = ar_recursion(coeffs, pre[:, b : b + 1], noise[:, b : b + 1])
-            np.testing.assert_array_equal(out[:, b : b + 1], single)
+        process = ArProcess(coeffs=rng.uniform(-1.0, 1.0, order) / order,
+                            noise_variance=rng.uniform(0.5, 2.0))
+        seeds = [substream(seed, i) for i in range(trials)]
+        pre, noise, y = simulate_batch(process, horizon, seeds)
+        assert y.shape == (trials, horizon)
+        for i, trial_seed in enumerate(seeds):
+            assert_matches_whole_horizon(process, horizon, trial_seed, pre[i], noise[i], y[i])
 
-    def test_batch_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="time-major"):
-            ar_recursion([0.5], [1.0], np.zeros(6))
-        with pytest.raises(ValueError, match="leading axis"):
-            ar_recursion([0.3, 0.4], np.zeros((3, 4)), np.zeros((10, 4)))
-        with pytest.raises(ValueError, match="trailing"):
-            ar_recursion([0.3, 0.4], np.zeros((2, 4)), np.zeros((10, 5)))
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="pre_samples must have shape"):
+            ar_recursion([0.3, 0.4], [1.0, 2.0, 3.0], np.zeros(10))
+        with pytest.raises(ValueError, match="pre_samples must have shape"):
+            ar_recursion([0.5], [[1.0]], np.zeros(6))
+        with pytest.raises(ValueError, match="noise must be 1-D"):
+            ar_recursion([0.5], [1.0], np.zeros((6, 1)))
         with pytest.raises(ValueError, match="out must"):
-            ar_recursion([0.3, 0.4], np.zeros((2, 4)), np.zeros((10, 4)), out=np.empty((10, 4)))
-
-    def test_batch_memory_is_one_buffer(self):
-        # The recursion writes each row of one (n + L) x B buffer from its
-        # innovation row and the first lag product, then adds the other lags
-        # in place; besides the buffer it holds n coefficient rows, one
-        # scratch row and one view object per row, so any second buffer-sized
-        # temporary would fail this bound.
-        order, batch, horizon = 2, 256, 4096
-        rng = np.random.default_rng(1)
-        pre = rng.standard_normal((order, batch))
-        noise = rng.standard_normal((horizon, batch))
-        buffer_bytes = (order + horizon) * batch * 8
-        tracemalloc.start()
-        try:
-            out = ar_recursion([0.3, 0.4], pre, noise)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (order + horizon, batch)
-        assert peak <= 1.5 * buffer_bytes
+            ar_recursion([0.3, 0.4], np.zeros(2), np.zeros(10), out=np.empty(10))
+        with pytest.raises(ValueError, match="out must"):
+            ar_recursion([0.3, 0.4], np.zeros(2), np.zeros(10), out=np.empty((12, 1)))
 
 
 class TestSimulation:
@@ -205,8 +176,6 @@ class TestSimulation:
         traj = simulate_stationary(ar2, 50, 1)
         assert traj.samples.shape == (52,)
         assert traj.noise.shape == (50,)
-        assert traj.pre_samples.shape == (2,)
-        assert traj.observed.shape == (50,)
 
     def test_horizon_must_exceed_order(self, ar2):
         with pytest.raises(ValueError):
@@ -219,7 +188,7 @@ class TestSimulation:
         v, _ = solve_companion_lyapunov(build_companion(ar1), ar1.noise_variance)
         assert v[0, 0] == pytest.approx(closed_form, rel=1e-12)
         traj = simulate_stationary(ar1, 1_000_000, 2024)
-        sample_var = float(np.mean(traj.observed ** 2))
+        sample_var = float(np.mean(traj.samples[traj.order :] ** 2))
         assert sample_var == pytest.approx(closed_form, rel=0.01)
 
     def test_exact_stationarity_across_ensemble(self, ar1):
@@ -238,12 +207,18 @@ class TestSimulation:
 
     def test_single_run_head_tail_agreement(self, ar1):
         traj = simulate_stationary(ar1, 200_000, 99)
-        head = traj.observed[:20_000]
-        tail = traj.observed[-20_000:]
+        y = traj.samples[traj.order :]
+        head, tail = y[:20_000], y[-20_000:]
         # Variance stderr inflated by the lag-correlation factor (1+r^2)/(1-r^2).
         inflation = (1 + 0.25) / (1 - 0.25)
         stderr = (4.0 / 3.0) * np.sqrt(2.0 * inflation / 20_000)
         assert abs(np.var(head) - np.var(tail)) <= 3 * np.sqrt(2.0) * stderr
+
+    def test_empty_seed_list(self, ar2):
+        # No seeds runs the step plan over zero-column buffers; the one-seed
+        # loop would index column 0 of them.
+        pre, noise, y = simulate_batch(ar2, 10, [])
+        assert (pre.shape, noise.shape, y.shape) == ((0, 2), (0, 10), (0, 10))
 
     def test_batch_rows_match_single_runs(self, ar2):
         seeds = [substream(5, i) for i in range(3)]
@@ -262,8 +237,8 @@ class TestSimulation:
             for i, seed in enumerate(seeds):
                 assert_matches_whole_horizon(ar2, 23, seed, pre[i], noise[i], y[i])
             traj = simulate_stationary(ar2, 23, seeds[0])
-            assert_matches_whole_horizon(ar2, 23, seeds[0], traj.pre_samples, traj.noise,
-                                         traj.observed)
+            assert_matches_whole_horizon(ar2, 23, seeds[0], traj.samples[:2], traj.noise,
+                                         traj.samples[2:])
 
     # The AR(6) and AR(8) cases give the one-trajectory loop's lag iterators
     # every offset from 1 to 8 across the chunk edges.
@@ -278,8 +253,9 @@ class TestSimulation:
         for i, seed in enumerate(seeds):
             assert_matches_whole_horizon(process, horizon, seed, pre[i], noise[i], y[i])
         traj = simulate_stationary(process, horizon, seeds[1])
-        assert_matches_whole_horizon(process, horizon, seeds[1], traj.pre_samples, traj.noise,
-                                     traj.observed)
+        n = process.order
+        assert_matches_whole_horizon(process, horizon, seeds[1], traj.samples[:n], traj.noise,
+                                     traj.samples[n:])
 
     @pytest.mark.parametrize("coeffs, trials", [([0.5], 1), ([0.3, 0.4], 3)],
                              ids=["ar1-one-seed", "ar2-three-seeds"])
@@ -355,8 +331,8 @@ class TestSimulation:
         # At 256 trials the window and noise buffers take 2 MiB each and the
         # block of 32 trials' draws 0.25 MiB; the step plan's views and lag
         # tuples add under 0.4 MiB at MAX_ORDER.  Draws held for the whole
-        # batch (2 MiB), or a plan holding a (coefficient, lag) pair per lag
-        # and step, break the bound.
+        # batch (2 MiB), any other buffer-sized temporary, or a plan holding
+        # a (coefficient, lag) pair per lag and step, break the bound.
         process = ArProcess(coeffs=np.full(order, 0.01))
         seeds = [substream(4, i) for i in range(256)]
         tracemalloc.start()
@@ -411,26 +387,22 @@ class TestSimulation:
 
 def assert_matches_whole_horizon(process, horizon, seed, pre, noise, observed):
     oracle = simulate_whole_horizon(process, horizon, seed)
-    np.testing.assert_array_equal(oracle.pre_samples, pre)
+    np.testing.assert_array_equal(oracle.samples[: process.order], pre)
     np.testing.assert_array_equal(oracle.noise, noise)
-    np.testing.assert_array_equal(oracle.observed, observed)
+    np.testing.assert_array_equal(oracle.samples[process.order :], observed)
 
 
 class TestTrajectoryAccessors:
     def make(self):
         # samples = (y_0, y_1, y_2, y_3) for order 1, horizon 3.
-        return Trajectory(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3),
-                          order=1, horizon=3, seed=0)
+        return Trajectory(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3), order=1, horizon=3)
 
     def test_indexing(self):
-        traj = self.make()
-        np.testing.assert_array_equal(traj.pre_samples, [1.0])
-        np.testing.assert_array_equal(traj.observed, [2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(lag_window(traj, 2), [3.0])
+        np.testing.assert_array_equal(lag_window(self.make(), 2), [3.0])
 
     def test_arrays_read_only_without_copy(self):
         samples, noise = np.arange(4.0), np.zeros(3)
-        traj = Trajectory(samples=samples, noise=noise, order=1, horizon=3, seed=0)
+        traj = Trajectory(samples=samples, noise=noise, order=1, horizon=3)
         assert np.shares_memory(traj.samples, samples)
         assert np.shares_memory(traj.noise, noise)
         with pytest.raises(ValueError):
@@ -443,15 +415,14 @@ class TestTrajectoryAccessors:
     @pytest.mark.parametrize("field, value", [("order", 1.0), ("horizon", 3.5),
                                               ("horizon", True)])
     def test_integer_fields_not_truncated(self, field, value):
-        fields = dict(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3), order=1, horizon=3,
-                      seed=0)
+        fields = dict(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3), order=1, horizon=3)
         fields[field] = value
         with pytest.raises(ValueError, match=field):
             Trajectory(**fields)
 
     def test_lag_window_order_two(self):
         traj = Trajectory(samples=[1.0, 2.0, 3.0, 4.0, 5.0], noise=np.zeros(3),
-                          order=2, horizon=3, seed=0)
+                          order=2, horizon=3)
         # samples = (y_-1, y_0, y_1, y_2, y_3); window at t=1 is (y_1, y_0).
         np.testing.assert_array_equal(lag_window(traj, 1), [3.0, 2.0])
 
@@ -473,7 +444,7 @@ class TestTrajectoryAccessors:
         rng = np.random.default_rng(total)
         samples = rng.standard_normal(total) * 10.0 ** rng.integers(-300, 300, total)
         traj = Trajectory(samples=samples, noise=np.zeros(total - 1), order=1,
-                          horizon=total - 1, seed=0)
+                          horizon=total - 1)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         one_shot = "\n".join(["y"] + [repr(float(v)) for v in traj.samples]) + "\n"
@@ -484,7 +455,7 @@ class TestTrajectoryAccessors:
         # text at this length takes about 110 MiB.
         horizon = 1_000_000
         traj = Trajectory(samples=np.random.default_rng(3).standard_normal(horizon + 1),
-                          noise=np.zeros(horizon), order=1, horizon=horizon, seed=0)
+                          noise=np.zeros(horizon), order=1, horizon=horizon)
         tracemalloc.start()
         try:
             traj.to_csv(tmp_path / "traj.csv")

@@ -268,7 +268,7 @@ class TestAutocovariance:
 
     def test_matches_empirical_long_run(self, ar2):
         traj = simulate_stationary(ar2, 400_000, 31)
-        y = traj.observed
+        y = traj.samples[traj.order :]
         gamma = autocovariance_sequence(ar2, 5)
         for lag in range(6):
             prods = y[lag:] * y[: len(y) - lag]
