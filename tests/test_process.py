@@ -135,6 +135,17 @@ class TestRecursion:
         # y3 = .3*1.1 + .4*1.0
         np.testing.assert_allclose(y, [1.0, 2.0, 1.0, 1.1, 0.73], atol=1e-15)
 
+    def test_batch_matches_scalar_bitwise(self):
+        # A four-trial batch runs the step plan; rerunning each row's
+        # pre-samples and innovations through the plain-float loop must give
+        # the same path bit for bit.
+        process = ArProcess(coeffs=[0.3, 0.4])
+        pre, noise, y = simulate_batch(process, 50, [substream(0, i) for i in range(4)])
+        for i in range(4):
+            single = ar_recursion(process.coeffs, pre[i], noise[i])
+            np.testing.assert_array_equal(single[:2], pre[i])
+            np.testing.assert_array_equal(single[2:], y[i])
+
     @settings(max_examples=150)
     @given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 50),
            st.integers(0, 2 ** 31 - 1))
