@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleCertificateError
-from .process import ArProcess, _integer
+from .process import ArProcess, _frozen, _integer
 from .stationary import StationaryStatistics
 
 #: Threshold on cond(G_blk) mu_max / (mu_min - eps s2), over the whitened
@@ -36,6 +36,11 @@ from .stationary import StationaryStatistics
 #: eps s2) bounds how the gap magnifies rounding in mu, and cond(G_blk) the
 #: rounding of the whitening itself, which mu cannot show.
 CONDITION_WARN_LIMIT = 1e12
+
+#: Component concentration events (boundary, noise energy, cross term) over
+#: which the radius budget eps s2 (N - n) is split evenly; together they force
+#: the sandwich by subadditivity of the spectral radius on symmetric matrices.
+COMPONENT_EVENTS = 3
 
 #: Relative clustering tolerance when counting the multiplicity of the
 #: smallest whitened eigenvalue (exact algebraic multiplicity is numerically
@@ -83,6 +88,13 @@ class BoundInputs:
         return self.horizon - self.process.order
 
 
+def event_threshold(inputs: BoundInputs) -> float:
+    """Per-event spectral-radius budget eps s2 (N - n) / COMPONENT_EVENTS,
+    the threshold each component event's failure term bounds."""
+    return (inputs.epsilon * inputs.process.noise_variance * inputs.effective_samples
+            / COMPONENT_EVENTS)
+
+
 def regressor_energy_scale(inputs: BoundInputs) -> float:
     """High-probability scale for the normalised regressor energy.
 
@@ -106,35 +118,37 @@ def regressor_energy_scale(inputs: BoundInputs) -> float:
 def _boundary_exponent(inputs: BoundInputs) -> float:
     """Exponent of the initial/final-state event's failure term.
 
-    Bounds P( rho[A (x_first x_first^T - x_last x_last^T) A^T] > eps s2 (N-n)/3 )
-    by 2 sqrt(2) exp(- (N-n) s2 eps / (24 n E{y^2})).
+    With K = COMPONENT_EVENTS, bounds
+    P( rho[A (x_first x_first^T - x_last x_last^T) A^T] > eps s2 (N-n)/K )
+    by 2 sqrt(2) exp(- (N-n) s2 eps / (8 K n E{y^2})).
     """
     return (inputs.effective_samples * inputs.process.noise_variance * inputs.epsilon
-            / (24.0 * inputs.process.order * inputs.stats.output_variance))
+            / (8.0 * COMPONENT_EVENTS * inputs.process.order * inputs.stats.output_variance))
 
 
 def _noise_energy_exponent(inputs: BoundInputs) -> float:
     """Exponent of the innovation second-moment event's failure term.
 
-    Bounds P( |sum e^2 / (N-n) - s2| > s2 eps / 3 ) by
-    2 exp(- (N-n)/2 * (1 + eps/3 - sqrt(1 + 2 eps/3))).  With a = eps/3 the
-    bracket equals a^2 / (1 + a + sqrt(1 + 2a)), which is evaluated instead:
-    the difference form cancels (about two digits at eps = 0.5, nearly all of
-    them at eps = 1e-6), the quotient of positive terms does not.
+    With a = eps / COMPONENT_EVENTS, bounds P( |sum e^2 / (N-n) - s2| > s2 a )
+    by 2 exp(- (N-n)/2 * (1 + a - sqrt(1 + 2a))).  The bracket equals
+    a^2 / (1 + a + sqrt(1 + 2a)), which is evaluated instead: the difference
+    form cancels (about two digits at eps = 0.5, nearly all of them at
+    eps = 1e-6), the quotient of positive terms does not.
     """
-    a = inputs.epsilon / 3.0
+    a = inputs.epsilon / COMPONENT_EVENTS
     return 0.5 * inputs.effective_samples * (a * a / (1.0 + a + math.sqrt(1.0 + 2.0 * a)))
 
 
 def _cross_term_exponents(inputs: BoundInputs, energy_scale: float) -> tuple[float, float]:
     """Exponents of the state-innovation cross-term event's two failure terms.
 
-    Two-term bound: a martingale term 2 exp(-(N-n) eps / (72 (||c||+1)^2 beta))
-    plus a regressor-energy term 2 exp(-eps sqrt(N)), with beta the regressor
-    energy scale.
+    Two-term bound: a martingale term 2 exp(-(N-n) eps / (8 K^2 (||c||+1)^2 beta))
+    plus a regressor-energy term 2 exp(-eps sqrt(N)), with K = COMPONENT_EVENTS
+    and beta the regressor energy scale.
     """
     theta_gain = (np.linalg.norm(inputs.process.coeffs) + 1.0) ** 2
-    first = inputs.effective_samples * inputs.epsilon / (72.0 * theta_gain * energy_scale)
+    first = (inputs.effective_samples * inputs.epsilon
+             / (8.0 * COMPONENT_EVENTS ** 2 * theta_gain * energy_scale))
     second = inputs.epsilon * math.sqrt(inputs.horizon)
     return first, second
 
@@ -185,12 +199,8 @@ class CovarianceCertificate:
     horizon: int
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).copy()
-        up = np.asarray(self.upper, dtype=float).copy()
-        lo.flags.writeable = False
-        up.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+        object.__setattr__(self, "lower", _frozen(self.lower))
+        object.__setattr__(self, "upper", _frozen(self.upper))
 
 
 def _lower_gap(inputs: BoundInputs) -> np.ndarray | None:
@@ -250,9 +260,7 @@ class DeviationCertificate:
     vacuous: bool
 
     def __post_init__(self):
-        w = np.asarray(self.direction, dtype=float).copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "direction", w)
+        object.__setattr__(self, "direction", _frozen(self.direction))
 
 
 def _unit_direction(direction, order: int) -> np.ndarray:
@@ -345,9 +353,7 @@ class RateAnalysis:
     slope: float | None
 
     def __post_init__(self):
-        basis = np.asarray(self.slow_directions, dtype=float).copy()
-        basis.flags.writeable = False
-        object.__setattr__(self, "slow_directions", basis)
+        object.__setattr__(self, "slow_directions", _frozen(self.slow_directions))
 
 
 def rate_analysis(process: ArProcess, stats: StationaryStatistics,

@@ -79,17 +79,11 @@ def _number(value, field: str, integer: bool = False):
     rejected here rather than read as 1.0 or 0.5."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(f"field '{field}': must be {'an integer' if integer else 'a number'}")
-    if not _fits_float(value):
-        raise ConfigError(f"field '{field}': too large to convert to a float")
-    return value
-
-
-def _fits_float(value: int) -> bool:
     try:
         float(value)
     except OverflowError:
-        return False
-    return True
+        raise ConfigError(f"field '{field}': too large to convert to a float") from None
+    return value
 
 
 def _positive(value, field: str) -> float:
@@ -149,9 +143,10 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
 def _resolve_direction(spec, order: int, fallback_label: str) -> tuple[str, np.ndarray]:
     """Turn a direction spec into a (label, unit vector) pair.
 
-    Accepts the shorthand "e<i>" for the i-th standard basis vector (1-based),
-    "uniform" for the normalised all-ones vector, or an explicit vector, which
-    is normalised to unit length and labelled ``fallback_label``.
+    Accepts the shorthand "e<i>" for the i-th standard basis vector (1-based,
+    labelled without leading zeros), "uniform" for the normalised all-ones
+    vector, or an explicit vector, which is normalised to unit length and
+    labelled ``fallback_label``.
     """
     if isinstance(spec, str):
         token = spec.strip().lower()
@@ -163,7 +158,7 @@ def _resolve_direction(spec, order: int, fallback_label: str) -> tuple[str, np.n
                 raise ConfigError(f"direction '{spec}': index must be in 1..{order}")
             w = np.zeros(order)
             w[idx - 1] = 1.0
-            return token, w
+            return f"e{idx}", w
         raise ConfigError(f"direction '{spec}': expected 'e<i>', 'uniform' or a vector")
     w = np.array([_number(v, "direction") for v in (spec if isinstance(spec, list) else [spec])],
                  dtype=float)

@@ -15,7 +15,7 @@ class StabilityError(ArcertError):
 
 
 class ConvergenceError(ArcertError):
-    """An iterative solver stopped without reaching its residual tolerance."""
+    """A Lyapunov solution, solved directly, failed its residual check."""
 
 
 class InfeasibleCertificateError(ArcertError):

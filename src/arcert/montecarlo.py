@@ -26,10 +26,11 @@ O(threads * batch * CHUNK) whatever the horizon.  The test suite's
 trajectory; the kernel is tested against it.
 
 Trials are embarrassingly parallel: trial i draws from the RNG substream
-``substream(master_seed, i)`` and aggregation is an order-independent sum of
-counts.  Chunk boundaries are fixed in time, so every per-trial sum is added
-up in the same order whatever the batch; reports are bit-identical across
-batch sizes and thread counts.
+``substream(master_seed, i)``, every campaign runs its batches on one thread
+pool of ``threads`` workers (a single worker included), and aggregation is an
+order-independent sum of counts.  Chunk boundaries are fixed in time, so every
+per-trial sum is added up in the same order whatever the batch; reports are
+bit-identical across batch sizes and thread counts.
 """
 
 from __future__ import annotations
@@ -49,11 +50,13 @@ from .certificates import (
     _unit_direction,
     covariance_certificate,
     deviation_radius,
+    event_threshold,
 )
 from .errors import ConfigError, NumericalFailureError
 from .linalg import PSD_ORDER_RTOL
 from .process import (
     ArProcess,
+    _frozen,
     _integer,
     build_companion,
     simulate_batch,  # noqa: F401  (the benchmark's span tracer wraps it in this namespace)
@@ -70,24 +73,14 @@ MAX_ERROR_FRACTION = 1e-3
 BATCH = 256
 
 #: Largest accepted campaign.  ``run_campaign`` holds one (start, stop) pair
-#: and, with threads, one future per batch: at this ceiling 39 063 of each,
-#: about 65 MB.
+#: and one future per batch: at this ceiling 39 063 of each, about 65 MB.
 MAX_TRIALS = 10 ** 7
 
-#: Most worker threads a campaign accepts.  The pool starts a thread per
-#: batch while none is idle, and each running batch holds its chunk buffers
-#: (about 4.3 MB at BATCH x CHUNK), so this caps them near 0.3 GB.
+#: Most worker threads a campaign accepts.  Every campaign runs on a pool of
+#: ``threads`` workers, which starts a thread per batch while none is idle,
+#: and each running batch holds its chunk buffers (about 4.3 MB at
+#: BATCH x CHUNK), so this caps them near 0.3 GB.
 MAX_THREADS = 64
-
-
-def event_threshold(inputs: BoundInputs) -> float:
-    """Per-event spectral-radius budget epsilon * s2 * (N - n) / 3.
-
-    The three component events each get a third of the total radius budget, so
-    together they force the sandwich by subadditivity of the spectral radius on
-    symmetric matrices.
-    """
-    return inputs.epsilon * inputs.process.noise_variance * inputs.effective_samples / 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +127,9 @@ class CampaignConfig:
         resolved = []
         for label, w in self.directions:
             try:
-                vec = _unit_direction(w, n).copy()
+                resolved.append((str(label), _frozen(_unit_direction(w, n))))
             except ValueError as exc:
                 raise ConfigError(f"direction '{label}': {exc}") from exc
-            vec.flags.writeable = False
-            resolved.append((str(label), vec))
         if not 1 <= threads <= MAX_THREADS:
             raise ConfigError(f"threads: must be in 1..{MAX_THREADS}")
         object.__setattr__(self, "horizon", horizon)
@@ -179,7 +170,7 @@ class CoverageReport:
     master_seed: int
     horizon: int
     epsilon: float
-    process: dict
+    process: ArProcess
     events: tuple[EventCoverage, ...]
     sandwich_chain_violations: int
     deviation_chain_violations: dict[str, int]
@@ -377,13 +368,8 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
         return _run_batch(config, inputs, cert, deviations, logdet_lower,
                           bounds[0], bounds[1])
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            partials = list(pool.map(work, batches))
-    else:
-        partials = [work(b) for b in batches]
-
-    counts = sum(partials, Counter())
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        counts = sum(pool.map(work, batches), Counter())
     errors = counts["errors"]
     if errors > MAX_ERROR_FRACTION * config.trials:
         raise NumericalFailureError(
@@ -406,7 +392,7 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
         master_seed=config.master_seed,
         horizon=config.horizon,
         epsilon=config.epsilon,
-        process={"coeffs": process.coeffs.tolist(), "noise_variance": process.noise_variance},
+        process=process,
         events=events,
         sandwich_chain_violations=counts["chain", "sandwich"],
         deviation_chain_violations={label: counts["chain", f"deviation:{label}"]

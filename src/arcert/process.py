@@ -69,6 +69,14 @@ def _integer(value, field: str, error: type[Exception] = ValueError) -> int:
     return int(value)
 
 
+def _frozen(value) -> np.ndarray:
+    """A read-only float copy of ``value``: the one way an array field is
+    frozen, so no caller's array is aliased or written through."""
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _companion(coeffs: np.ndarray) -> np.ndarray:
     """(n+1) x (n+1) companion matrix A of x_{t+1} = A x_t + e1 e_{t+1}, with
     the state x_t = (y_t, ..., y_{t-n}): the coefficients in the first row, an
@@ -113,7 +121,7 @@ class ArProcess:
     noise_variance: float = 1.0
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float)).copy()
+        c = _frozen(np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
         sigma2 = float(self.noise_variance)
         if not np.isfinite(sigma2) or sigma2 <= 0.0:
             raise ValueError(f"noise_variance must be a positive finite real, got {sigma2!r}")
@@ -124,7 +132,6 @@ class ArProcess:
                 "coefficients are not Schur-stable: some characteristic root has "
                 f"modulus >= {1.0 - STABILITY_MARGIN}"
             )
-        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "noise_variance", sigma2)
 
@@ -136,9 +143,7 @@ class ArProcess:
 def build_companion(process: ArProcess) -> np.ndarray:
     """Read-only companion matrix A of a stable AR(n) process (see
     :func:`_companion`); the innovation enters the state through e1."""
-    a = _companion(process.coeffs)
-    a.flags.writeable = False
-    return a
+    return _frozen(_companion(process.coeffs))
 
 
 @dataclass(frozen=True, eq=False)

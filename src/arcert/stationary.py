@@ -19,7 +19,13 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .linalg import companion_coefficients, solve_companion_lyapunov
-from .process import ArProcess
+from .process import ArProcess, _frozen
+
+#: Noise variances that :func:`stationary_stats` accepts.  The bounds are
+#: invariant to s2 but their arithmetic is not: campaign statistics scale like
+#: s2^2 and overflow from about s2 = 1e154, where correct certificates read
+#: ``violated``.  The window keeps them about 50 decades inside double range.
+NOISE_VARIANCE_RANGE = (1e-100, 1e100)
 
 
 def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -76,9 +82,7 @@ class StationaryStatistics:
 
     def __post_init__(self):
         for name in ("state_covariance_block", "gramian_block"):
-            m = np.array(getattr(self, name), dtype=float)
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @functools.cached_property
     def whitened_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,9 +97,7 @@ class StationaryStatistics:
         half = np.linalg.solve(w_factor, self.state_covariance_block)
         whitened = np.linalg.solve(w_factor, half.T).T
         mu, u = np.linalg.eigh(0.5 * (whitened + whitened.T))
-        for m in (mu, u, w_factor):
-            m.flags.writeable = False
-        return mu, u, w_factor
+        return _frozen(mu), _frozen(u), _frozen(w_factor)
 
     @functools.cached_property
     def gramian_condition(self) -> float:
@@ -107,8 +109,13 @@ def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
     """Statistics of the process with the first row of the companion matrix A
     (see :func:`arcert.process.build_companion`) as coefficients and sigma2
     as innovation variance, whose ArProcess validates them once; then one
-    solve of both Lyapunov equations.  A non-companion A is a ValueError."""
+    solve of both Lyapunov equations.  A non-companion A is a ValueError, and
+    so is a sigma2 outside NOISE_VARIANCE_RANGE."""
     process = ArProcess(coeffs=companion_coefficients(a), noise_variance=sigma2)
+    low, high = NOISE_VARIANCE_RANGE
+    if not low <= process.noise_variance <= high:
+        raise ValueError(f"noise_variance must be in [{low:g}, {high:g}], "
+                         f"got {process.noise_variance!r}")
     state_cov, gramian = solve_companion_lyapunov(a, process.noise_variance)
     if not state_cov[0, 0] > 0.0:
         raise ValueError("stationary output variance must be positive")

@@ -119,6 +119,22 @@ def test_tiny_run_is_correct(workload):
     assert summary["correct"] is True and summary["failed"] == 0, result.stdout
 
 
+def test_traced_campaign_counts_every_trial():
+    # The tracer keeps one span stack; a campaign's batches open their spans
+    # on a pool worker while the main thread waits inside run_campaign's span.
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "mc-long", "--seed", "1",
+         "--seconds", "1", "--trace", "1", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0, result.stdout
+    metrics = summary["metrics"]
+    assert metrics["process.substream.calls"]["value"] \
+        == metrics["montecarlo.trials_evaluated"]["value"] > 0
+
+
 def test_main_looks_up_handler_at_call_time(tmp_path, monkeypatch):
     # The tracer wraps arcert.cli.cmd_* by module attribute, and cli.main.self_s
     # rests on those spans, so a warm main() must call what the attribute holds.

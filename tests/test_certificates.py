@@ -28,7 +28,10 @@ from arcert import (
 )
 from arcert.certificates import (
     CONDITION_WARN_LIMIT,
+    _boundary_exponent,
+    _cross_term_exponents,
     _noise_energy_exponent,
+    event_threshold,
     regressor_energy_scale,
 )
 from conftest import CLUSTERED_POLES_AR8, stable_ar_coeffs, truncated_lyapunov_series
@@ -180,6 +183,23 @@ class TestCrossTermFailureBound:
         grid = np.linspace(0.05, 2.0, 40)
         values = [regressor_energy_scale(make_inputs(ar2, ar2_stats, e, 500)) for e in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_one_epsilon_split(ar2, ar2_stats, monkeypatch):
+    # The campaign's threshold and the three exponents read one count of
+    # component events, so changing it moves all four together.
+    inputs = make_inputs(ar2, ar2_stats, 0.2, 3000)
+    scale = regressor_energy_scale(inputs)
+    threshold, boundary = event_threshold(inputs), _boundary_exponent(inputs)
+    martingale = _cross_term_exponents(inputs, scale)[0]
+    monkeypatch.setattr(certificates_module, "COMPONENT_EVENTS", 4)
+    assert montecarlo_module.event_threshold(inputs) == pytest.approx(0.75 * threshold, rel=1e-15)
+    assert _boundary_exponent(inputs) == pytest.approx(0.75 * boundary, rel=1e-15)
+    a = 0.2 / 4
+    assert _noise_energy_exponent(inputs) == pytest.approx(
+        0.5 * 2998 * a * a / (1.0 + a + math.sqrt(1.0 + 2.0 * a)), rel=1e-15)
+    assert _cross_term_exponents(inputs, scale)[0] == pytest.approx(
+        9 / 16 * martingale, rel=1e-15)
 
 
 class TestTotalFailureBound:

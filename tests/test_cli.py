@@ -599,6 +599,18 @@ class TestJsonOutputs:
             trials=150, master_seed=99, directions=(("e1", np.array([1.0])),)))
         assert payload["report"] == plain(report)
 
+    def test_coverage_and_certificate_write_one_process_form(self, tmp_path):
+        cfg = write_config(tmp_path, **dict(AR1_MC, coeffs=[0.3, 0.4], noise_variance=1.7,
+                                            allow_vacuous=True))
+        for command in ("certify", "montecarlo"):
+            assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        certificate = json.loads((tmp_path / "out" / "certificate.json").read_text())
+        coverage = json.loads((tmp_path / "out" / "coverage.json").read_text())
+        # Items, not dicts, so the key order is compared too.
+        assert list(coverage["report"]["process"].items()) \
+            == list(certificate["process"].items()) \
+            == [("coeffs", [0.3, 0.4]), ("noise_variance", 1.7)]
+
     def test_rate_analysis_json(self, tmp_path):
         cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=1.0,
                            horizon_grid=[3, 100, 1000, 10_000], direction="uniform")
@@ -666,6 +678,7 @@ BEYOND_FLOAT = [
     pytest.param("rate-sweep", "direction", {"x": 1}, id="sweep-dict-direction"),
     pytest.param("rate-sweep", "direction", [], id="no-direction"),
     pytest.param("certify", "direction", ["e1", "E1"], id="certify-repeated-direction"),
+    pytest.param("certify", "direction", ["e1", "e01"], id="certify-zero-padded-direction"),
     pytest.param("montecarlo", "direction", ["uniform", "uniform"],
                  id="montecarlo-repeated-direction"),
     pytest.param("rate-sweep", "direction", ["e1", "e1"], id="sweep-repeated-direction"),

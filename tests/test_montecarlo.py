@@ -389,6 +389,24 @@ def half_ceiling_config(process, horizon, **kwargs) -> CampaignConfig:
     )
 
 
+def campaign_counts(sigma2: float) -> tuple:
+    """Every count of an AR(2) campaign at half the ceiling, noise variance sigma2."""
+    process = ArProcess(coeffs=[0.3, 0.4], noise_variance=sigma2)
+    config = dataclasses.replace(half_ceiling_config(process, 5000), trials=200, master_seed=1)
+    report = run_campaign(config)
+    return ([(row.event, row.failures, row.evaluated) for row in report.events],
+            report.sandwich_chain_violations, report.deviation_chain_violations,
+            report.trial_errors)
+
+
+@pytest.mark.parametrize("sigma2", [1e-100, 1e100])
+def test_counts_invariant_to_noise_variance(sigma2):
+    # Every event is invariant to s2, and so is the arithmetic over the
+    # window stationary_stats accepts; from about 1e154 the s2^2-scaled
+    # statistics overflow and the boundary and cross-term events fail.
+    assert campaign_counts(sigma2) == campaign_counts(1.0)
+
+
 class TestStreamingKernel:
     """The campaign streams each batch through fixed time chunks; these
     horizons cross chunk boundaries, which the small campaigns above do not."""

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 import arcert.process as process_module
 from arcert import (
     ArProcess,
+    CampaignConfig,
     ConvergenceError,
+    CovarianceCertificate,
+    DeviationCertificate,
+    RateAnalysis,
     StabilityError,
+    StationaryStatistics,
     Trajectory,
     ar_recursion,
     build_companion,
@@ -95,6 +100,54 @@ class TestArProcess:
     def test_coeffs_immutable(self, ar1):
         with pytest.raises(ValueError):
             ar1.coeffs[0] = 0.9
+
+
+def _stats(state, gramian):
+    return StationaryStatistics(process=ArProcess(coeffs=[0.3, 0.4]),
+                                state_covariance_block=state, gramian_block=gramian,
+                                output_variance=1.0, peak_gain=1.0)
+
+
+def _certificate(lower, upper):
+    return CovarianceCertificate(lower=lower, upper=upper, delta=0.1, failure_terms=(0.1,) * 4,
+                                 energy_scale=1.0, log_delta=-2.3, feasible=True,
+                                 epsilon=0.1, horizon=100)
+
+
+COEFFS, UNIT, BLOCK = [0.3, 0.4], [0.6, 0.8], [[2.0, 0.5], [0.5, 1.0]]
+
+#: Every array field frozen by process._frozen: (the caller's array, the
+#: field of an object built from it).
+FROZEN_FIELDS = {
+    "ArProcess.coeffs": (COEFFS, lambda c: ArProcess(coeffs=c).coeffs),
+    "build_companion": (COEFFS, lambda c: build_companion(ArProcess(coeffs=c))),
+    "CovarianceCertificate.lower": (BLOCK, lambda m: _certificate(m, 2.0 * np.eye(2)).lower),
+    "CovarianceCertificate.upper": (BLOCK, lambda m: _certificate(np.eye(2), m).upper),
+    "DeviationCertificate.direction": (UNIT, lambda w: DeviationCertificate(
+        direction=w, radius=1.0, total_failure=0.2, vacuous=False).direction),
+    "RateAnalysis.slow_directions": ([[0.6], [0.8]], lambda b: RateAnalysis(
+        epsilon_ceiling=1.0, multiplicity=1, slow_directions=b, points=(),
+        slope=None).slow_directions),
+    "StationaryStatistics.state_covariance_block": (
+        BLOCK, lambda m: _stats(m, np.eye(2)).state_covariance_block),
+    "StationaryStatistics.gramian_block": (BLOCK, lambda m: _stats(np.eye(2), m).gramian_block),
+    **{f"StationaryStatistics.whitened_spectrum[{k}]": (
+        BLOCK, lambda m, k=k: _stats(m, np.eye(2)).whitened_spectrum[k]) for k in range(3)},
+    "CampaignConfig.directions": (UNIT, lambda w: CampaignConfig(
+        process=ArProcess(coeffs=COEFFS), horizon=100, epsilon=0.1, trials=100,
+        master_seed=0, directions=(("w", w),)).directions[0][1]),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_FIELDS)
+def test_frozen_field_is_a_read_only_copy(name):
+    values, build = FROZEN_FIELDS[name]
+    source = np.array(values)
+    field = build(source)
+    assert field.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        field[0] = 0.0
+    assert not np.shares_memory(field, source)
 
 
 class TestCompanion:

@@ -224,7 +224,7 @@ class TestCompanionSolve:
         with pytest.raises(ValueError, match="square"):
             stationary_stats(np.zeros((2, 3)), 1.0)
 
-    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan, 1e-310, 1e-101, 1e101])
     def test_bad_noise_variance_named(self, ar2, sigma2):
         with pytest.raises(ValueError, match="noise_variance"):
             stationary_stats(build_companion(ar2), sigma2)
