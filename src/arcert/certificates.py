@@ -10,13 +10,14 @@ Given a stable process and a tightness parameter epsilon, this module builds:
 * a decay-rate table along a horizon grid for the feasibility-ceiling choice
   of epsilon, under which log delta falls off linearly in sqrt(N).
 
-delta does not depend on the innovation variance (all variance ratios cancel),
-and neither does the deviation radius.  The radius and the ceiling are closed
-forms in the spectrum mu of the stationary covariance whitened by the Gramian
-(``StationaryStatistics.whitened_spectrum``), decomposed once per process; a
-sweep over horizons builds no sandwich matrix.  One predicate decides
-feasibility for the certificate, the radius, the sweep and the campaign:
-mu_min - eps s2 > 0 (:func:`_lower_gap`).  All functions are pure.
+No bound depends on the innovation variance s2 (all variance ratios cancel),
+so each is computed per unit variance, with the same bits at every s2, which
+scales only the sandwich matrices and the event threshold.  The radius and
+the ceiling are closed forms in the spectrum mu of the whitened stationary
+covariance (``StationaryStatistics.whitened_spectrum``), decomposed once per
+process; a sweep over horizons builds no sandwich matrix.  One predicate
+decides feasibility for the certificate, the radius, the sweep and the
+campaign: mu_min - eps > 0 (:func:`_lower_gap`).  All functions are pure.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .errors import InfeasibleCertificateError
 from .process import ArProcess, _frozen, _integer
 from .stationary import StationaryStatistics
 
-#: Threshold on cond(G_blk) mu_max / (mu_min - eps s2), over the whitened
+#: Threshold on cond(G_blk) mu_max / (mu_min - eps), over the whitened
 #: spectrum mu, above which the deviation radius warns: mu_max / (mu_min -
-#: eps s2) bounds how the gap magnifies rounding in mu, and cond(G_blk) the
+#: eps) bounds how the gap magnifies rounding in mu, and cond(G_blk) the
 #: rounding of the whitening itself, which mu cannot show.
 CONDITION_WARN_LIMIT = 1e12
 
@@ -107,10 +108,9 @@ def regressor_energy_scale(inputs: BoundInputs) -> float:
     if eps == 0.0:
         return math.inf
     n, big_n = inputs.process.order, inputs.horizon
-    sigma2 = inputs.process.noise_variance
     lead = (n + 1) * big_n / (big_n - n)
     return lead * (
-        inputs.stats.output_variance / (eps * sigma2)
+        inputs.stats.output_variance / eps
         + 2.0 * inputs.stats.peak_gain * (1.0 + eps ** -0.5) / big_n ** 0.25
     )
 
@@ -122,7 +122,7 @@ def _boundary_exponent(inputs: BoundInputs) -> float:
     P( rho[A (x_first x_first^T - x_last x_last^T) A^T] > eps s2 (N-n)/K )
     by 2 sqrt(2) exp(- (N-n) s2 eps / (8 K n E{y^2})).
     """
-    return (inputs.effective_samples * inputs.process.noise_variance * inputs.epsilon
+    return (inputs.effective_samples * inputs.epsilon
             / (8.0 * COMPONENT_EVENTS * inputs.process.order * inputs.stats.output_variance))
 
 
@@ -175,8 +175,8 @@ def _failure_bound(inputs: BoundInputs) -> tuple[float, tuple[float, ...], float
 class CovarianceCertificate:
     """Two-sided PSD sandwich on the normal matrix Y^T Y.
 
-    lower/upper are (N-n) [I 0] (V -/+ eps s2 G) [I 0]^T built from the
-    stationary state covariance V and Gramian G; the sandwich
+    lower/upper are (N-n) s2 [I 0] (V -/+ eps G) [I 0]^T built from the
+    state covariance V per unit variance and the Gramian G; the sandwich
     lower <= Y^T Y <= upper holds with probability at least 1 - delta.
     ``feasible`` records whether lower is strictly positive definite, by the
     one predicate of :func:`_lower_gap`.
@@ -204,9 +204,9 @@ class CovarianceCertificate:
 
 
 def _lower_gap(inputs: BoundInputs) -> np.ndarray | None:
-    """The whitened gap mu - eps s2 if lower = (N - n) W U diag(gap) U^T W^T
+    """The whitened gap mu - eps if lower = (N - n) s2 W U diag(gap) U^T W^T
     is positive definite (gap[0] > 0), else None: the one feasibility test."""
-    gap = inputs.stats.whitened_spectrum[0] - inputs.epsilon * inputs.process.noise_variance
+    gap = inputs.stats.whitened_spectrum[0] - inputs.epsilon
     return gap if gap[0] > 0.0 else None
 
 
@@ -217,13 +217,13 @@ def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
     the flag, not an error, so callers can chart where certificates become
     informative.
     """
-    rows = inputs.effective_samples
-    spread = inputs.epsilon * inputs.process.noise_variance * inputs.stats.gramian_block
+    units = inputs.effective_samples * inputs.process.noise_variance
+    spread = inputs.epsilon * inputs.stats.gramian_block
     v_block = inputs.stats.state_covariance_block
     scale, terms, delta, log_delta = _failure_bound(inputs)
     return CovarianceCertificate(
-        lower=rows * (v_block - spread),
-        upper=rows * (v_block + spread),
+        lower=units * (v_block - spread),
+        upper=units * (v_block + spread),
         delta=delta,
         failure_terms=terms,
         energy_scale=scale,
@@ -235,13 +235,11 @@ def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
 
 
 def max_feasible_epsilon(process: ArProcess, stats: StationaryStatistics) -> float:
-    """Feasibility ceiling mu_min / s2, the smallest eigenvalue of the pencil
-    (V_blk, s2 G_blk): lower is positive definite iff mu_min - eps s2 > 0
-    (:func:`_lower_gap`), so this epsilon itself is infeasible up to the
-    rounding of eps s2.  It is also the sqrt(N) decay rate of the failure
-    bound, and invariant to the innovation variance."""
+    """Feasibility ceiling mu_min, the smallest eigenvalue of the pencil
+    (V_blk, G_blk): lower is positive definite iff eps < mu_min
+    (:func:`_lower_gap`).  It is also the sqrt(N) decay rate of delta."""
     _check_same_process(process, stats)
-    return float(stats.whitened_spectrum[0][0] / process.noise_variance)
+    return float(stats.whitened_spectrum[0][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,23 +277,22 @@ def _radius(inputs: BoundInputs, gap: np.ndarray, coords: np.ndarray,
     or None when the log argument is <= 0 (the radius is vacuous).
 
     With (mu, U, W) the whitened spectrum, gap from :func:`_lower_gap`,
-    coords = U^T W^{-1} w and rows = N - n, lower = rows W U diag(gap) U^T W^T
-    and upper + lower = 2 rows W U diag(mu) U^T W^T, so
-    w^T lower^{-1} w = sum_i coords_i^2 / (rows gap_i) and the log-det
-    term is 1/2 sum_i log(2 mu_i / gap_i).  No matrix of the sandwich is
-    formed or factored.
+    coords = U^T W^{-1} w and m = (N - n) s2, lower = m W U diag(gap) U^T W^T
+    and upper + lower = 2 m W U diag(mu) U^T W^T, so s2 w^T lower^{-1} w
+    = sum_i coords_i^2 / ((N - n) gap_i), free of the leading sigma, and the
+    log-det term is 1/2 sum_i log(2 mu_i / gap_i).  No matrix of the sandwich
+    is formed or factored.
     """
     mu = inputs.stats.whitened_spectrum[0]
-    sigma2 = inputs.process.noise_variance
     ratio = inputs.stats.gramian_condition * mu[-1] / gap[0]
     if ratio > CONDITION_WARN_LIMIT:
-        warnings.warn(f"cond(G_blk) mu_max / (mu_min - eps s2) = {ratio:.3e} exceeds "
+        warnings.warn(f"cond(G_blk) mu_max / (mu_min - eps) = {ratio:.3e} exceeds "
                       f"{CONDITION_WARN_LIMIT:.0e}; the radius may be inaccurate", RuntimeWarning)
     weighted_norm_sq = float(np.sum(coords ** 2 / gap)) / inputs.effective_samples
     log_argument = 0.5 * float(np.sum(np.log(2.0 * mu / gap))) - log_delta
     if log_argument <= 0.0:
         return None
-    return 2.0 * math.sqrt(sigma2) * math.sqrt(weighted_norm_sq) * math.sqrt(log_argument)
+    return 2.0 * math.sqrt(weighted_norm_sq) * math.sqrt(log_argument)
 
 
 def deviation_radius(inputs: BoundInputs, direction) -> DeviationCertificate:
@@ -304,8 +301,7 @@ def deviation_radius(inputs: BoundInputs, direction) -> DeviationCertificate:
 
     Requires a feasible certificate (:func:`_lower_gap`).  When the log
     argument is <= 0 the certificate is returned with the vacuous flag instead
-    of a fake radius.  The radius is invariant to the innovation variance: the
-    leading sigma cancels against the sigma^2 of the sandwich.
+    of a fake radius.
     """
     w = _unit_direction(direction, inputs.process.order)
     gap = _lower_gap(inputs)

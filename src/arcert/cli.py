@@ -164,10 +164,13 @@ def _resolve_direction(spec, order: int, fallback_label: str) -> tuple[str, np.n
                  dtype=float)
     if w.shape != (order,):
         raise ConfigError(f"direction: expected a vector of length {order}")
-    norm = float(np.linalg.norm(w))
-    if not np.isfinite(norm) or norm == 0.0:
+    # Scaled by its largest magnitude first, so the norm's squares neither
+    # underflow nor overflow at the ends of double range.
+    peak = float(np.abs(w).max())
+    if not np.isfinite(peak) or peak == 0.0:
         raise ConfigError("direction: vector must be finite and nonzero")
-    return fallback_label, w / norm
+    w = w / peak
+    return fallback_label, w / np.linalg.norm(w)
 
 
 def _parse_directions(config: dict, order: int) -> list[tuple[str, np.ndarray]]:
@@ -287,7 +290,15 @@ def cmd_certify(args) -> int:
         lines.append("certificate: infeasible")
     else:
         inputs = BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
-        cert = covariance_certificate(inputs)
+        with np.errstate(over="ignore"):  # reported below, naming the field
+            cert = covariance_certificate(inputs)
+        # JSON holds no inf: name the field whose value overflowed a number.
+        if not math.isfinite(cert.energy_scale):
+            raise ConfigError(f"field 'epsilon': {epsilon!r} is so small that the regressor "
+                              "energy scale E{y^2} / epsilon overflows")
+        if not np.isfinite([cert.lower, cert.upper]).all():
+            raise ConfigError("fields 'noise_variance' and 'epsilon': the sandwich matrices "
+                              "(N - n) s2 (V -/+ eps G) overflow")
         payload.update({"epsilon": epsilon, "feasible": cert.feasible,
                         "covariance": cert})
         lines.append(f"epsilon ({policy}): {epsilon!r}")

@@ -46,16 +46,16 @@ def companion_coefficients(a) -> np.ndarray:
     return a[0, :n]
 
 
-def solve_companion_lyapunov(a, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve V = A V A^T + sigma2 e1 e1^T and G = A G A^T + I for an AR
-    companion matrix A (see :func:`arcert.process.build_companion`).
+def solve_companion_lyapunov(a) -> tuple[np.ndarray, np.ndarray]:
+    """Solve V = A V A^T + e1 e1^T (per unit innovation variance) and G =
+    A G A^T + I for an AR companion matrix A (:func:`arcert.process.build_companion`).
 
     The state is x_t = (y_t, ..., y_{t-n}), so V = toeplitz(gamma_0..gamma_n)
     holds the autocovariances, and the shift rows give G_{pq} = G_{p-1,q-1} +
     [p = q], so G = toeplitz(g_0..g_n) + diag(0, 1, ..., n).  Both first rows
     solve the Yule-Walker equations read backwards (Brockwell & Davis 1991,
-    sec. 3.3): x_k - sum_j c_j x_{|k-j|} = b_k, k = 0..n, with b = sigma2 e1
-    for V and b = (1, 0, c_2, 2 c_3, ..., (n-1) c_n) for G.  One
+    sec. 3.3): x_k - sum_j c_j x_{|k-j|} = b_k, k = 0..n, with b = e1 for V
+    and b = (1, 0, c_2, 2 c_3, ..., (n-1) c_n) for G.  One
     (n+1) x (n+1) solve serves both right-hand sides.  One refinement step,
     with the matrix and the residual formed in ``np.longdouble``, makes the
     solution forward accurate (Higham 2002, ch. 12), and the corrected first
@@ -78,7 +78,7 @@ def solve_companion_lyapunov(a, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     hankel[:, 0] = 0.0
     system = np.eye(n + 1, dtype=np.longdouble) - coeffs[np.maximum(diff, 0)] - hankel
     rhs = np.zeros((n + 1, 2), dtype=np.longdouble)
-    rhs[0] = sigma2, 1.0
+    rhs[0] = 1.0
     rhs[2:, 1] = idx[1:n] * coeffs[2 : n + 1]
     system64 = system.astype(float)
     first = np.linalg.solve(system64, rhs.astype(float))
@@ -88,9 +88,8 @@ def solve_companion_lyapunov(a, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     lag = np.abs(diff)
     v = first_rows[lag, 0].astype(float)
     g = (first_rows[lag, 1] + np.diag(idx)).astype(float)
-    q = np.zeros_like(v)
-    q[0, 0] = sigma2
-    _check_residual(a, v, q)
+    e1 = np.eye(n + 1)[0]
+    _check_residual(a, v, np.outer(e1, e1))
     _check_residual(a, g, np.eye(n + 1))
     return v, g
 

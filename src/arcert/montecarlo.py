@@ -10,6 +10,9 @@ trial, not just in aggregate:
 * boundary and noise-energy and cross-term  =>  sandwich holds;
 * sandwich and self-normalized              =>  the deviation radius holds.
 
+Every count and bound depends only on the coefficients, epsilon and N, so
+campaigns run at unit innovation variance and report the configured process.
+
 The campaign kernel never materialises a trajectory.  Each batch of trials is
 simulated CHUNK time steps at a time (:func:`arcert.process.simulate_chunks`)
 and only per-trial sufficient statistics are carried between chunks: the
@@ -190,11 +193,10 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     time steps, columns are trials), so every per-trial statistic is a sum
     over contiguous rows; per-trial arrays below are indexed trial first.
     """
-    process = config.process
+    process = inputs.process
     n = process.order
     horizon = config.horizon
     rows = horizon - n
-    sigma2 = process.noise_variance
     coeffs = process.coeffs
     threshold = event_threshold(inputs)
     batch = stop - start
@@ -261,7 +263,7 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     boundary_ok = boundary_radius <= threshold
 
     # Innovation energy event on the state-driving window (e_n .. e_{N-1}).
-    noise_ok = np.abs(energy - rows * sigma2) <= threshold
+    noise_ok = np.abs(energy - rows) <= threshold
 
     # Cross-term event; rank-2 closed-form spectral radius.
     s_head = s_tail @ coeffs
@@ -283,7 +285,7 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     lhs_sq = np.einsum("bi,bi->b", s_sn, np.linalg.solve(m_sn, s_sn[..., None])[..., 0])
     sign_m, logdet_m = np.linalg.slogdet(m_sn)
     log_argument = 0.5 * (logdet_m - logdet_lower) - cert.log_delta
-    sn_ok = (sign_m > 0) & (log_argument > 0.0) & (lhs_sq <= 2.0 * sigma2 * log_argument)
+    sn_ok = (sign_m > 0) & (log_argument > 0.0) & (lhs_sq <= 2.0 * log_argument)
 
     # Least-squares error from the normal equations: theta_hat - theta
     # = (Y^T Y)^{-1} Y^T e over the residual window.
@@ -339,8 +341,8 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     counted and excluded from frequencies; the campaign raises
     NumericalFailureError if more than MAX_ERROR_FRACTION of trials error out.
     """
-    process = config.process
-    stats = stationary_stats(build_companion(process), process.noise_variance)
+    stats = stationary_stats(build_companion(config.process), 1.0)
+    process = stats.process
     inputs = BoundInputs(process=process, stats=stats,
                          epsilon=config.epsilon, horizon=config.horizon)
     cert = covariance_certificate(inputs)
@@ -392,7 +394,7 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
         master_seed=config.master_seed,
         horizon=config.horizon,
         epsilon=config.epsilon,
-        process=process,
+        process=config.process,
         events=events,
         sandwich_chain_violations=counts["chain", "sandwich"],
         deviation_chain_violations={label: counts["chain", f"deviation:{label}"]

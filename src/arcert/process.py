@@ -313,23 +313,24 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     the horizon.
 
     Each seed's stream first draws the initial companion state from its
-    stationary Gaussian law, through a symmetric square root of the
-    stationary covariance (no burn-in), then the N(0, noise_variance)
-    innovations in time order.  Chunked ``standard_normal`` calls continue
-    one stream bit for bit, so the chunks do not change the path.  The draws
-    fill one contiguous row per trial (``Generator`` rejects a strided
-    ``out``), _DRAW_BLOCK trials at a time; one scaled transpose per block
-    turns them time-major, and the recursion writes the new samples straight
-    into the window: :func:`ar_recursion` for exactly one seed, otherwise
-    (no seeds included) one step plan over the reused buffers, built once
-    per call (:func:`_step_plan`).
+    stationary law per unit variance, through a symmetric square root of its
+    covariance (no burn-in), then N(0, 1) innovations in time order; both
+    are scaled by sqrt(noise_variance).  Chunked ``standard_normal`` calls
+    continue one stream bit for bit, so the chunks do not change the path.
+    The draws fill one contiguous row per trial (``Generator`` rejects a
+    strided ``out``), _DRAW_BLOCK trials at a time; one scaled transpose per
+    block turns them time-major, and the recursion writes the new samples
+    straight into the window: :func:`ar_recursion` for exactly one seed,
+    otherwise (no seeds included) one step plan over the reused buffers,
+    built once per call (:func:`_step_plan`).
     """
     horizon = _integer(horizon, "horizon")
     if horizon <= process.order:
         raise ValueError("horizon must exceed the process order")
     n = process.order
-    state_cov, _ = solve_companion_lyapunov(build_companion(process), process.noise_variance)
+    state_cov, _ = solve_companion_lyapunov(build_companion(process))
     factor = symmetric_sqrt(state_cov)
+    scale = np.sqrt(process.noise_variance)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     size = min(CHUNK, horizon)
     drawn = _aligned_empty((min(_DRAW_BLOCK, len(rngs)), size))
@@ -337,8 +338,7 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     window = _aligned_empty((n + size, len(rngs)))
     for i, rng in enumerate(rngs):
         # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0), drop y_{-n}.
-        window[:n, i] = (factor @ rng.standard_normal(n + 1))[n - 1 :: -1]
-    scale = np.sqrt(process.noise_variance)
+        window[:n, i] = (factor @ rng.standard_normal(n + 1))[n - 1 :: -1] * scale
     blocks = [(b, rngs[b : b + _DRAW_BLOCK]) for b in range(0, len(rngs), _DRAW_BLOCK)]
     drawn_rows = list(drawn)
     run = _step_plan(process.coeffs, window, noise) if len(rngs) != 1 else None

@@ -1,10 +1,10 @@
 """Stationary second-order structure of a stable AR(n) process.
 
-The n x n blocks of the stationary state covariance V and of the Gramian
-G = sum_i A^i (A^T)^i, the peak squared gain of the AR transfer function on
-the unit circle and, on first use, the spectrum of V whitened by G: the
-deterministic inputs of every certificate.  V and G are Toeplitz up to a known
-diagonal, so one (n+1) x (n+1) Yule-Walker solve gives both
+The n x n blocks of the stationary state covariance V per unit innovation
+variance and of the Gramian G = sum_i A^i (A^T)^i, the peak squared gain of
+the AR transfer function on the unit circle and, on first use, the spectrum
+of V whitened by G: the deterministic inputs of every certificate.  V and G
+are Toeplitz up to a known diagonal, so one Yule-Walker solve gives both
 (:func:`arcert.linalg.solve_companion_lyapunov`).  The autocovariances, which
 only the tests need, live in the test suite's ``reference`` module.
 """
@@ -20,12 +20,6 @@ from numpy.polynomial import chebyshev
 
 from .linalg import companion_coefficients, solve_companion_lyapunov
 from .process import ArProcess, _frozen
-
-#: Noise variances that :func:`stationary_stats` accepts.  The bounds are
-#: invariant to s2 but their arithmetic is not: campaign statistics scale like
-#: s2^2 and overflow from about s2 = 1e154, where correct certificates read
-#: ``violated``.  The window keeps them about 50 decades inside double range.
-NOISE_VARIANCE_RANGE = (1e-100, 1e100)
 
 
 def _char_poly_sq_modulus(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -67,10 +61,10 @@ class StationaryStatistics:
 
     process: the process they were solved for (see stationary_stats).
     state_covariance_block, gramian_block: leading n x n blocks of the
-        solutions of V = A V A^T + noise_variance * e1 e1^T (the stationary
-        covariance of the state) and G = A G A^T + I (so G >= I; it measures
-        how system memory inflates the concentration bounds).
-    output_variance: stationary variance of the scalar output, V[0, 0].
+        solutions of V = A V A^T + e1 e1^T (the stationary covariance of the
+        state per unit innovation variance) and G = A G A^T + I (so G >= I;
+        it measures how system memory inflates the concentration bounds).
+    output_variance: E{y^2} / s2, the corner entry V[0, 0].
     peak_gain: peak squared transfer gain (see peak_transfer_gain).
     """
 
@@ -88,9 +82,8 @@ class StationaryStatistics:
     def whitened_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mu, U, W): W is the Cholesky factor of the Gramian block and
         U diag(mu) U^T, mu ascending, the eigendecomposition of
-        W^{-1} V_blk W^{-T}.  With s2 the innovation variance V was solved
-        for, mu / s2 are the eigenvalues of the pencil (V_blk, s2 G_blk); the
-        smallest is the feasibility ceiling on epsilon.
+        W^{-1} V_blk W^{-T}.  mu is the spectrum of the pencil
+        (V_blk, G_blk), and mu[0] the feasibility ceiling on epsilon.
         Computed on first use and kept, read-only, so a process is
         decomposed once whatever number of bounds is evaluated for it."""
         w_factor = np.linalg.cholesky(self.gramian_block)
@@ -109,14 +102,10 @@ def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
     """Statistics of the process with the first row of the companion matrix A
     (see :func:`arcert.process.build_companion`) as coefficients and sigma2
     as innovation variance, whose ArProcess validates them once; then one
-    solve of both Lyapunov equations.  A non-companion A is a ValueError, and
-    so is a sigma2 outside NOISE_VARIANCE_RANGE."""
+    solve of both Lyapunov equations at unit innovation variance, so no
+    field depends on sigma2.  A non-companion A is a ValueError."""
     process = ArProcess(coeffs=companion_coefficients(a), noise_variance=sigma2)
-    low, high = NOISE_VARIANCE_RANGE
-    if not low <= process.noise_variance <= high:
-        raise ValueError(f"noise_variance must be in [{low:g}, {high:g}], "
-                         f"got {process.noise_variance!r}")
-    state_cov, gramian = solve_companion_lyapunov(a, process.noise_variance)
+    state_cov, gramian = solve_companion_lyapunov(a)
     if not state_cov[0, 0] > 0.0:
         raise ValueError("stationary output variance must be positive")
     n = process.order

@@ -49,19 +49,21 @@ def simulate_whole_horizon(process: ArProcess, horizon: int, seed: SeedLike) -> 
     """One exactly stationary trajectory drawn in a single pass.
 
     The stream draws the initial companion state from its stationary law,
-    then all N innovations in one ``standard_normal`` call, and the recursion
-    runs over plain floats with the innovation first and the lag terms in
-    increasing k: the draw order and accumulation order the chunked
-    simulator must reproduce bit for bit.
+    then all N innovations in one ``standard_normal`` call, each draw scaled
+    by sqrt(s2) (the state through the factor of its covariance per unit
+    variance), and the recursion runs over plain floats with the innovation
+    first and the lag terms in increasing k: the draw order, scaling and
+    accumulation order the chunked simulator must reproduce bit for bit.
     """
     n = process.order
-    state_cov, _ = solve_companion_lyapunov(build_companion(process), process.noise_variance)
+    state_cov, _ = solve_companion_lyapunov(build_companion(process))
     factor = symmetric_sqrt(state_cov)
+    scale = np.sqrt(process.noise_variance)
     rng = np.random.default_rng(seed)
     state = factor @ rng.standard_normal(n + 1)
     # state = (y_0, y_{-1}, ..., y_{-n}); keep (y_{1-n}, ..., y_0).
-    path = state[:n][::-1].tolist()
-    noise = np.sqrt(process.noise_variance) * rng.standard_normal(horizon)
+    path = (state[:n][::-1] * scale).tolist()
+    noise = scale * rng.standard_normal(horizon)
     coeffs = process.coeffs.tolist()
     for e in noise.tolist():
         acc = e
@@ -81,7 +83,8 @@ def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
     is gamma(k); gamma(0) is the stationary output variance.
     """
     a = build_companion(process)
-    cur, _ = solve_companion_lyapunov(a, process.noise_variance)
+    cur, _ = solve_companion_lyapunov(a)
+    cur = process.noise_variance * cur
     gamma = np.empty(max_lag + 1)
     gamma[0] = cur[0, 0]
     for k in range(1, max_lag + 1):

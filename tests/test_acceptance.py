@@ -142,7 +142,7 @@ def test_criterion_6_oracle_equivalences(ar2, ar2_stats):
     # Lyapunov solve against the truncated series oracle.
     a = build_companion(ar2)
     qs = (np.diag([1.0, 0.0, 0.0]), np.eye(3))
-    for solved, q in zip(solve_companion_lyapunov(a, ar2.noise_variance), qs):
+    for solved, q in zip(solve_companion_lyapunov(a), qs):
         oracle = truncated_lyapunov_series(a, q, 250)
         assert np.abs(solved - oracle).max() <= 1e-10 * np.abs(solved).max()
 

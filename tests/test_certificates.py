@@ -36,6 +36,7 @@ from arcert.certificates import (
 )
 from conftest import CLUSTERED_POLES_AR8, stable_ar_coeffs, truncated_lyapunov_series
 from reference import deviation_radius_oracle, rate_sweep_oracle
+from test_stationary import PINNED_COEFFS
 
 
 def make_inputs(process, stats, epsilon, horizon):
@@ -44,7 +45,7 @@ def make_inputs(process, stats, epsilon, horizon):
 
 #: AR(6) with poles 0.9375, 0.75 and 0.5, each double (l1 norm 24.9, outside
 #: the benchmark's cap of 5): cond(G_blk) is 1e9, while mu_max / (mu_min -
-#: eps s2) at half the ceiling is only 8.8.
+#: eps) at half the ceiling is only 8.8.
 DOUBLED_POLES_AR6 = [float(-c) for c in np.real(np.poly([0.9375, 0.9375, 0.75, 0.75,
                                                           0.5, 0.5]))[1:]]
 
@@ -287,6 +288,43 @@ class TestCovarianceCertificate:
             make_inputs(ar1, ar1_stats, ceiling * (1 - 1e-7), 100)).feasible
         assert not covariance_certificate(
             make_inputs(ar1, ar1_stats, ceiling * (1 + 1e-7), 100)).feasible
+
+
+def bounds_and_sandwich(process):
+    """(repr of every bound at half the ceiling and N = 5000 and of a rate
+    sweep, the certificate, the statistics) for ``process``."""
+    stats = stationary_stats(build_companion(process), process.noise_variance)
+    ceiling = max_feasible_epsilon(process, stats)
+    inputs = make_inputs(process, stats, 0.5 * ceiling, 5000)
+    cert = covariance_certificate(inputs)
+    n = process.order
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the condition warning
+        radii = [deviation_radius(inputs, w).radius for w in (np.eye(n)[0], np.full(n, n ** -0.5))]
+        sweep = rate_analysis(process, stats, [10, 1000, 100_000, 10 ** 6], np.eye(n)[0])
+    bounds = (ceiling, cert.delta, cert.log_delta, cert.energy_scale, radii, sweep.points,
+              sweep.slope)
+    return repr(bounds), cert, stats
+
+
+@pytest.mark.parametrize("sigma2", [5e-324, 1e-310, 1e-101, 1.7, 1e101, 1e300])
+def test_bounds_have_the_same_bits_at_every_noise_variance(sigma2):
+    # Every bound is computed per unit innovation variance, so it has the same
+    # bits at every s2; s2 scales only the sandwich matrices.  At 1e300 the
+    # clustered-pole sandwich (V near 1e8) is beyond double range and
+    # overflows, as (N - n) s2 V itself does.
+    for coeffs in PINNED_COEFFS:
+        unit, _, _ = bounds_and_sandwich(ArProcess(coeffs=coeffs))
+        with np.errstate(over="ignore"):
+            scaled, cert, stats = bounds_and_sandwich(ArProcess(coeffs=coeffs,
+                                                                noise_variance=sigma2))
+            units = (5000 - len(coeffs)) * sigma2
+            spread = cert.epsilon * stats.gramian_block
+            lower = units * (stats.state_covariance_block - spread)
+            upper = units * (stats.state_covariance_block + spread)
+        assert scaled == unit
+        np.testing.assert_array_equal(cert.lower, lower)
+        np.testing.assert_array_equal(cert.upper, upper)
 
 
 class TestMaxFeasibleEpsilon:
@@ -632,9 +670,10 @@ class TestOneFeasibilityPredicate:
                 radius_returned = False
             passed, logdet_lower = self.campaign_setup(process, eps)
             assert cert.feasible == radius_returned == passed
-            if sigma2 == 1.0:  # eps s2 is exact, so the ceiling is sharp
-                assert cert.feasible == (eps < ceiling)
+            assert cert.feasible == (eps < ceiling)
             if eps == 0.5 * ceiling:
                 assert cert.feasible
-                assert logdet_lower == pytest.approx(np.linalg.slogdet(cert.lower)[1],
-                                                     rel=1e-10)
+                # The campaign's lower is the sandwich at unit noise variance.
+                unit_logdet = (np.linalg.slogdet(cert.lower)[1]
+                               - process.order * math.log(sigma2))
+                assert logdet_lower == pytest.approx(unit_logdet, rel=1e-10)

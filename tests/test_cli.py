@@ -49,7 +49,7 @@ AR1_MC = dict(coeffs=[0.5], noise_variance=1.0, epsilon={"fraction_of_ceiling": 
 
 #: An AR(5) whose lower sandwich matrix, formed entry by entry at epsilon equal
 #: to the ceiling, still has a positive smallest eigenvalue; the whitened gap
-#: mu_min - eps s2 is exactly 0 there.
+#: mu_min - eps is exactly 0 there.
 AR5_AT_CEILING = dict(
     coeffs=[-2.3421558999492644, -2.105598033801749, -0.9098127882790601,
             -0.18901062844095312, -0.015092346249685062],
@@ -285,6 +285,16 @@ PINNED_CAMPAIGNS = [
          ("self_normalized", "300", "300", "vacuous"), ("deviation:e1", "", "300", "vacuous"),
          ("deviation:uniform", "", "300", "vacuous")],
         0, {"e1": 0, "uniform": 0}, 0, id="ar2-vacuous-deviation"),
+    # The same campaign at another noise variance: every count is computed
+    # at unit variance, so the rows do not move.
+    pytest.param(
+        dict(coeffs=[0.3, 0.4], noise_variance=1.7, epsilon=0.25, horizon=50, trials=300,
+             seed=7, allow_vacuous=True, direction=["e1", "uniform"]), "1",
+        [("boundary", "131", "300", "vacuous"), ("noise_energy", "207", "300", "vacuous"),
+         ("cross_term", "280", "300", "vacuous"), ("sandwich", "152", "300", "vacuous"),
+         ("self_normalized", "300", "300", "vacuous"), ("deviation:e1", "", "300", "vacuous"),
+         ("deviation:uniform", "", "300", "vacuous")],
+        0, {"e1": 0, "uniform": 0}, 0, id="ar2-vacuous-deviation-noise-variance-1.7"),
     pytest.param(
         dict(coeffs=[0.5, -0.3, 0.2], noise_variance=1.0,
              epsilon={"fraction_of_ceiling": 0.5}, horizon=2085, trials=300, seed=2718,
@@ -646,6 +656,26 @@ class TestResolveDirection:
         assert label == "w1"
         np.testing.assert_allclose(w, [0.6, 0.8])
 
+    @pytest.mark.parametrize("vector", [[1e-200, 1e-200], [1e-170, 1e-170], [1e200, 1e200],
+                                        [3e-160, 4e-160]])
+    def test_vector_near_the_ends_of_double_range(self, vector):
+        # The squares of these entries underflow or overflow; the vector,
+        # scaled by its largest entry first, does not.
+        label, w = _resolve_direction(vector, 2, fallback_label="w1")
+        assert label == "w1"
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-15
+
+    def test_tiny_vector_certifies_like_its_unit_multiple(self, tmp_path):
+        radii = []
+        for name, vector in (("tiny", [1e-200, 1e-200]), ("ones", [1.0, 1.0])):
+            cfg = write_config(tmp_path, f"{name}.json", coeffs=[0.3, 0.4], noise_variance=1.0,
+                               epsilon={"fraction_of_ceiling": 0.5}, horizon=5000,
+                               direction=vector)
+            assert run(["certify", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            payload = json.loads((tmp_path / name / "certificate.json").read_text())
+            radii.append(payload["deviations"]["w1"]["radius"])
+        assert radii[0] == radii[1]
+
     def test_errors(self):
         with pytest.raises(ConfigError):
             _resolve_direction("e5", 2, "w1")
@@ -690,6 +720,11 @@ BEYOND_FLOAT = [
     pytest.param("rate-sweep", "horizon_grid", [1000, 10 ** 400],
                  id="sweep-horizon-beyond-float"),
     pytest.param("simulate", "output_dir", 5, id="number-output-dir"),
+    # Values whose certificate numbers overflow, which JSON cannot hold.
+    pytest.param("certify", "epsilon", 1e-320, id="epsilon-energy-scale-overflows"),
+    pytest.param("certify", "epsilon", {"fraction_of_ceiling": 1e-320},
+                 id="fraction-energy-scale-overflows"),
+    pytest.param("certify", "noise_variance", 1e305, id="noise-variance-sandwich-overflows"),
     pytest.param("certify", "output_dir", ["out"], id="list-output-dir"),
 ])
 def test_malformed_field_named(tmp_path, capsys, command, field, value):

@@ -249,7 +249,7 @@ class TestSimulation:
         # Closed form sigma^2/(1-theta^2) = 4/3, cross-checked against the
         # Lyapunov route before comparing with the simulation.
         closed_form = 1.0 / (1.0 - 0.25)
-        v, _ = solve_companion_lyapunov(build_companion(ar1), ar1.noise_variance)
+        v, _ = solve_companion_lyapunov(build_companion(ar1))
         assert v[0, 0] == pytest.approx(closed_form, rel=1e-12)
         traj = simulate_stationary(ar1, 1_000_000, 2024)
         sample_var = float(np.mean(traj.samples[traj.order :] ** 2))
@@ -378,6 +378,9 @@ class TestSimulation:
         # chunks whose last is ragged.  Recorded when the draws filled the
         # whole batch at once and the recursion rebuilt its views on every
         # chunk: the blocked draws and the step plan keep every bit.
+        # Re-recorded when the pre-samples became unit-variance draws times
+        # sqrt(s2): the noise bytes and the digest at s2 = 1 did not move,
+        # the windows at s2 = 1.7 moved at rounding level only.
         digest = hashlib.sha256()
         for coeffs in ([0.5], [0.3, 0.4], AR6_COEFFS):
             process = ArProcess(coeffs=coeffs, noise_variance=1.7)
@@ -388,7 +391,18 @@ class TestSimulation:
                     digest.update(window.tobytes())
                     digest.update(noise.tobytes())
         assert digest.hexdigest() == (
-            "de9792ec2f26e8e2f35409e243bdd2a9a8b3197d85981e7232f6a5490b4bff31")
+            "a34f392cddfe912cda2bf149a712064e5b8fd70a7ee69d53bae59b2092bb1e16")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma2", [5e-324, 1e-310, 1e300])
+    def test_path_scales_with_sqrt_noise_variance(self, sigma2):
+        # The pre-samples and innovations are unit-variance draws times
+        # sqrt(s2), so a subnormal or huge s2 neither loses the path to
+        # underflow nor overflows a solve.
+        unit = simulate_stationary(ArProcess(coeffs=[0.3, 0.4]), 2 * CHUNK + 7, 1).samples
+        scaled = simulate_stationary(ArProcess(coeffs=[0.3, 0.4], noise_variance=sigma2),
+                                     2 * CHUNK + 7, 1).samples / np.sqrt(sigma2)
+        assert np.abs(scaled - unit).max() <= 1e-14 * np.abs(unit).max()
 
     @pytest.mark.parametrize("order", [1, 6, MAX_ORDER])
     def test_batch_chunk_memory(self, order):
