@@ -215,15 +215,22 @@ def covariance_certificate(inputs: BoundInputs) -> CovarianceCertificate:
 
     An infeasible epsilon (lower not positive definite) is reported through
     the flag, not an error, so callers can chart where certificates become
-    informative.
+    informative.  Sandwich matrices beyond double range are a ValueError
+    naming noise_variance and epsilon, never an infinite matrix.
     """
     units = inputs.effective_samples * inputs.process.noise_variance
     spread = inputs.epsilon * inputs.stats.gramian_block
     v_block = inputs.stats.state_covariance_block
+    with np.errstate(over="ignore"):  # raised below, naming the inputs
+        lower, upper = units * (v_block - spread), units * (v_block + spread)
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError(f"noise_variance {inputs.process.noise_variance!r} and epsilon "
+                         f"{inputs.epsilon!r}: the sandwich matrices (N - n) s2 (V -/+ eps G) "
+                         "overflow")
     scale, terms, delta, log_delta = _failure_bound(inputs)
     return CovarianceCertificate(
-        lower=units * (v_block - spread),
-        upper=units * (v_block + spread),
+        lower=lower,
+        upper=upper,
         delta=delta,
         failure_terms=terms,
         energy_scale=scale,

@@ -269,51 +269,33 @@ def cmd_certify(args) -> int:
     stats = stationary_stats(build_companion(process), process.noise_variance)
     ceiling = max_feasible_epsilon(process, stats)
     policy, epsilon = resolve_epsilon(_require(config, "epsilon"), ceiling, horizon)
-
-    payload: dict = {
-        "process": process,
-        "horizon": horizon,
-        "epsilon_policy": policy,
-        "epsilon_ceiling": ceiling,
-        "meta": _meta(),
-    }
-    lines = [
-        f"process: coeffs={process.coeffs.tolist()} noise_variance={process.noise_variance}",
-        f"horizon: {horizon}",
-        f"epsilon ceiling: {ceiling!r}",
-    ]
-
-    if epsilon is None:
-        payload.update({"epsilon": None, "feasible": False, "covariance": None,
-                        "deviations": {}})
-        lines.append(f"epsilon ({policy}): infeasible at this horizon")
-        lines.append("certificate: infeasible")
-    else:
+    cert, deviations = None, {}
+    if epsilon is not None:
         inputs = BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
-        with np.errstate(over="ignore"):  # reported below, naming the field
-            cert = covariance_certificate(inputs)
+        cert = covariance_certificate(inputs)
         # JSON holds no inf: name the field whose value overflowed a number.
         if not math.isfinite(cert.energy_scale):
             raise ConfigError(f"field 'epsilon': {epsilon!r} is so small that the regressor "
                               "energy scale E{y^2} / epsilon overflows")
-        if not np.isfinite([cert.lower, cert.upper]).all():
-            raise ConfigError("fields 'noise_variance' and 'epsilon': the sandwich matrices "
-                              "(N - n) s2 (V -/+ eps G) overflow")
-        payload.update({"epsilon": epsilon, "feasible": cert.feasible,
-                        "covariance": cert})
-        lines.append(f"epsilon ({policy}): {epsilon!r}")
-        lines.append(f"feasible: {cert.feasible}")
-        lines.append(f"delta: {cert.delta!r} (log: {cert.log_delta!r})")
-        deviations = {}
         if cert.feasible:
-            for label, w in directions:
-                dev = deviation_radius(inputs, w)
-                deviations[label] = dev
-                shown = "vacuous" if dev.vacuous else repr(dev.radius)
-                lines.append(f"radius[{label}]: {shown} (failure <= {dev.total_failure!r})")
-        else:
+            deviations = {label: deviation_radius(inputs, w) for label, w in directions}
+
+    payload = {"process": process, "horizon": horizon, "epsilon_policy": policy,
+               "epsilon_ceiling": ceiling, "meta": _meta(), "epsilon": epsilon,
+               "feasible": cert is not None and cert.feasible, "covariance": cert,
+               "deviations": deviations}
+    lines = [f"process: coeffs={process.coeffs.tolist()} noise_variance={process.noise_variance}",
+             f"horizon: {horizon}", f"epsilon ceiling: {ceiling!r}"]
+    if cert is None:
+        lines += [f"epsilon ({policy}): infeasible at this horizon", "certificate: infeasible"]
+    else:
+        lines += [f"epsilon ({policy}): {epsilon!r}", f"feasible: {cert.feasible}",
+                  f"delta: {cert.delta!r} (log: {cert.log_delta!r})"]
+        if not cert.feasible:
             lines.append("deviation radii: skipped (infeasible epsilon)")
-        payload["deviations"] = deviations
+    for label, dev in deviations.items():
+        shown = "vacuous" if dev.vacuous else repr(dev.radius)
+        lines.append(f"radius[{label}]: {shown} (failure <= {dev.total_failure!r})")
 
     _write_json(out / "certificate.json", payload)
     _write_text(out / "summary.txt", "\n".join(lines) + "\n")
@@ -327,9 +309,6 @@ def cmd_montecarlo(args) -> int:
     directions = _parse_directions(config, process.order)
     trials = _int_field(config, "trials")
     seed = _parse_seed(args, config)
-    allow_vacuous = config.get("allow_vacuous", False)
-    if not isinstance(allow_vacuous, bool):
-        raise ConfigError("field 'allow_vacuous': must be true or false")
     out = _out_dir(args, config)
 
     stats = stationary_stats(build_companion(process), process.noise_variance)
@@ -346,7 +325,6 @@ def cmd_montecarlo(args) -> int:
         master_seed=seed,
         directions=tuple(directions),
         threads=args.threads,
-        allow_vacuous=allow_vacuous,
     )
     report = run_campaign(campaign)
 

@@ -91,9 +91,7 @@ class CampaignConfig:
     """Validated inputs of one Monte Carlo campaign.
 
     directions maps labels to unit vectors; trial i uses the RNG substream
-    derived from (master_seed, i).  With allow_vacuous=False a campaign whose
-    sandwich failure bound is already >= 1 is rejected, since every verdict
-    would be vacuous.
+    derived from (master_seed, i).
     """
 
     process: ArProcess
@@ -103,7 +101,6 @@ class CampaignConfig:
     master_seed: int
     directions: tuple[tuple[str, np.ndarray], ...]
     threads: int = 1
-    allow_vacuous: bool = False
 
     def __post_init__(self):
         n = self.process.order
@@ -337,8 +334,9 @@ def _frequency_row(name: str, failures: int | None, evaluated: int,
 def run_campaign(config: CampaignConfig) -> CoverageReport:
     """Run the full campaign and aggregate per-event coverage.
 
-    Deterministic given the master seed.  Trials that fail numerically are
-    counted and excluded from frequencies; the campaign raises
+    Deterministic given the master seed, and run at any feasible epsilon: a
+    row whose own bound is >= 1 reads "vacuous".  Trials that fail numerically
+    are counted and excluded from frequencies; the campaign raises
     NumericalFailureError if more than MAX_ERROR_FRACTION of trials error out.
     """
     stats = stationary_stats(build_companion(config.process), 1.0)
@@ -350,11 +348,6 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     if gap is None:
         raise ConfigError("epsilon: infeasible (the lower sandwich matrix is not positive "
                           "definite); choose epsilon below the feasibility ceiling")
-    if cert.delta >= 1.0 and not config.allow_vacuous:
-        raise ConfigError(
-            f"epsilon/horizon: the failure bound delta = {cert.delta:.4g} is vacuous (>= 1); "
-            "pass allow_vacuous to run anyway"
-        )
 
     deviations = [(f"deviation:{label}", w, deviation_radius(inputs, w))
                   for label, w in config.directions]

@@ -42,14 +42,13 @@ TRIALS = 10_000
 HORIZON = 5_000
 
 
-def _campaign(coeffs, directions, master_seed, allow_vacuous):
+def _campaign(coeffs, directions, master_seed):
     process = ArProcess(coeffs=coeffs, noise_variance=1.0)
     stats = stationary_stats(build_companion(process), 1.0)
     epsilon = 0.5 * max_feasible_epsilon(process, stats)
     config = CampaignConfig(
         process=process, horizon=HORIZON, epsilon=epsilon, trials=TRIALS,
         master_seed=master_seed, directions=directions, threads=2,
-        allow_vacuous=allow_vacuous,
     )
     cert = covariance_certificate(
         BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=HORIZON)
@@ -64,10 +63,8 @@ def campaigns():
     root_half = math.sqrt(0.5)
     ar2_dirs = (("e1", np.array([1.0, 0.0])), ("en", np.array([0.0, 1.0])),
                 ("uniform", np.array([root_half, root_half])))
-    config1, cert1 = _campaign([0.5], ar1_dirs, master_seed=20_240_001,
-                               allow_vacuous=False)
-    config2, cert2 = _campaign([0.3, 0.4], ar2_dirs, master_seed=20_240_002,
-                               allow_vacuous=True)
+    config1, cert1 = _campaign([0.5], ar1_dirs, master_seed=20_240_001)
+    config2, cert2 = _campaign([0.3, 0.4], ar2_dirs, master_seed=20_240_002)
     started = time.perf_counter()
     report1 = run_campaign(config1)
     report2 = run_campaign(config2)

@@ -5,6 +5,7 @@ functions by module and name, so a deletion or rename in ``src/`` can break it
 without breaking any other test.  These checks fail first.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -29,8 +30,8 @@ from arcert import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Spans that bench/run.py ``_per_layer`` reads, as "<module>.<function>".
-#: Keep in step with ``_per_layer``; ``process.to_csv`` is the one method
+#: Spans that bench/run.py ``_per_layer`` reads, as "<module>.<function>"
+#: (checked against its source below).  ``process.to_csv`` is the one method
 #: span and is checked on its own.  ``_per_layer`` also reads
 #: "linalg.solve_discrete_lyapunov", a function the library no longer has:
 #: its two metrics read 0, as they did while nothing called it.
@@ -91,6 +92,35 @@ def test_simulate_stationary_runs_ar_recursion(monkeypatch):
                         lambda *args, **kwargs: calls.append(1) or recursion(*args, **kwargs))
     arcert.process.simulate_stationary(ArProcess(coeffs=[0.3, 0.4]), 50, 1)
     assert calls
+
+
+def per_layer_span_names() -> set[str]:
+    """Span names that bench/run.py ``_per_layer`` reads from its ``incl``,
+    ``own`` and ``calls`` tables: string subscripts, and in its loops over a
+    tuple of names, each name behind the subscript's f-string prefix."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    [func] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_per_layer"]
+
+    def table_keys(node):
+        return [sub.slice for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                and sub.value.id in ("incl", "own", "calls")]
+
+    names = {key.value for key in table_keys(func) if isinstance(key, ast.Constant)}
+    for loop in ast.walk(func):
+        if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Tuple):
+            for key in table_keys(loop):
+                prefix = key.values[0].value if isinstance(key, ast.JoinedStr) else ""
+                names.update(prefix + elt.value for elt in loop.iter.elts)
+    return names
+
+
+def test_per_layer_spans_match_bench_source():
+    names = per_layer_span_names()
+    assert len(names) == 14
+    assert names - {"process.to_csv", "linalg.solve_discrete_lyapunov"} \
+        == set(PER_LAYER_SPANS)
 
 
 @pytest.mark.parametrize("span", PER_LAYER_SPANS)

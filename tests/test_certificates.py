@@ -30,6 +30,7 @@ from arcert.certificates import (
     CONDITION_WARN_LIMIT,
     _boundary_exponent,
     _cross_term_exponents,
+    _failure_bound,
     _noise_energy_exponent,
     event_threshold,
     regressor_energy_scale,
@@ -290,41 +291,63 @@ class TestCovarianceCertificate:
             make_inputs(ar1, ar1_stats, ceiling * (1 + 1e-7), 100)).feasible
 
 
-def bounds_and_sandwich(process):
+def bounds_and_inputs(process):
     """(repr of every bound at half the ceiling and N = 5000 and of a rate
-    sweep, the certificate, the statistics) for ``process``."""
+    sweep, the bound inputs) for ``process``."""
     stats = stationary_stats(build_companion(process), process.noise_variance)
     ceiling = max_feasible_epsilon(process, stats)
     inputs = make_inputs(process, stats, 0.5 * ceiling, 5000)
-    cert = covariance_certificate(inputs)
     n = process.order
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the condition warning
         radii = [deviation_radius(inputs, w).radius for w in (np.eye(n)[0], np.full(n, n ** -0.5))]
         sweep = rate_analysis(process, stats, [10, 1000, 100_000, 10 ** 6], np.eye(n)[0])
-    bounds = (ceiling, cert.delta, cert.log_delta, cert.energy_scale, radii, sweep.points,
-              sweep.slope)
-    return repr(bounds), cert, stats
+    # delta, its terms and logarithm, and the energy scale, as the certificate reads them.
+    bounds = (ceiling, _failure_bound(inputs), radii, sweep.points, sweep.slope)
+    return repr(bounds), inputs
 
 
 @pytest.mark.parametrize("sigma2", [5e-324, 1e-310, 1e-101, 1.7, 1e101, 1e300])
 def test_bounds_have_the_same_bits_at_every_noise_variance(sigma2):
     # Every bound is computed per unit innovation variance, so it has the same
     # bits at every s2; s2 scales only the sandwich matrices.  At 1e300 the
-    # clustered-pole sandwich (V near 1e8) is beyond double range and
-    # overflows, as (N - n) s2 V itself does.
+    # clustered-pole sandwich (V near 1e8) is beyond double range, as
+    # (N - n) s2 V itself is, and the certificate raises instead.
     for coeffs in PINNED_COEFFS:
-        unit, _, _ = bounds_and_sandwich(ArProcess(coeffs=coeffs))
+        unit, _ = bounds_and_inputs(ArProcess(coeffs=coeffs))
+        scaled, inputs = bounds_and_inputs(ArProcess(coeffs=coeffs, noise_variance=sigma2))
+        assert scaled == unit
+        stats = inputs.stats
+        units = (5000 - len(coeffs)) * sigma2
+        spread = inputs.epsilon * stats.gramian_block
         with np.errstate(over="ignore"):
-            scaled, cert, stats = bounds_and_sandwich(ArProcess(coeffs=coeffs,
-                                                                noise_variance=sigma2))
-            units = (5000 - len(coeffs)) * sigma2
-            spread = cert.epsilon * stats.gramian_block
             lower = units * (stats.state_covariance_block - spread)
             upper = units * (stats.state_covariance_block + spread)
-        assert scaled == unit
-        np.testing.assert_array_equal(cert.lower, lower)
-        np.testing.assert_array_equal(cert.upper, upper)
+        if np.isfinite([lower, upper]).all():
+            cert = covariance_certificate(inputs)
+            assert (cert.energy_scale, cert.failure_terms, cert.delta, cert.log_delta) \
+                == _failure_bound(inputs)
+            np.testing.assert_array_equal(cert.lower, lower)
+            np.testing.assert_array_equal(cert.upper, upper)
+        else:
+            assert (sigma2, coeffs) == (1e300, CLUSTERED_POLES_AR8)
+            with pytest.raises(ValueError, match="noise_variance .* and epsilon"):
+                covariance_certificate(inputs)
+
+
+@pytest.mark.parametrize("sigma2, epsilon", [(1e305, 0.5), (1.0, 1e308)],
+                         ids=["noise-variance", "epsilon"])
+def test_sandwich_overflow_raises(sigma2, epsilon):
+    # (N - n) s2 (V -/+ eps G) beyond double range would be an infinite
+    # sandwich flagged feasible; the certificate names both inputs instead,
+    # and numpy's overflow warning does not escape.
+    process = ArProcess(coeffs=[0.5], noise_variance=sigma2)
+    stats = stationary_stats(build_companion(process), sigma2)
+    inputs = make_inputs(process, stats, epsilon, 5000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="noise_variance .* and epsilon"):
+            covariance_certificate(inputs)
 
 
 class TestMaxFeasibleEpsilon:
@@ -637,8 +660,7 @@ class TestOneFeasibilityPredicate:
             return Counter(evaluated=stop - start)
 
         config = CampaignConfig(process=process, horizon=5000, epsilon=epsilon, trials=100,
-                                master_seed=0, directions=(("e1", np.eye(process.order)[0]),),
-                                allow_vacuous=True)
+                                master_seed=0, directions=(("e1", np.eye(process.order)[0]),))
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             mp.setattr(montecarlo_module, "_run_batch", no_trials)
             warnings.simplefilter("ignore", RuntimeWarning)
