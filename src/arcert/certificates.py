@@ -168,7 +168,8 @@ def _failure_bound(inputs: BoundInputs) -> tuple[float, tuple[float, ...], float
     leads = (2.0 * math.sqrt(2.0), 2.0, 2.0, 2.0)
     terms = tuple(c * math.exp(-a) for c, a in zip(leads, exponents))
     log_delta = float(np.logaddexp.reduce([math.log(c) - a for c, a in zip(leads, exponents)]))
-    return scale, terms, float(sum(terms)), log_delta
+    # A left fold: builtin sum of floats is compensated from Python 3.12.
+    return scale, terms, ((terms[0] + terms[1]) + terms[2]) + terms[3], log_delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,6 +248,11 @@ def max_feasible_epsilon(process: ArProcess, stats: StationaryStatistics) -> flo
     (:func:`_lower_gap`).  It is also the sqrt(N) decay rate of delta."""
     _check_same_process(process, stats)
     return float(stats.whitened_spectrum[0][0])
+
+
+def ceiling_rule_epsilon(ceiling: float, horizon: int) -> float:
+    """eps_N = ceiling - N^{-1/2}, under which delta decays like exp(-ceiling sqrt(N))."""
+    return ceiling - horizon ** -0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +394,7 @@ def rate_analysis(process: ArProcess, stats: StationaryStatistics,
 
     points = []
     for horizon in grid:
-        eps = ceiling - horizon ** -0.5
+        eps = ceiling_rule_epsilon(ceiling, horizon)
         if eps <= 0.0:
             points.append(RatePoint(horizon=horizon, epsilon=eps, delta=None,
                                     log_delta=None, radius=None, feasible=False))

@@ -29,6 +29,7 @@ from . import __version__
 from .certificates import (
     BoundInputs,
     RatePoint,
+    ceiling_rule_epsilon,
     covariance_certificate,
     deviation_radius,
     max_feasible_epsilon,
@@ -125,13 +126,12 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
     """Resolve the epsilon policy to a value (None when infeasible).
 
     Policies: a plain number fixes epsilon; "ceiling-rule" uses
-    ceiling - horizon^{-1/2}, the choice under which the failure bound decays
-    like exp(-ceiling * sqrt(N)); {"fraction_of_ceiling": f} uses f * ceiling.
+    :func:`ceiling_rule_epsilon`; {"fraction_of_ceiling": f} uses f * ceiling.
     """
     if isinstance(spec, (int, float)):
         return "fixed", _positive(spec, "epsilon")
     if spec == "ceiling-rule":
-        value = ceiling - horizon ** -0.5
+        value = ceiling_rule_epsilon(ceiling, horizon)
         return "ceiling-rule", (value if value > 0.0 else None)
     if isinstance(spec, dict) and set(spec) == {"fraction_of_ceiling"}:
         fraction = _positive(spec["fraction_of_ceiling"], "epsilon.fraction_of_ceiling")

@@ -1,6 +1,6 @@
-"""Dense matrix primitives: the discrete Lyapunov solve for AR companion
-matrices behind every stationary covariance and Gramian, and the symmetric
-square root.  Stability is checked upstream: an ``ArProcess`` is stable.
+"""Dense matrix primitives: the AR companion layout, the discrete Lyapunov solve
+from its coefficients behind every stationary covariance and Gramian, and the
+symmetric square root.  Stability is checked upstream: an ``ArProcess`` is stable.
 
 Everything here operates on plain numpy arrays and is pure, so all functions
 are safe for concurrent use.
@@ -33,22 +33,22 @@ def _check_residual(a: np.ndarray, x: np.ndarray, q: np.ndarray) -> None:
             f"Lyapunov residual {residual:.3e} above tolerance {LYAPUNOV_TOL:.1e}")
 
 
-def companion_coefficients(a) -> np.ndarray:
-    """The AR coefficients (c_1, ..., c_n) in the first row of a companion
-    matrix A; ValueError if A is not one (see
-    :func:`arcert.process.build_companion`)."""
-    a = np.asarray(a, dtype=float)
-    _require_square(a, "a")
-    n = a.shape[0] - 1
-    if n < 1 or a[0, n] != 0.0 or not np.array_equal(a[1:], np.eye(n, n + 1)):
-        raise ValueError("a must be an AR companion matrix: coefficients in the first "
-                         "row, an identity shift below it and a zero last column")
-    return a[0, :n]
+def _companion(coeffs: np.ndarray) -> np.ndarray:
+    """(n+1) x (n+1) companion matrix A of x_{t+1} = A x_t + e1 e_{t+1}, with
+    the state x_t = (y_t, ..., y_{t-n}): the coefficients in the first row, an
+    identity shift below and a zero last column.  Its leading n x n block is
+    the companion of p(x) = x^n - c_1 x^(n-1) - ... - c_n, so A's eigenvalues
+    are the process poles plus one at zero.  The one writer of this layout."""
+    n = coeffs.size
+    a = np.zeros((n + 1, n + 1))
+    a[0, :n] = coeffs
+    a[1:, :n] = np.eye(n)
+    return a
 
 
-def solve_companion_lyapunov(a) -> tuple[np.ndarray, np.ndarray]:
+def solve_companion_lyapunov(coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Solve V = A V A^T + e1 e1^T (per unit innovation variance) and G =
-    A G A^T + I for an AR companion matrix A (:func:`arcert.process.build_companion`).
+    A G A^T + I for the companion A of the coefficients (c_1, ..., c_n) (:func:`_companion`).
 
     The state is x_t = (y_t, ..., y_{t-n}), so V = toeplitz(gamma_0..gamma_n)
     holds the autocovariances, and the shift rows give G_{pq} = G_{p-1,q-1} +
@@ -61,25 +61,24 @@ def solve_companion_lyapunov(a) -> tuple[np.ndarray, np.ndarray]:
     solution forward accurate (Higham 2002, ch. 12), and the corrected first
     rows are rounded to float64 only after the diagonal of G is added.
 
-    Only the first row of A is read for the coefficients, so anything but a
-    companion matrix is rejected.  A must be stable: this solve does not
-    check it (a stable ``ArProcess`` guarantees it).  Raises
+    The coefficients must be a stable process's (``ArProcess.coeffs``): this
+    solve does not check it.  A is built only for the two residual checks;
     ConvergenceError when either relative residual exceeds ``LYAPUNOV_TOL``.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0] - 1
-    coeffs = np.zeros(2 * n + 1, dtype=np.longdouble)  # coeffs[j] = c_j, 0 off 1..n
-    coeffs[1 : n + 1] = companion_coefficients(a)
+    c = np.asarray(coeffs, dtype=float)
+    n = c.size
+    padded = np.zeros(2 * n + 1, dtype=np.longdouble)  # padded[j] = c_j, 0 off 1..n
+    padded[1 : n + 1] = c
     idx = np.arange(n + 1)
     diff = idx[:, None] - idx[None, :]
     # Row k: the coefficient of x_m gathers -c_j over j = k - m and j = k + m
     # (once for m = 0).
-    hankel = coeffs[idx[:, None] + idx[None, :]]
+    hankel = padded[idx[:, None] + idx[None, :]]
     hankel[:, 0] = 0.0
-    system = np.eye(n + 1, dtype=np.longdouble) - coeffs[np.maximum(diff, 0)] - hankel
+    system = np.eye(n + 1, dtype=np.longdouble) - padded[np.maximum(diff, 0)] - hankel
     rhs = np.zeros((n + 1, 2), dtype=np.longdouble)
     rhs[0] = 1.0
-    rhs[2:, 1] = idx[1:n] * coeffs[2 : n + 1]
+    rhs[2:, 1] = idx[1:n] * padded[2 : n + 1]
     system64 = system.astype(float)
     first = np.linalg.solve(system64, rhs.astype(float))
     residual = rhs - system @ first.astype(np.longdouble)
@@ -88,6 +87,7 @@ def solve_companion_lyapunov(a) -> tuple[np.ndarray, np.ndarray]:
     lag = np.abs(diff)
     v = first_rows[lag, 0].astype(float)
     g = (first_rows[lag, 1] + np.diag(idx)).astype(float)
+    a = _companion(c)
     e1 = np.eye(n + 1)[0]
     _check_residual(a, v, np.outer(e1, e1))
     _check_residual(a, g, np.eye(n + 1))

@@ -17,7 +17,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import StabilityError
-from .linalg import solve_companion_lyapunov, symmetric_sqrt
+from .linalg import _companion, solve_companion_lyapunov, symmetric_sqrt
 
 #: Margin below the unit circle required of every characteristic root.
 #: Lyapunov solves degrade as roots approach the circle, so exact unit-modulus
@@ -77,19 +77,6 @@ def _frozen(value) -> np.ndarray:
     return out
 
 
-def _companion(coeffs: np.ndarray) -> np.ndarray:
-    """(n+1) x (n+1) companion matrix A of x_{t+1} = A x_t + e1 e_{t+1}, with
-    the state x_t = (y_t, ..., y_{t-n}): the coefficients in the first row, an
-    identity shift below and a zero last column.  Its leading n x n block is
-    the companion of p(x) = x^n - c_1 x^(n-1) - ... - c_n, so A's eigenvalues
-    are the process poles plus one at zero."""
-    n = coeffs.size
-    a = np.zeros((n + 1, n + 1))
-    a[0, :n] = coeffs
-    a[1:, :n] = np.eye(n)
-    return a
-
-
 def characteristic_roots(coeffs) -> np.ndarray:
     """Roots of the AR characteristic polynomial (the process poles)."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -141,8 +128,8 @@ class ArProcess:
 
 
 def build_companion(process: ArProcess) -> np.ndarray:
-    """Read-only companion matrix A of a stable AR(n) process (see
-    :func:`_companion`); the innovation enters the state through e1."""
+    """Read-only companion matrix A of a stable AR(n) process, laid out by
+    :func:`arcert.linalg._companion`; the solves take ``process.coeffs``."""
     return _frozen(_companion(process.coeffs))
 
 
@@ -328,7 +315,7 @@ def simulate_chunks(process: ArProcess, horizon: int, seeds: list[SeedLike],
     if horizon <= process.order:
         raise ValueError("horizon must exceed the process order")
     n = process.order
-    state_cov, _ = solve_companion_lyapunov(build_companion(process))
+    state_cov, _ = solve_companion_lyapunov(process.coeffs)
     factor = symmetric_sqrt(state_cov)
     scale = np.sqrt(process.noise_variance)
     rngs = [np.random.default_rng(seed) for seed in seeds]

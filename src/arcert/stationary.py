@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .linalg import companion_coefficients, solve_companion_lyapunov
+from .linalg import _companion, _require_square, solve_companion_lyapunov
 from .process import ArProcess, _frozen
 
 
@@ -99,13 +99,18 @@ class StationaryStatistics:
 
 
 def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
-    """Statistics of the process with the first row of the companion matrix A
-    (see :func:`arcert.process.build_companion`) as coefficients and sigma2
-    as innovation variance, whose ArProcess validates them once; then one
-    solve of both Lyapunov equations at unit innovation variance, so no
-    field depends on sigma2.  A non-companion A is a ValueError."""
-    process = ArProcess(coeffs=companion_coefficients(a), noise_variance=sigma2)
-    state_cov, gramian = solve_companion_lyapunov(a)
+    """Statistics of the process with companion matrix A (see
+    :func:`arcert.process.build_companion`) and innovation variance sigma2.  A
+    must equal the companion matrix of its first row ``a[0, :-1]`` entry for
+    entry (else a ValueError); their ArProcess validates them and sigma2 once,
+    and one solve of ``process.coeffs`` gives V and G at unit variance."""
+    a = np.asarray(a, dtype=float)
+    _require_square(a, "a")
+    if a.shape[0] < 2 or not np.array_equal(a, _companion(a[0, :-1]), equal_nan=True):
+        raise ValueError("a must be an AR companion matrix: coefficients in the first "
+                         "row, an identity shift below it and a zero last column")
+    process = ArProcess(coeffs=a[0, :-1], noise_variance=sigma2)
+    state_cov, gramian = solve_companion_lyapunov(process.coeffs)
     if not state_cov[0, 0] > 0.0:
         raise ValueError("stationary output variance must be positive")
     n = process.order

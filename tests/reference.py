@@ -56,7 +56,7 @@ def simulate_whole_horizon(process: ArProcess, horizon: int, seed: SeedLike) -> 
     accumulation order the chunked simulator must reproduce bit for bit.
     """
     n = process.order
-    state_cov, _ = solve_companion_lyapunov(build_companion(process))
+    state_cov, _ = solve_companion_lyapunov(process.coeffs)
     factor = symmetric_sqrt(state_cov)
     scale = np.sqrt(process.noise_variance)
     rng = np.random.default_rng(seed)
@@ -83,7 +83,7 @@ def autocovariance_sequence(process: ArProcess, max_lag: int) -> np.ndarray:
     is gamma(k); gamma(0) is the stationary output variance.
     """
     a = build_companion(process)
-    cur, _ = solve_companion_lyapunov(a)
+    cur, _ = solve_companion_lyapunov(process.coeffs)
     cur = process.noise_variance * cur
     gamma = np.empty(max_lag + 1)
     gamma[0] = cur[0, 0]

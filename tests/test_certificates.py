@@ -249,6 +249,18 @@ class TestTotalFailureBound:
         assert cert.delta == 0.0
         assert -1100 < cert.log_delta < -900
 
+    @pytest.mark.parametrize("horizon", [50, 500, 5000])
+    @pytest.mark.parametrize("coeffs", PINNED_COEFFS[:3], ids=["ar1", "ar2", "ar6"])
+    def test_delta_is_the_left_fold(self, coeffs, horizon):
+        # The same bits on every Python: builtin sum of floats is the left
+        # fold before 3.12 and compensated from 3.12 on.
+        process = ArProcess(coeffs=coeffs)
+        stats = stationary_stats(build_companion(process), 1.0)
+        inputs = make_inputs(process, stats, 0.5 * max_feasible_epsilon(process, stats), horizon)
+        cert = covariance_certificate(inputs)
+        t0, t1, t2, t3 = cert.failure_terms
+        assert cert.delta.hex() == (((t0 + t1) + t2) + t3).hex()
+
     def test_independent_of_noise_variance(self):
         reference = None
         for sigma2 in [0.1, 1.0, 10.0]:

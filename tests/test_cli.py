@@ -371,16 +371,20 @@ class TestRateSweep:
         assert (out_a / "rate_sweep.csv").read_bytes() == (out_b / "rate_sweep.csv").read_bytes()
 
     def test_certify_ceiling_rule_matches_sweep_points(self, tmp_path):
-        # Both commands set epsilon = ceiling - N^{-1/2}: certify with
-        # "ceiling-rule" at N reports the sweep's point at N, bit for bit, and
-        # both call the same horizons infeasible.
+        # Both commands set epsilon = ceiling - N^{-1/2} through one rule:
+        # certify with "ceiling-rule" at N reports the sweep's point at N, bit
+        # for bit, writes the epsilon bits of that rate_sweep.csv row (null
+        # where the row's is not positive), and both call the same horizons
+        # infeasible.
         grid = [3, 4, 5, 50, 1000, 5000]
         base = dict(coeffs=[0.3, 0.4], noise_variance=1.0, direction="e1")
         cfg = write_config(tmp_path, name="sweep.json", horizon_grid=grid, **base)
         assert run(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
         analysis = json.loads((tmp_path / "sweep" / "rate_analysis.json").read_text())
+        with open(tmp_path / "sweep" / "rate_sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
         infeasible = []
-        for point in analysis["analysis"]["points"]:
+        for point, row in zip(analysis["analysis"]["points"], rows, strict=True):
             horizon, out = point["horizon"], tmp_path / f"certify-{point['horizon']}"
             cfg = write_config(tmp_path, name=f"{horizon}.json", epsilon="ceiling-rule",
                                horizon=horizon, **base)
@@ -389,10 +393,13 @@ class TestRateSweep:
             assert cert["feasible"] is point["feasible"]
             if not point["feasible"]:
                 infeasible.append(horizon)
+            assert int(row["horizon"]) == horizon
             if cert["epsilon"] is None:
                 assert point["epsilon"] <= 0.0 and point["delta"] is None
+                assert float(row["epsilon"]) <= 0.0
                 continue
             assert cert["epsilon"] == point["epsilon"]
+            assert cert["epsilon"].hex() == float(row["epsilon"]).hex()
             assert cert["covariance"]["delta"] == point["delta"]
             assert cert["covariance"]["log_delta"] == point["log_delta"]
             radius = cert["deviations"]["e1"]["radius"] if cert["feasible"] else None

@@ -19,13 +19,13 @@ class TestLyapunov:
     def test_zero_matrix_fixed_point(self):
         # All coefficients zero: A is the nilpotent shift, so the series ends
         # after n + 1 terms and V = I, G = diag(1, ..., n + 1) exactly.
-        v, g = solve_companion_lyapunov(np.eye(3, k=-1))
+        v, g = solve_companion_lyapunov([0.0, 0.0])
         np.testing.assert_array_equal(v, np.eye(3))
         np.testing.assert_array_equal(g, np.diag([1.0, 2.0, 3.0]))
 
     def test_scalar_geometric_series(self):
         # AR(1) with c = 0.5: V[0, 0] and G[0, 0] both sum 0.25^i.
-        v, g = solve_companion_lyapunov([[0.5, 0.0], [1.0, 0.0]])
+        v, g = solve_companion_lyapunov([0.5])
         assert v[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert g[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-14)
 
@@ -33,7 +33,7 @@ class TestLyapunov:
         a = np.array([[0.3, 0.4, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         qs = (np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), np.eye(3))
         # rho(a) = 0.8 so 200 terms push the tail below 1e-12 * ||q||.
-        for x, q in zip(solve_companion_lyapunov(a), qs):
+        for x, q in zip(solve_companion_lyapunov([0.3, 0.4]), qs):
             oracle = truncated_lyapunov_series(a, q, 200)
             assert np.abs(x - oracle).max() <= 1e-10 * np.abs(x).max()
 
@@ -46,7 +46,7 @@ class TestLyapunov:
         poles = moduli * np.exp(1j * rng.uniform(0.0, np.pi, 2))
         coeffs = -np.real(np.poly(np.concatenate([poles, poles.conj()])))[1:]
         a = build_companion(ArProcess(coeffs=coeffs))
-        v, g = solve_companion_lyapunov(a)
+        v, g = solve_companion_lyapunov(coeffs)
         e1 = np.eye(5)[0]
         assert relative_residual(a, v, np.outer(e1, e1)) <= 1e-10
         assert relative_residual(a, g, np.eye(5)) <= 1e-10
@@ -60,14 +60,14 @@ class TestLyapunov:
         exact = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda m, b: exact(m, b) * (1.0 + 1e-3))
         with pytest.raises(ConvergenceError):
-            solve_companion_lyapunov([[0.5, 0.0], [1.0, 0.0]])
+            solve_companion_lyapunov([0.5])
 
     def test_nan_solve_surfaces(self, monkeypatch):
         # A NaN residual compares False with any tolerance, so the check
         # must reject it rather than pass it.
         monkeypatch.setattr(np.linalg, "solve", lambda m, b: np.full(np.shape(b), np.nan))
         with pytest.raises(ConvergenceError):
-            solve_companion_lyapunov([[0.5, 0.0], [1.0, 0.0]])
+            solve_companion_lyapunov([0.5])
 
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.floats(0.1, 0.95), st.floats(0.0, np.pi)), max_size=4),
@@ -82,10 +82,11 @@ class TestLyapunov:
             poles += [r * np.exp(1j * theta), r * np.exp(-1j * theta)]
         poles += [0.9 * (-1) ** k for k in range(min(reals, 8 - len(poles)))]
         assume(poles)
-        a = build_companion(ArProcess(coeffs=-np.real(np.poly(poles))[1:]))
+        process = ArProcess(coeffs=-np.real(np.poly(poles))[1:])
+        a = build_companion(process)
         e1 = np.eye(a.shape[0])[0]
         qs = (np.outer(e1, e1), np.eye(a.shape[0]))
-        for x, q in zip(solve_companion_lyapunov(a), qs):
+        for x, q in zip(solve_companion_lyapunov(process.coeffs), qs):
             assert relative_residual(a, x, q) <= LYAPUNOV_TOL
             np.testing.assert_array_equal(x, x.T)
 

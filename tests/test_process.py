@@ -249,7 +249,7 @@ class TestSimulation:
         # Closed form sigma^2/(1-theta^2) = 4/3, cross-checked against the
         # Lyapunov route before comparing with the simulation.
         closed_form = 1.0 / (1.0 - 0.25)
-        v, _ = solve_companion_lyapunov(build_companion(ar1))
+        v, _ = solve_companion_lyapunov(ar1.coeffs)
         assert v[0, 0] == pytest.approx(closed_form, rel=1e-12)
         traj = simulate_stationary(ar1, 1_000_000, 2024)
         sample_var = float(np.mean(traj.samples[traj.order :] ** 2))

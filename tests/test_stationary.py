@@ -130,14 +130,14 @@ class TestStationaryStats:
     def test_white_noise_state_covariance_is_identity(self):
         # Nilpotent companion: the series sum terminates after n+1 shifts.
         process = ArProcess(coeffs=[0.0, 0.0], noise_variance=2.5)
-        v = 2.5 * solve_companion_lyapunov(build_companion(process))[0]
+        v = 2.5 * solve_companion_lyapunov(process.coeffs)[0]
         np.testing.assert_allclose(v, 2.5 * np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("coeffs", [[0.5], [0.3, 0.4], [0.2, -0.3, 0.1]])
     def test_lyapunov_residuals(self, coeffs):
         process = ArProcess(coeffs=coeffs, noise_variance=1.7)
         a = build_companion(process)
-        v, g = solve_companion_lyapunov(a)
+        v, g = solve_companion_lyapunov(process.coeffs)
         v = 1.7 * v
         e1 = np.eye(a.shape[0])[0]
         v_res = np.linalg.norm(v - a @ v @ a.T - 1.7 * np.outer(e1, e1))
@@ -153,7 +153,7 @@ class TestStationaryStats:
 
     def test_output_variance_is_corner_entry(self, ar2, ar2_stats):
         # The statistics are the leading blocks of the one solve, bit for bit.
-        v, g = solve_companion_lyapunov(build_companion(ar2))
+        v, g = solve_companion_lyapunov(ar2.coeffs)
         assert ar2_stats.output_variance == v[0, 0]
         np.testing.assert_array_equal(ar2_stats.state_covariance_block, v[:2, :2])
         np.testing.assert_array_equal(ar2_stats.gramian_block, g[:2, :2])
@@ -164,7 +164,7 @@ class TestStationaryStats:
         # misses its residual tolerance (5e-8).
         process = ArProcess(coeffs=CLUSTERED_POLES_AR8)
         a = build_companion(process)
-        v, g = solve_companion_lyapunov(a)
+        v, g = solve_companion_lyapunov(process.coeffs)
         e1 = np.eye(a.shape[0])[0]
         for x, q in ((v, np.outer(e1, e1)), (g, np.eye(a.shape[0]))):
             assert np.linalg.norm(x - a @ x @ a.T - q) <= 1e-13 * np.linalg.norm(x)
@@ -190,7 +190,7 @@ class TestCompanionSolve:
         a = build_companion(ArProcess(coeffs=coeffs))
         qs = (np.diag(np.r_[1.0, np.zeros(len(coeffs))]), np.eye(a.shape[0]))
         exact = lyapunov_mpmath(a, qs)
-        structured = solve_companion_lyapunov(a)
+        structured = solve_companion_lyapunov(coeffs)
         kronecker = [kronecker_lyapunov(a, q) for q in qs]
         return [(max_relative_error(x, e), max_relative_error(k, e))
                 for x, k, e in zip(structured, kronecker, exact)]
@@ -224,6 +224,30 @@ class TestCompanionSolve:
             stationary_stats(a, 1.0)
         with pytest.raises(ValueError, match="square"):
             stationary_stats(np.zeros((2, 3)), 1.0)
+        # A 1 x 1 matrix has no coefficient row and no shift.
+        with pytest.raises(ValueError, match="companion matrix"):
+            stationary_stats(np.array([[0.5]]), 1.0)
+
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 2), 0.1), ((1, 2), 0.1), ((2, 2), 0.1),  # the zero last column
+        ((1, 0), 0.5), ((2, 1), 0.0),                  # each shift entry
+        ((2, 0), 0.1),                                 # off the shift
+        ((1, 0), np.nan),                              # NaN in the shift
+    ])
+    def test_rejects_perturbed_companion(self, ar2, entry, value):
+        a = np.array(build_companion(ar2))
+        a[entry] = value
+        with pytest.raises(ValueError, match="companion matrix"):
+            stationary_stats(a, 1.0)
+
+    def test_negative_zero_pattern_accepted(self, ar2, ar2_stats):
+        a = np.array(build_companion(ar2))
+        a[a == 0.0] = -0.0
+        stats = stationary_stats(a, ar2.noise_variance)
+        np.testing.assert_array_equal(stats.process.coeffs, ar2.coeffs)
+        np.testing.assert_array_equal(stats.state_covariance_block,
+                                      ar2_stats.state_covariance_block)
+        np.testing.assert_array_equal(stats.gramian_block, ar2_stats.gramian_block)
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan])
     def test_bad_noise_variance_named(self, ar2, sigma2):
@@ -312,7 +336,7 @@ def deterministic_layer(coeffs, sigma2) -> dict:
     process = ArProcess(coeffs=coeffs, noise_variance=sigma2)
     a = build_companion(process)
     stats = stationary_stats(a, process.noise_variance)
-    state_covariance, gramian = solve_companion_lyapunov(a)
+    state_covariance, gramian = solve_companion_lyapunov(process.coeffs)
     epsilon = 0.5 * max_feasible_epsilon(process, stats)
     cert = covariance_certificate(BoundInputs(process=process, stats=stats, epsilon=epsilon,
                                               horizon=5000))
