@@ -50,11 +50,10 @@ EIGENVALUE_CLUSTER_RTOL = 1e-8
 
 
 def _check_same_process(process: ArProcess, stats: StationaryStatistics) -> None:
-    """ValueError unless ``stats`` were solved for ``process``: every bound
-    reads V, G, E{y^2} and the peak gain of the true process."""
-    if not (stats.process.noise_variance == process.noise_variance
-            and np.array_equal(stats.process.coeffs, process.coeffs)):
-        raise ValueError("stats were solved for another process (coefficients or sigma2)")
+    """ValueError unless ``stats`` were solved for the coefficients of ``process``:
+    V, G, E{y^2} and the peak gain are per unit variance, so any s2 will do."""
+    if not np.array_equal(stats.coeffs, process.coeffs):
+        raise ValueError("stats were solved for another process (other coefficients)")
 
 
 @dataclass(frozen=True, eq=False)

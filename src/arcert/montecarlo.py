@@ -339,8 +339,8 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     are counted and excluded from frequencies; the campaign raises
     NumericalFailureError if more than MAX_ERROR_FRACTION of trials error out.
     """
-    stats = stationary_stats(build_companion(config.process), 1.0)
-    process = stats.process
+    process = ArProcess(coeffs=config.process.coeffs)  # unit variance
+    stats = stationary_stats(build_companion(process), 1.0)
     inputs = BoundInputs(process=process, stats=stats,
                          epsilon=config.epsilon, horizon=config.horizon)
     cert = covariance_certificate(inputs)

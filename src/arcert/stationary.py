@@ -57,9 +57,9 @@ def peak_transfer_gain(process: ArProcess) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StationaryStatistics:
-    """Deterministic stationary quantities of one process.
+    """Deterministic stationary quantities of one coefficient vector.
 
-    process: the process they were solved for (see stationary_stats).
+    coeffs: read-only copy of the AR coefficients they were solved for.
     state_covariance_block, gramian_block: leading n x n blocks of the
         solutions of V = A V A^T + e1 e1^T (the stationary covariance of the
         state per unit innovation variance) and G = A G A^T + I (so G >= I;
@@ -68,14 +68,14 @@ class StationaryStatistics:
     peak_gain: peak squared transfer gain (see peak_transfer_gain).
     """
 
-    process: ArProcess
+    coeffs: np.ndarray
     state_covariance_block: np.ndarray
     gramian_block: np.ndarray
     output_variance: float
     peak_gain: float
 
     def __post_init__(self):
-        for name in ("state_covariance_block", "gramian_block"):
+        for name in ("coeffs", "state_covariance_block", "gramian_block"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @functools.cached_property
@@ -100,10 +100,10 @@ class StationaryStatistics:
 
 def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
     """Statistics of the process with companion matrix A (see
-    :func:`arcert.process.build_companion`) and innovation variance sigma2.  A
-    must equal the companion matrix of its first row ``a[0, :-1]`` entry for
-    entry (else a ValueError); their ArProcess validates them and sigma2 once,
-    and one solve of ``process.coeffs`` gives V and G at unit variance."""
+    :func:`arcert.process.build_companion`), which must equal the companion
+    matrix of its first row ``a[0, :-1]`` (else a ValueError).  Their ArProcess
+    checks them and sigma2, which is stored nowhere (ROADMAP item 5 drops it
+    once item 1 moves the benchmark); one solve gives V and G at unit variance."""
     a = np.asarray(a, dtype=float)
     _require_square(a, "a")
     if a.shape[0] < 2 or not np.array_equal(a, _companion(a[0, :-1]), equal_nan=True):
@@ -115,7 +115,7 @@ def stationary_stats(a: np.ndarray, sigma2: float) -> StationaryStatistics:
         raise ValueError("stationary output variance must be positive")
     n = process.order
     return StationaryStatistics(
-        process=process,
+        coeffs=process.coeffs,
         state_covariance_block=state_cov[:n, :n],
         gramian_block=gramian[:n, :n],
         output_variance=float(state_cov[0, 0]),

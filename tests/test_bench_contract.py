@@ -53,10 +53,11 @@ PER_LAYER_SPANS = [
 
 def test_certificate_calls():
     # The benchmark solves the stats from its own process's companion and
-    # noise variance, so the pair passes the certificates' same-process check.
+    # noise variance; the stats keep a copy of the coefficients alone, which
+    # the certificates' same-process check compares.
     process = ArProcess(coeffs=[0.3, 0.4], noise_variance=1.0)
     stats = stationary_stats(build_companion(process), process.noise_variance)
-    assert stats.process is not process
+    assert stats.coeffs is not process.coeffs
     epsilon = 0.5 * max_feasible_epsilon(process, stats)
     cert = covariance_certificate(BoundInputs(process=process, stats=stats, epsilon=epsilon,
                                               horizon=5000))
@@ -66,14 +67,15 @@ def test_certificate_calls():
 def test_stability_checked_once_per_stationary_stats(monkeypatch):
     # stationary_stats' span includes the one stability check, made where it
     # reads the companion into an ArProcess; peak_transfer_gain's makes none.
-    a = build_companion(ArProcess(coeffs=[0.3, 0.4], noise_variance=1.0))
+    process = ArProcess(coeffs=[0.3, 0.4], noise_variance=1.0)
+    a = build_companion(process)
     calls = []
     check = arcert.process.check_schur_stable
     monkeypatch.setattr(arcert.process, "check_schur_stable",
                         lambda coeffs: calls.append(1) or check(coeffs))
     stats = stationary_stats(a, 1.0)
     assert len(calls) == 1
-    arcert.stationary.peak_transfer_gain(stats.process)
+    arcert.stationary.peak_transfer_gain(process)
     assert len(calls) == 1
 
 

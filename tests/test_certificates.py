@@ -83,13 +83,12 @@ class TestBoundInputs:
         inputs = make_inputs(ar1, ar1_stats, 0.0, 100)
         assert inputs.effective_samples == 99
 
-    @pytest.mark.parametrize("coeffs, sigma2", [([0.1], 1.0), ([0.9], 4.0)],
-                             ids=["other-coeffs", "other-noise-variance"])
-    def test_stats_of_another_process_rejected(self, coeffs, sigma2):
+    @pytest.mark.parametrize("coeffs", [[0.1]], ids=["other-coeffs"])
+    def test_stats_of_another_process_rejected(self, coeffs):
         # [0.9] with the stats of [0.1] used to certify delta = 0.34 at half
         # the ceiling and N = 5000, where its own stats give 1.86.
         process = ArProcess(coeffs=[0.9], noise_variance=1.0)
-        stats = stationary_stats(build_companion(ArProcess(coeffs=coeffs)), sigma2)
+        stats = stationary_stats(build_companion(ArProcess(coeffs=coeffs)), 1.0)
         with pytest.raises(ValueError, match="another process"):
             make_inputs(process, stats, 0.1, 5000)
         with pytest.raises(ValueError, match="another process"):
@@ -105,6 +104,44 @@ class TestBoundInputs:
                                                            noise_variance=2.0)), 2.0)
         ceiling = max_feasible_epsilon(process, stats)
         assert make_inputs(process, stats, 0.5 * ceiling, 5000).stats is stats
+
+    @pytest.mark.parametrize("coeffs", [PINNED_COEFFS[0], PINNED_COEFFS[1], PINNED_COEFFS[2],
+                                        CLUSTERED_POLES_AR8], ids=["ar1", "ar2", "ar6", "ar8"])
+    def test_stats_at_any_noise_variance_accepted(self, coeffs):
+        # Statistics are keyed by the coefficients: solved at one noise
+        # variance, they certify an equal-coefficient process at any other
+        # with the bits of its own statistics, and still refuse other
+        # coefficients.
+        s2_grid = [1e-300, 0.5, 1.0, 2.0, 7.3e150]
+
+        def solved(sigma2):
+            return stationary_stats(build_companion(ArProcess(coeffs=coeffs,
+                                                              noise_variance=sigma2)), sigma2)
+
+        def bits(process, stats):
+            ceiling = max_feasible_epsilon(process, stats)
+            inputs = make_inputs(process, stats, 0.5 * ceiling, 5000)
+            cert = covariance_certificate(inputs)
+            radii = [deviation_radius(inputs, np.eye(process.order)[k]).radius
+                     for k in range(process.order)]
+            analysis = rate_analysis(process, stats, [100, 1000, 10 ** 4, 10 ** 5],
+                                     np.eye(process.order)[0])
+            return (repr((cert.delta, cert.log_delta, cert.failure_terms, ceiling, radii,
+                          analysis.points, analysis.slope)),
+                    cert.lower.tobytes(), cert.upper.tobytes())
+
+        stats_at = {sigma2: solved(sigma2) for sigma2 in s2_grid}
+        other = stationary_stats(build_companion(ArProcess(coeffs=[0.1] * len(coeffs))), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # AR(8) radius conditioning
+            for sigma2 in s2_grid:
+                process = ArProcess(coeffs=coeffs, noise_variance=sigma2)
+                own = bits(process, stats_at[sigma2])
+                for solved_at in s2_grid:
+                    if solved_at != sigma2:
+                        assert bits(process, stats_at[solved_at]) == own
+                with pytest.raises(ValueError, match="another process"):
+                    make_inputs(process, other, 0.1, 5000)
 
     @pytest.mark.parametrize("horizon", [5000.9, 5000.0, True, "5000"])
     def test_horizon_must_be_an_integer(self, ar1, ar1_stats, horizon):
@@ -404,6 +441,10 @@ def synthetic_certificate(lower, upper, delta):
 
 
 class TestDeviationRadius:
+    def test_direction_length_checked(self, ar1, ar1_stats):
+        with pytest.raises(ValueError, match="direction must have length 1"):
+            deviation_radius(make_inputs(ar1, ar1_stats, 0.2, 5000), [0.6, 0.8])
+
     def test_invariant_under_noise_scaling(self):
         # The leading sigma cancels against the sigma^2 inside the sandwich.
         radii = []
@@ -553,6 +594,14 @@ class TestRateAnalysis:
     def test_grid_must_increase(self, ar1, ar1_stats):
         with pytest.raises(ValueError):
             rate_analysis(ar1, ar1_stats, [100, 100], [1.0])
+
+    def test_grid_must_be_nonempty(self, ar1, ar1_stats):
+        with pytest.raises(ValueError, match="horizon_grid must be non-empty"):
+            rate_analysis(ar1, ar1_stats, [], [1.0])
+
+    def test_grid_must_exceed_order(self, ar2, ar2_stats):
+        with pytest.raises(ValueError, match="every horizon must exceed the process order"):
+            rate_analysis(ar2, ar2_stats, [2, 1000], [1.0, 0.0])
 
     @pytest.mark.parametrize("grid", [[1000.5], [100, 1000.0], [True]])
     def test_grid_must_hold_integers(self, ar1, ar1_stats, grid):

@@ -745,6 +745,18 @@ BEYOND_FLOAT = [
                  id="fraction-energy-scale-overflows"),
     pytest.param("certify", "noise_variance", 1e305, id="noise-variance-sandwich-overflows"),
     pytest.param("certify", "output_dir", ["out"], id="list-output-dir"),
+    pytest.param("certify", "noise_variance", 0, id="zero-noise-variance"),
+    *[pytest.param(command, "epsilon", value, id=f"{command}-{label}-epsilon")
+      for command in ("certify", "montecarlo") for label, value in (("negative", -1.0),
+                                                                    ("zero", 0.0))],
+    pytest.param("certify", "epsilon", "half", id="string-epsilon"),
+    pytest.param("certify", "epsilon", {"fraction_of_ceiling": 0.5, "x": 1},
+                 id="fraction-extra-key"),
+    pytest.param("certify", "direction", [1.0, 2.0], id="certify-direction-wrong-length"),
+    pytest.param("montecarlo", "direction", [1.0, 2.0], id="montecarlo-direction-wrong-length"),
+    pytest.param("rate-sweep", "horizon_grid", "x", id="string-horizon-grid"),
+    pytest.param("rate-sweep", "horizon_grid", [], id="empty-horizon-grid"),
+    pytest.param("rate-sweep", "horizon_grid", [2000, 1000], id="decreasing-horizon-grid"),
 ])
 def test_malformed_field_named(tmp_path, capsys, command, field, value):
     doc = dict(AR1_MC, horizon_grid=[1000], output_dir=str(tmp_path / "out"))
@@ -752,6 +764,27 @@ def test_malformed_field_named(tmp_path, capsys, command, field, value):
     cfg = write_config(tmp_path, **doc)
     assert run([command, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+# Fields malformed only for some process: (command, the fields that differ
+# from the AR(1) config, the field named, the error it must give).
+@pytest.mark.parametrize("command, overrides, field, message", [
+    pytest.param("montecarlo", dict(coeffs=[0.3, 0.4], horizon=4), "horizon",
+                 "at least 2 * order + 1", id="montecarlo-ar2-horizon-4"),
+    pytest.param("rate-sweep", dict(coeffs=[0.3, 0.4], horizon_grid=[2]), "horizon_grid",
+                 "every horizon must exceed the process order", id="sweep-ar2-horizon-2"),
+    # The AR(3) ceiling is 0.33, below 8^{-1/2}: the ceiling rule has no epsilon.
+    pytest.param("montecarlo", dict(coeffs=[0.2, -0.3, 0.1], horizon=8, epsilon="ceiling-rule"),
+                 "epsilon", "policy 'ceiling-rule' is infeasible at horizon 8",
+                 id="montecarlo-ar3-ceiling-rule-infeasible"),
+])
+def test_malformed_field_named_for_process(tmp_path, capsys, command, overrides, field,
+                                           message):
+    doc = {**AR1_MC, "horizon_grid": [1000], "output_dir": str(tmp_path / "out"), **overrides}
+    cfg = write_config(tmp_path, **doc)
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert field in err and message in err
 
 
 # Numbers written as strings or booleans, which float() or int arithmetic
@@ -820,6 +853,18 @@ def test_missing_config_file_exit_two(tmp_path, capsys):
     assert run(["certify", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path)]) == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"coeffs": [0.5],', "invalid JSON"),
+    ("[0.5]", "top level must be a JSON object"),
+], ids=["invalid-json", "top-level-list"])
+def test_unusable_config_file_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run(["certify", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config file '{path}'" in err and message in err
 
 
 class TestRepeatedMain:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -182,6 +183,21 @@ class TestCampaignConfigValidation:
         with pytest.raises(ConfigError, match="direction 'tilted'"):
             CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=200,
                            master_seed=1, directions=(("tilted", np.array([norm])),))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("horizon", 4, "horizon: must be at least 2 * order + 1"),
+        ("epsilon", 0.0, "epsilon: must be a positive finite real"),
+        ("epsilon", -1.0, "epsilon: must be a positive finite real"),
+        ("epsilon", np.nan, "epsilon: must be a positive finite real"),
+        ("epsilon", np.inf, "epsilon: must be a positive finite real"),
+        ("master_seed", -1, "seed: must be a nonnegative integer"),
+        ("directions", (), "direction: at least one direction is required"),
+    ])
+    def test_invalid_field_named(self, ar2, field, value, message):
+        base = dict(process=ar2, horizon=400, epsilon=0.25, trials=200, master_seed=1,
+                    directions=(("e1", np.array([1.0, 0.0])),))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            CampaignConfig(**{**base, field: value})
 
     def test_thread_ceiling(self, ar1):
         base = dict(process=ar1, horizon=400, epsilon=0.5, trials=200, master_seed=1,

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -102,10 +103,9 @@ class TestArProcess:
             ar1.coeffs[0] = 0.9
 
 
-def _stats(state, gramian):
-    return StationaryStatistics(process=ArProcess(coeffs=[0.3, 0.4]),
-                                state_covariance_block=state, gramian_block=gramian,
-                                output_variance=1.0, peak_gain=1.0)
+def _stats(state, gramian, coeffs=(0.3, 0.4)):
+    return StationaryStatistics(coeffs=coeffs, state_covariance_block=state,
+                                gramian_block=gramian, output_variance=1.0, peak_gain=1.0)
 
 
 def _certificate(lower, upper):
@@ -128,6 +128,7 @@ FROZEN_FIELDS = {
     "RateAnalysis.slow_directions": ([[0.6], [0.8]], lambda b: RateAnalysis(
         epsilon_ceiling=1.0, multiplicity=1, slow_directions=b, points=(),
         slope=None).slow_directions),
+    "StationaryStatistics.coeffs": (COEFFS, lambda c: _stats(np.eye(2), np.eye(2), c).coeffs),
     "StationaryStatistics.state_covariance_block": (
         BLOCK, lambda m: _stats(m, np.eye(2)).state_covariance_block),
     "StationaryStatistics.gramian_block": (BLOCK, lambda m: _stats(np.eye(2), m).gramian_block),
@@ -497,6 +498,21 @@ class TestTrajectoryAccessors:
         fields[field] = value
         with pytest.raises(ValueError, match=field):
             Trajectory(**fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(samples=[1.0, 2.0, 3.0], order=0), "require order >= 1 and horizon > order"),
+        (dict(samples=[1.0, 2.0], noise=np.zeros(1), horizon=1),
+         "require order >= 1 and horizon > order"),
+        (dict(samples=[1.0, 2.0, 3.0]), "samples must have length horizon + order = 4"),
+        (dict(noise=np.zeros(2)), "noise must have length horizon = 3"),
+        (dict(samples=[1.0, np.nan, 3.0, 4.0]), "trajectory entries must be finite"),
+        (dict(noise=[0.0, np.inf, 0.0]), "trajectory entries must be finite"),
+    ], ids=["order-zero", "horizon-at-order", "samples-length", "noise-length", "nan-sample",
+            "infinite-noise"])
+    def test_inconsistent_fields_rejected(self, fields, message):
+        base = dict(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3), order=1, horizon=3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trajectory(**{**base, **fields})
 
     def test_lag_window_order_two(self):
         traj = Trajectory(samples=[1.0, 2.0, 3.0, 4.0, 5.0], noise=np.zeros(3),

@@ -244,7 +244,7 @@ class TestCompanionSolve:
         a = np.array(build_companion(ar2))
         a[a == 0.0] = -0.0
         stats = stationary_stats(a, ar2.noise_variance)
-        np.testing.assert_array_equal(stats.process.coeffs, ar2.coeffs)
+        np.testing.assert_array_equal(stats.coeffs, ar2.coeffs)
         np.testing.assert_array_equal(stats.state_covariance_block,
                                       ar2_stats.state_covariance_block)
         np.testing.assert_array_equal(stats.gramian_block, ar2_stats.gramian_block)
