@@ -57,11 +57,13 @@ MAX_SIMULATE_HORIZON = 10 ** 7
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file '{path}': {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # A JSONDecodeError or an integer literal over the int digit limit is a
+    # ValueError; nesting deeper than the recursion limit a RecursionError.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file '{path}': invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file '{path}': top level must be a JSON object")

@@ -2,15 +2,16 @@
 
 The campaign kernel in ``arcert.montecarlo`` evaluates every event from
 streamed sufficient statistics.  The functions here evaluate the same events
-trial by trial on a whole :class:`arcert.Trajectory`, fit least squares by an
-orthogonal factorisation, and give the closed-form chi-square tail thresholds
-the sandwich bound rests on, with samplers that try to break them.  The
-whole-horizon simulator draws one path in a single pass, the oracle for the
-chunked simulator.  The deviation radius and the rate sweep are evaluated
-from the sandwich matrices themselves (eigendecomposition and log
-determinants), the oracle for their closed forms.  The Lyapunov equations
-are solved in Kronecker form and at 50 digits, the oracles for the companion
-solve.  Only the tests use them.
+trial by trial on a whole :class:`OraclePath` (the path with its innovations,
+order and horizon, which the library's :class:`arcert.Trajectory` does not
+keep), fit least squares by an orthogonal factorisation, and give the
+closed-form chi-square tail thresholds the sandwich bound rests on, with
+samplers that try to break them.  The whole-horizon simulator draws one
+oracle path in a single pass, the oracle for the chunked simulator.  The
+deviation radius and the rate sweep are evaluated from the sandwich matrices
+themselves (eigendecomposition and log determinants), the oracle for their
+closed forms.  The Lyapunov equations are solved in Kronecker form and at 50
+digits, the oracles for the companion solve.  Only the tests use them.
 
 Index convention (pinned by tests against hand enumeration, since an
 off-by-one here silently corrupts every event frequency): the design matrix
@@ -21,6 +22,7 @@ y_{n+1}, ..., y_N.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -33,7 +35,6 @@ from arcert import (
     InfeasibleCertificateError,
     RatePoint,
     StationaryStatistics,
-    Trajectory,
     build_companion,
     covariance_certificate,
     max_feasible_epsilon,
@@ -45,8 +46,21 @@ from arcert.process import SeedLike
 # --- simulation -------------------------------------------------------------
 
 
-def simulate_whole_horizon(process: ArProcess, horizon: int, seed: SeedLike) -> Trajectory:
-    """One exactly stationary trajectory drawn in a single pass.
+@dataclass(frozen=True)
+class OraclePath:
+    """One sample path with what drove it.  ``samples`` holds
+    (y_{1-n}, ..., y_N), length N + n, so the observed path (y_1, ..., y_N)
+    is ``samples[order:]``; ``noise`` holds the true innovations
+    (e_1, ..., e_N), which residuals of a fit would only estimate."""
+
+    samples: np.ndarray
+    noise: np.ndarray
+    order: int
+    horizon: int
+
+
+def simulate_whole_horizon(process: ArProcess, horizon: int, seed: SeedLike) -> OraclePath:
+    """One exactly stationary path drawn in a single pass.
 
     The stream draws the initial companion state from its stationary law,
     then all N innovations in one ``standard_normal`` call, each draw scaled
@@ -70,7 +84,7 @@ def simulate_whole_horizon(process: ArProcess, horizon: int, seed: SeedLike) -> 
         for k in range(n):
             acc += coeffs[k] * path[-1 - k]
         path.append(acc)
-    return Trajectory(samples=np.asarray(path), noise=noise, order=n, horizon=horizon)
+    return OraclePath(samples=np.asarray(path), noise=noise, order=n, horizon=horizon)
 
 
 # --- stationary second-order structure -------------------------------------
@@ -216,12 +230,12 @@ def rate_sweep_oracle(process: ArProcess, stats: StationaryStatistics, horizon_g
 # --- regression -------------------------------------------------------------
 
 
-def lag_window(traj: Trajectory, t: int) -> np.ndarray:
+def lag_window(traj: OraclePath, t: int) -> np.ndarray:
     """Lag vector (y_t, y_{t-1}, ..., y_{t-n+1}) for 0 <= t <= horizon."""
     return traj.samples[t : t + traj.order][::-1]
 
 
-def build_regressors(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+def build_regressors(traj: OraclePath) -> tuple[np.ndarray, np.ndarray]:
     """(design, target): rows Y_t^T = [y_t ... y_{t-n+1}] and targets y_{t+1}."""
     obs = traj.samples[traj.order :]
     windows = np.lib.stride_tricks.sliding_window_view(obs[: traj.horizon - 1], traj.order)
@@ -237,7 +251,7 @@ def ols_fit(design: np.ndarray, target: np.ndarray) -> np.ndarray:
 # --- per-trial events -------------------------------------------------------
 
 
-def event_noise_window(traj: Trajectory) -> np.ndarray:
+def event_noise_window(traj: OraclePath) -> np.ndarray:
     """Innovations (e_n, ..., e_{N-1}) driving the summed states.
 
     Note the one-step offset against the regression residuals: the recursion
@@ -247,7 +261,7 @@ def event_noise_window(traj: Trajectory) -> np.ndarray:
     return traj.noise[traj.order - 1 : traj.horizon - 1]
 
 
-def residual_noise_window(traj: Trajectory) -> np.ndarray:
+def residual_noise_window(traj: OraclePath) -> np.ndarray:
     """Innovations (e_{n+1}, ..., e_N): exactly target - design @ coeffs."""
     return traj.noise[traj.order :]
 
@@ -258,7 +272,7 @@ def _state_image(a: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.concatenate(([a[0, :-1] @ window], window))
 
 
-def check_boundary_event(traj: Trajectory, a: np.ndarray,
+def check_boundary_event(traj: OraclePath, a: np.ndarray,
                          inputs: BoundInputs) -> tuple[bool, float]:
     """Initial/final-state event: rho[A (x_first x_first^T - x_last x_last^T) A^T]
     within its third of the radius budget.  Returns (held, radius)."""
@@ -279,7 +293,7 @@ def check_noise_energy_event(noise_window, inputs: BoundInputs) -> tuple[bool, f
     return radius <= event_threshold(inputs), radius
 
 
-def check_cross_term_event(traj: Trajectory, noise_window, a: np.ndarray,
+def check_cross_term_event(traj: OraclePath, noise_window, a: np.ndarray,
                            inputs: BoundInputs) -> tuple[bool, float]:
     """State-innovation cross-term event.
 
@@ -325,7 +339,7 @@ def check_self_normalized_event(design: np.ndarray, residual_noise,
 def evaluate_trial(process: ArProcess, a: np.ndarray, inputs: BoundInputs,
                    cert: CovarianceCertificate,
                    dev_certs: dict[str, DeviationCertificate],
-                   traj: Trajectory) -> dict[str, bool | None]:
+                   traj: OraclePath) -> dict[str, bool | None]:
     """Every event of one trial, keyed by its coverage-report name; a
     deviation event is None when its certificate is vacuous.  Asserts the two
     deterministic implications between them (:func:`assert_implications`).

@@ -3,6 +3,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -32,6 +36,8 @@ from arcert import (
 )
 import arcert.cli as cli_module
 from arcert.cli import _resolve_direction, main
+from conftest import CLUSTERED_POLES_AR8
+from test_stationary import PINNED_COEFFS
 
 
 def write_config(tmp_path, name="config.json", **payload):
@@ -338,6 +344,53 @@ def test_campaign_counts_pinned(tmp_path, config, threads, rows, sandwich_chain,
     assert report["sandwich_chain_violations"] == sandwich_chain
     assert report["deviation_chain_violations"] == deviation_chain
     assert report["trial_errors"] == errors
+
+
+#: The processes whose certify and rate-sweep outputs are pinned: the AR(1),
+#: AR(2) and AR(6) of PINNED_COEFFS and the clustered-pole AR(8).
+OUTPUT_PIN_COEFFS = PINNED_COEFFS[:3] + [CLUSTERED_POLES_AR8]
+
+OUTPUT_PIN_CONFIGS = {
+    "certify": dict(epsilon={"fraction_of_ceiling": 0.5}, horizon=5000,
+                    direction=["e1", "uniform"]),
+    "rate-sweep": dict(horizon_grid=[200, 1000, 5000, 20000, 100000], direction="uniform"),
+}
+
+
+# SHA-256 of each output file over OUTPUT_PIN_COEFFS in order, with the
+# generated_at stamp of the JSON files blanked.  The digests pin every
+# certificate bit and its text together; rate-sweep's files name no noise
+# variance and its bounds are per unit variance, so its digests hold at both.
+# The solves and the stationary layer run through LAPACK, so another LAPACK
+# build could move their last bits and with them every digest; the oracle
+# comparisons in test_certificates.py and test_stationary.py hold on any build.
+# The clustered-pole AR(8) warns that its radius may be inaccurate; the
+# digests pin that radius as it is.
+@pytest.mark.filterwarnings(r"ignore:cond\(G_blk\)")
+@pytest.mark.parametrize("command, sigma2, digests", [
+    pytest.param("certify", 1.0, {
+        "certificate.json": "417de68b9ac2428143f7664f0fa723e0664bd4a0a954d10129b0ea36d7eba4ef",
+        "summary.txt": "f4240e6d40c2f6f9ab7c90a9c6b272701e8f81b2df424d4f18e852ea1349e429",
+    }, id="certify-1"),
+    pytest.param("certify", 1.7, {
+        "certificate.json": "83727a81b903c6a726aebbc93a6b6c97d9643c74ffda2ab5099b06944bbdaa94",
+        "summary.txt": "318c402d0b6e91bb9451ffa7392b7e4c5d25c246bca422e9ab6bf7d871e95ded",
+    }, id="certify-1.7"),
+] + [pytest.param("rate-sweep", sigma2, {
+        "rate_analysis.json": "18980450c9e40df424109c312bd49bbf203e051ea74cf304e746d9af583ed0c7",
+        "rate_sweep.csv": "d29e453412ba4c82d0d0643e0dd8ce4b53a3ba0bb20d6da230f83e827eadde7b",
+    }, id=f"rate-sweep-{sigma2:g}") for sigma2 in (1.0, 1.7)])
+def test_command_output_bytes_pinned(tmp_path, command, sigma2, digests):
+    hashes = {name: hashlib.sha256() for name in digests}
+    for k, coeffs in enumerate(OUTPUT_PIN_COEFFS):
+        cfg = write_config(tmp_path, coeffs=coeffs, noise_variance=sigma2,
+                           **OUTPUT_PIN_CONFIGS[command])
+        out = tmp_path / f"out{k}"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        for name, h in hashes.items():
+            h.update(re.sub(rb'"generated_at": "[^"]*"', b'"generated_at": ""',
+                            (out / name).read_bytes()))
+    assert {name: h.hexdigest() for name, h in hashes.items()} == digests
 
 
 class TestRateSweep:
@@ -855,13 +908,17 @@ def test_missing_config_file_exit_two(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"coeffs": [0.5],', "invalid JSON"),
-    ("[0.5]", "top level must be a JSON object"),
-], ids=["invalid-json", "top-level-list"])
-def test_unusable_config_file_exit_two(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("content, message", [
+    (b'{"coeffs": [0.5],', "invalid JSON"),
+    (b"[0.5]", "top level must be a JSON object"),
+    (b'{"coeffs": [0.5]}\xff', "can't decode byte 0xff"),
+    (b'{"horizon": ' + b"1" * 5000 + b"}", "invalid JSON (Exceeds the limit"),
+    (b"[" * 100_000, "invalid JSON (maximum recursion depth"),
+], ids=["invalid-json", "top-level-list", "not-utf8", "integer-over-digit-limit",
+        "nested-too-deep"])
+def test_unusable_config_file_exit_two(tmp_path, capsys, content, message):
     path = tmp_path / "config.json"
-    path.write_text(text)
+    path.write_bytes(content)
     assert run(["certify", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"config file '{path}'" in err and message in err
@@ -909,3 +966,16 @@ class TestRepeatedMain:
         assert exc.value.code == 2
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
         assert run(["certify", "--config", cfg, "--out", out]) == 0
+
+
+def test_cli_import_loads_no_optional_module():
+    # numpy is the one runtime dependency.  scipy is installed beside the
+    # test extras in many environments, and importing scipy.signal alone
+    # costs a command about 0.8 s and 68 MB of peak RSS (2-core x86-64 VM).
+    code = ("import sys, arcert.cli; print(sorted({name.partition('.')[0] for name in "
+            "sys.modules} & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"

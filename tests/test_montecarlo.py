@@ -15,19 +15,18 @@ from arcert import (
     CoverageReport,
     EventCoverage,
     NumericalFailureError,
-    Trajectory,
     build_companion,
     covariance_certificate,
     deviation_radius,
     max_feasible_epsilon,
     run_campaign,
-    simulate_stationary,
     stationary_stats,
     substream,
 )
 from arcert.cli import _csv_text
 from arcert.montecarlo import event_threshold
 from reference import (
+    OraclePath,
     assert_implications,
     build_regressors,
     check_boundary_event,
@@ -38,6 +37,7 @@ from reference import (
     event_noise_window,
     lag_window,
     report_row,
+    simulate_whole_horizon,
 )
 
 
@@ -51,7 +51,7 @@ def ar1_setup(ar1, ar1_stats):
 
 
 def zero_trajectory(order, horizon):
-    return Trajectory(samples=np.zeros(horizon + order), noise=np.zeros(horizon),
+    return OraclePath(samples=np.zeros(horizon + order), noise=np.zeros(horizon),
                       order=order, horizon=horizon)
 
 
@@ -65,7 +65,7 @@ class TestEventCheckers:
         a, inputs, _, _ = ar1_setup
         wide = BoundInputs(process=ar1, stats=ar1_stats, epsilon=1.0, horizon=400)
         for seed in range(20):
-            traj = simulate_stationary(ar1, 400, seed)
+            traj = simulate_whole_horizon(ar1, 400, seed)
             held, _ = check_boundary_event(traj, a, inputs)
             held_wide, _ = check_boundary_event(traj, a, wide)
             if held:
@@ -84,14 +84,14 @@ class TestEventCheckers:
 
     def test_cross_term_zero_noise(self, ar1, ar1_stats, ar1_setup):
         a, inputs, _, _ = ar1_setup
-        traj = simulate_stationary(ar1, 400, 11)
+        traj = simulate_whole_horizon(ar1, 400, 11)
         held, radius = check_cross_term_event(traj, np.zeros(399), a, inputs)
         assert held and radius == 0.0
 
     def test_cross_term_closed_form_matches_dense_eigensolve(self, ar2, ar2_stats):
         a = build_companion(ar2)
         inputs = BoundInputs(process=ar2, stats=ar2_stats, epsilon=0.2, horizon=300)
-        traj = simulate_stationary(ar2, 300, 21)
+        traj = simulate_whole_horizon(ar2, 300, 21)
         window = event_noise_window(traj)
         _, radius = check_cross_term_event(traj, window, a, inputs)
         # Dense oracle: materialise S e1^T + e1 S^T and take its eigenvalues.
@@ -109,7 +109,7 @@ class TestEventCheckers:
         # The event uses the first and last lag windows through the companion map.
         a = build_companion(ar2)
         inputs = BoundInputs(process=ar2, stats=ar2_stats, epsilon=0.2, horizon=50)
-        traj = simulate_stationary(ar2, 50, 3)
+        traj = simulate_whole_horizon(ar2, 50, 3)
         _, radius = check_boundary_event(traj, a, inputs)
         u = np.concatenate(([a[0, :-1] @ lag_window(traj, 1)], lag_window(traj, 1)))
         v = np.concatenate(([a[0, :-1] @ lag_window(traj, 49)], lag_window(traj, 49)))
@@ -122,7 +122,7 @@ class TestEventCheckers:
         inputs = BoundInputs(process=ar1, stats=ar1_stats, epsilon=0.5, horizon=3000)
         cert = covariance_certificate(inputs)
         assert cert.delta < 1.0
-        traj = simulate_stationary(ar1, 3000, 14)
+        traj = simulate_whole_horizon(ar1, 3000, 14)
         design, _ = build_regressors(traj)
         assert check_self_normalized_event(design, np.zeros(len(design)), cert, 1.0)
 
@@ -131,7 +131,7 @@ class TestEventCheckers:
         # threshold is imaginary, so even zero noise cannot satisfy the event.
         _, inputs, cert, _ = ar1_setup
         assert cert.delta > 1.0
-        traj = simulate_stationary(inputs.process, 400, 14)
+        traj = simulate_whole_horizon(inputs.process, 400, 14)
         design, _ = build_regressors(traj)
         assert not check_self_normalized_event(design, np.zeros(len(design)), cert, 1.0)
 
@@ -259,8 +259,8 @@ def reference_failures(config: CampaignConfig) -> dict:
                  for label, w in config.directions}
     fails = {}
     for i in range(config.trials):
-        traj = simulate_stationary(process, config.horizon,
-                                   substream(config.master_seed, i))
+        traj = simulate_whole_horizon(process, config.horizon,
+                                      substream(config.master_seed, i))
         for event, held in evaluate_trial(process, a, inputs, cert, dev_certs,
                                           traj).items():
             fails[event] = None if held is None else fails.get(event, 0) + (not held)

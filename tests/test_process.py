@@ -1,5 +1,4 @@
 import hashlib
-import re
 import tracemalloc
 
 import numpy as np
@@ -27,7 +26,7 @@ from arcert import (
 )
 from arcert.linalg import solve_companion_lyapunov
 from arcert.process import MAX_ORDER, check_schur_stable
-from reference import lag_window, simulate_whole_horizon
+from reference import OraclePath, lag_window, simulate_whole_horizon
 
 CHUNK = process_module.CHUNK
 CSV_BLOCK = process_module._CSV_BLOCK
@@ -235,12 +234,11 @@ class TestSimulation:
         a = simulate_stationary(ar1, 100, 1234)
         b = simulate_stationary(ar1, 100, 1234)
         np.testing.assert_array_equal(a.samples, b.samples)
-        np.testing.assert_array_equal(a.noise, b.noise)
 
     def test_shapes(self, ar2):
-        traj = simulate_stationary(ar2, 50, 1)
-        assert traj.samples.shape == (52,)
-        assert traj.noise.shape == (50,)
+        assert simulate_stationary(ar2, 50, 1).samples.shape == (52,)
+        pre, noise, y = simulate_batch(ar2, 50, [1])
+        assert (pre.shape, noise.shape, y.shape) == ((1, 2), (1, 50), (1, 50))
 
     def test_horizon_must_exceed_order(self, ar2):
         with pytest.raises(ValueError):
@@ -252,8 +250,8 @@ class TestSimulation:
         closed_form = 1.0 / (1.0 - 0.25)
         v, _ = solve_companion_lyapunov(ar1.coeffs)
         assert v[0, 0] == pytest.approx(closed_form, rel=1e-12)
-        traj = simulate_stationary(ar1, 1_000_000, 2024)
-        sample_var = float(np.mean(traj.samples[traj.order :] ** 2))
+        y = simulate_stationary(ar1, 1_000_000, 2024).samples[ar1.order :]
+        sample_var = float(np.mean(y ** 2))
         assert sample_var == pytest.approx(closed_form, rel=0.01)
 
     def test_exact_stationarity_across_ensemble(self, ar1):
@@ -271,8 +269,7 @@ class TestSimulation:
         assert abs(np.mean(pre[:, -1] * y[:, 0]) - gamma1) <= 3 * lag_stderr
 
     def test_single_run_head_tail_agreement(self, ar1):
-        traj = simulate_stationary(ar1, 200_000, 99)
-        y = traj.samples[traj.order :]
+        y = simulate_stationary(ar1, 200_000, 99).samples[ar1.order :]
         head, tail = y[:20_000], y[-20_000:]
         # Variance stderr inflated by the lag-correlation factor (1+r^2)/(1-r^2).
         inflation = (1 + 0.25) / (1 - 0.25)
@@ -301,9 +298,8 @@ class TestSimulation:
             pre, noise, y = simulate_batch(ar2, 23, seeds)
             for i, seed in enumerate(seeds):
                 assert_matches_whole_horizon(ar2, 23, seed, pre[i], noise[i], y[i])
-            traj = simulate_stationary(ar2, 23, seeds[0])
-            assert_matches_whole_horizon(ar2, 23, seeds[0], traj.samples[:2], traj.noise,
-                                         traj.samples[2:])
+            np.testing.assert_array_equal(simulate_stationary(ar2, 23, seeds[0]).samples,
+                                          simulate_whole_horizon(ar2, 23, seeds[0]).samples)
 
     # The AR(6) and AR(8) cases give the one-trajectory loop's lag iterators
     # every offset from 1 to 8 across the chunk edges.
@@ -317,10 +313,8 @@ class TestSimulation:
         pre, noise, y = simulate_batch(process, horizon, seeds)
         for i, seed in enumerate(seeds):
             assert_matches_whole_horizon(process, horizon, seed, pre[i], noise[i], y[i])
-        traj = simulate_stationary(process, horizon, seeds[1])
-        n = process.order
-        assert_matches_whole_horizon(process, horizon, seeds[1], traj.samples[:n], traj.noise,
-                                     traj.samples[n:])
+        np.testing.assert_array_equal(simulate_stationary(process, horizon, seeds[1]).samples,
+                                      simulate_whole_horizon(process, horizon, seeds[1]).samples)
 
     @pytest.mark.parametrize("coeffs, trials", [([0.5], 1), ([0.3, 0.4], 3)],
                              ids=["ar1-one-seed", "ar2-three-seeds"])
@@ -433,7 +427,6 @@ class TestSimulation:
 
     def test_numpy_integer_horizon_accepted(self, ar1):
         traj = simulate_stationary(ar1, np.int64(100), 3)
-        assert traj.horizon == 100 and type(traj.horizon) is int
         np.testing.assert_array_equal(traj.samples, simulate_stationary(ar1, 100, 3).samples)
 
     def test_unsolvable_stationary_law_surfaces(self, ar1, monkeypatch):
@@ -474,51 +467,34 @@ def assert_matches_whole_horizon(process, horizon, seed, pre, noise, observed):
 class TestTrajectoryAccessors:
     def make(self):
         # samples = (y_0, y_1, y_2, y_3) for order 1, horizon 3.
-        return Trajectory(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3), order=1, horizon=3)
+        return Trajectory(samples=[1.0, 2.0, 3.0, 4.0])
 
     def test_indexing(self):
-        np.testing.assert_array_equal(lag_window(self.make(), 2), [3.0])
+        path = OraclePath(samples=np.array([1.0, 2.0, 3.0, 4.0]), noise=np.zeros(3), order=1,
+                          horizon=3)
+        np.testing.assert_array_equal(lag_window(path, 2), [3.0])
 
     def test_arrays_read_only_without_copy(self):
-        samples, noise = np.arange(4.0), np.zeros(3)
-        traj = Trajectory(samples=samples, noise=noise, order=1, horizon=3)
+        samples = np.arange(4.0)
+        traj = Trajectory(samples=samples)
         assert np.shares_memory(traj.samples, samples)
-        assert np.shares_memory(traj.noise, noise)
         with pytest.raises(ValueError):
             traj.samples[0] = 9.0
-        with pytest.raises(ValueError):
-            traj.noise[0] = 9.0
-        # The caller's own arrays stay writable.
+        # The caller's own array stays writable.
         samples[0] = 9.0
 
-    @pytest.mark.parametrize("field, value", [("order", 1.0), ("horizon", 3.5),
-                                              ("horizon", True)])
-    def test_integer_fields_not_truncated(self, field, value):
-        fields = dict(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3), order=1, horizon=3)
-        fields[field] = value
-        with pytest.raises(ValueError, match=field):
-            Trajectory(**fields)
-
-    @pytest.mark.parametrize("fields, message", [
-        (dict(samples=[1.0, 2.0, 3.0], order=0), "require order >= 1 and horizon > order"),
-        (dict(samples=[1.0, 2.0], noise=np.zeros(1), horizon=1),
-         "require order >= 1 and horizon > order"),
-        (dict(samples=[1.0, 2.0, 3.0]), "samples must have length horizon + order = 4"),
-        (dict(noise=np.zeros(2)), "noise must have length horizon = 3"),
-        (dict(samples=[1.0, np.nan, 3.0, 4.0]), "trajectory entries must be finite"),
-        (dict(noise=[0.0, np.inf, 0.0]), "trajectory entries must be finite"),
-    ], ids=["order-zero", "horizon-at-order", "samples-length", "noise-length", "nan-sample",
-            "infinite-noise"])
-    def test_inconsistent_fields_rejected(self, fields, message):
-        base = dict(samples=[1.0, 2.0, 3.0, 4.0], noise=np.zeros(3), order=1, horizon=3)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Trajectory(**{**base, **fields})
+    @pytest.mark.parametrize("samples", [
+        [1.0, np.nan, 3.0, 4.0], [1.0, np.inf, 3.0], [[1.0, 2.0], [3.0, 4.0]], 1.0,
+    ], ids=["nan-sample", "infinite-sample", "two-dim-samples", "scalar-samples"])
+    def test_inconsistent_fields_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be a 1-D array of finite floats"):
+            Trajectory(samples=samples)
 
     def test_lag_window_order_two(self):
-        traj = Trajectory(samples=[1.0, 2.0, 3.0, 4.0, 5.0], noise=np.zeros(3),
+        path = OraclePath(samples=np.array([1.0, 2.0, 3.0, 4.0, 5.0]), noise=np.zeros(3),
                           order=2, horizon=3)
         # samples = (y_-1, y_0, y_1, y_2, y_3); window at t=1 is (y_1, y_0).
-        np.testing.assert_array_equal(lag_window(traj, 1), [3.0, 2.0])
+        np.testing.assert_array_equal(lag_window(path, 1), [3.0, 2.0])
 
     def test_csv_export(self, tmp_path):
         traj = self.make()
@@ -537,8 +513,7 @@ class TestTrajectoryAccessors:
         # shortest trajectory (order 1, horizon 2).
         rng = np.random.default_rng(total)
         samples = rng.standard_normal(total) * 10.0 ** rng.integers(-300, 300, total)
-        traj = Trajectory(samples=samples, noise=np.zeros(total - 1), order=1,
-                          horizon=total - 1)
+        traj = Trajectory(samples=samples)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         one_shot = "\n".join(["y"] + [repr(float(v)) for v in traj.samples]) + "\n"
@@ -548,8 +523,7 @@ class TestTrajectoryAccessors:
         # One block of text takes well under 1 MiB; the whole file's
         # text at this length takes about 110 MiB.
         horizon = 1_000_000
-        traj = Trajectory(samples=np.random.default_rng(3).standard_normal(horizon + 1),
-                          noise=np.zeros(horizon), order=1, horizon=horizon)
+        traj = Trajectory(samples=np.random.default_rng(3).standard_normal(horizon + 1))
         tracemalloc.start()
         try:
             traj.to_csv(tmp_path / "traj.csv")

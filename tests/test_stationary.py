@@ -292,8 +292,7 @@ class TestAutocovariance:
         np.testing.assert_allclose(gamma[1:], 0.0, atol=1e-12)
 
     def test_matches_empirical_long_run(self, ar2):
-        traj = simulate_stationary(ar2, 400_000, 31)
-        y = traj.samples[traj.order :]
+        y = simulate_stationary(ar2, 400_000, 31).samples[ar2.order :]
         gamma = autocovariance_sequence(ar2, 5)
         for lag in range(6):
             prods = y[lag:] * y[: len(y) - lag]
