@@ -360,7 +360,8 @@ def cmd_rate_sweep(args) -> int:
 
     _write_text(out / "rate_sweep.csv", _csv_text(RatePoint, analysis.points))
     _write_json(out / "rate_analysis.json",
-                {"direction": label, "analysis": analysis, "meta": _meta()})
+                {"process": process, "direction": label, "analysis": analysis,
+                 "meta": _meta()})
     if analysis.slope is not None:
         print(f"fitted slope of log(2 delta) vs sqrt(N): {analysis.slope!r} "
               f"(epsilon ceiling {analysis.epsilon_ceiling!r})")

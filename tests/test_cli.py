@@ -359,8 +359,9 @@ OUTPUT_PIN_CONFIGS = {
 
 # SHA-256 of each output file over OUTPUT_PIN_COEFFS in order, with the
 # generated_at stamp of the JSON files blanked.  The digests pin every
-# certificate bit and its text together; rate-sweep's files name no noise
-# variance and its bounds are per unit variance, so its digests hold at both.
+# certificate bit and its text together.  rate-sweep's bounds are per unit
+# variance, so rate_sweep.csv has one digest at both noise variances;
+# rate_analysis.json names its process, noise variance included.
 # The solves and the stationary layer run through LAPACK, so another LAPACK
 # build could move their last bits and with them every digest; the oracle
 # comparisons in test_certificates.py and test_stationary.py hold on any build.
@@ -377,9 +378,11 @@ OUTPUT_PIN_CONFIGS = {
         "summary.txt": "318c402d0b6e91bb9451ffa7392b7e4c5d25c246bca422e9ab6bf7d871e95ded",
     }, id="certify-1.7"),
 ] + [pytest.param("rate-sweep", sigma2, {
-        "rate_analysis.json": "18980450c9e40df424109c312bd49bbf203e051ea74cf304e746d9af583ed0c7",
+        "rate_analysis.json": analysis_digest,
         "rate_sweep.csv": "d29e453412ba4c82d0d0643e0dd8ce4b53a3ba0bb20d6da230f83e827eadde7b",
-    }, id=f"rate-sweep-{sigma2:g}") for sigma2 in (1.0, 1.7)])
+    }, id=f"rate-sweep-{sigma2:g}") for sigma2, analysis_digest in (
+        (1.0, "69cc0a021398bc5ad0296a4807a8efa752931bcffabd25139c4cc66c6f3d40e0"),
+        (1.7, "7b5a33b34b2b8db5bc06add405cfbfc94282455a105cdd36e34b781b1572a5f6"))])
 def test_command_output_bytes_pinned(tmp_path, command, sigma2, digests):
     hashes = {name: hashlib.sha256() for name in digests}
     for k, coeffs in enumerate(OUTPUT_PIN_COEFFS):
@@ -414,6 +417,24 @@ class TestRateSweep:
         assert abs(slope + ceiling) / ceiling <= 0.10
         logs = [p["log_delta"] for p in payload["analysis"]["points"]]
         assert all(a > b for a, b in zip(logs, logs[1:]))
+
+    def test_analysis_names_its_process(self, tmp_path):
+        # The bounds are per unit variance, so the files of two noise
+        # variances differ only where they name the process.
+        payloads = []
+        for sigma2 in (1.0, 1.7):
+            cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=sigma2,
+                               horizon_grid=[1000, 5000], direction="uniform")
+            out = tmp_path / f"out{sigma2}"
+            assert run(["rate-sweep", "--config", cfg, "--out", str(out)]) == 0
+            payload = json.loads((out / "rate_analysis.json").read_text())
+            payload["meta"]["generated_at"] = ""
+            payloads.append(payload)
+        first, second = payloads
+        assert (first["process"]["noise_variance"], second["process"]["noise_variance"]) == (
+            1.0, 1.7)
+        second["process"]["noise_variance"] = 1.0
+        assert first == second
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, coeffs=[0.3, 0.4], noise_variance=1.0,
@@ -700,7 +721,8 @@ class TestJsonOutputs:
                            horizon_grid=[3, 100, 1000, 10_000], direction="uniform")
         assert run(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         payload = json.loads((tmp_path / "out" / "rate_analysis.json").read_text())
-        assert list(payload) == ["direction", "analysis", "meta"]
+        assert list(payload) == ["process", "direction", "analysis", "meta"]
+        assert payload["process"] == {"coeffs": [0.3, 0.4], "noise_variance": 1.0}
         assert field_names(RateAnalysis) == list(payload["analysis"]) == [
             "epsilon_ceiling", "multiplicity", "slow_directions", "points", "slope"]
         assert field_names(RatePoint) == list(payload["analysis"]["points"][0]) == [

@@ -24,6 +24,7 @@ from arcert import (
     simulate_stationary,
     substream,
 )
+from arcert._floattext import _repr_lines, _shortest
 from arcert.linalg import solve_companion_lyapunov
 from arcert.process import MAX_ORDER, check_schur_stable
 from reference import OraclePath, lag_window, simulate_whole_horizon
@@ -531,3 +532,70 @@ class TestTrajectoryAccessors:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
+
+
+def repr_text(values: np.ndarray) -> bytes:
+    """The text Trajectory.to_csv writes for one block: repr of each value."""
+    return ("\n".join(map(repr, values.tolist())) + "\n").encode("ascii")
+
+
+def finite_bits(pattern: int) -> bool:
+    return (pattern >> 52) & 0x7FF != 0x7FF
+
+
+class TestReprLines:
+    """The vectorised formatter behind Trajectory.to_csv, against repr."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_matches_repr_on_floats(self, values):
+        block = np.array(values, dtype=float)
+        assert _repr_lines(block) == repr_text(block)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1).filter(finite_bits), min_size=1, max_size=40))
+    def test_matches_repr_on_bit_patterns(self, patterns):
+        block = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert _repr_lines(block) == repr_text(block)
+
+    def test_matches_repr_in_bulk(self):
+        rng = np.random.default_rng(20)
+        gaussians = [rng.standard_normal(20_000) * 10.0 ** k for k in range(-3, 4)]
+        # The edges of the fast binades and of fixed notation.
+        edges = np.array([1e-4, 2.0 ** -14, 2.0 ** 50, 1e15, 1e16])
+        powers = 2.0 ** np.arange(-1074, 1024)
+        integers = rng.integers(-2 ** 53, 2 ** 53, 10_000).astype(float)
+        decimals = np.concatenate([
+            np.round(rng.standard_normal(700) * 10.0 ** rng.integers(0, 8, 700), places)
+            for places in range(16)])
+        subnormals = rng.integers(1, 2 ** 52, 2_000, dtype=np.uint64).view(np.float64)
+        extremes = np.array([0.0, np.finfo(float).max, np.finfo(float).tiny, 5e-324])
+        parts = gaussians + [subnormals, extremes]
+        for near in (edges, powers, integers, decimals):
+            parts += [near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)]
+        values = np.concatenate(parts)
+        values = np.concatenate([values, -values])
+        values = values[np.isfinite(values)]
+        assert values.size >= 200_000
+        text = b"".join(_repr_lines(values[start : start + CSV_BLOCK])
+                        for start in range(0, values.size, CSV_BLOCK))
+        assert text == repr_text(values)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -1e-300, 0.5, 0.1, 1e20, 2.5e-5, -0.3, 5e-324, -0.0],
+        [1e300, 2.0, 0.1234, 1.0],
+        [0.0],
+        [-0.0, 1e-5, 2.0 ** 60],
+    ], ids=["first-last-adjacent", "leading-pair", "single", "all-fallback"])
+    def test_fallback_rows_keep_their_place(self, values):
+        # Zero, subnormals, values outside 2**-14 <= |x| < 2**50, exact
+        # binary fractions such as 0.5 and values below 1e-4 go through repr.
+        block = np.array(values)
+        assert _repr_lines(block) == repr_text(block)
+
+    def test_gaussian_rows_take_the_fast_path(self):
+        # Bytes alone cannot tell the fast path from repr; on a Gaussian
+        # block nearly every row must take it.
+        block = np.random.default_rng(5).standard_normal(CSV_BLOCK)
+        _, _, fast = _shortest(block.view(np.uint64))
+        assert fast.sum() >= CSV_BLOCK - 2
