@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleCertificateError
-from .process import ArProcess, _frozen, _integer
+from .process import ArProcess, _frozen, _integer, _positive
 from .stationary import StationaryStatistics
 
 #: Threshold on cond(G_blk) mu_max / (mu_min - eps), over the whitened
@@ -61,9 +61,9 @@ class BoundInputs:
     """Everything a bound evaluation needs: process, its stationary statistics,
     the tightness parameter epsilon and the sample horizon N.
 
-    epsilon = 0 is accepted as a degenerate boundary (the sandwich collapses
-    to a single matrix and each failure term sits at its epsilon -> 0 limit);
-    informative certificates require epsilon > 0.
+    The one rule for which epsilon has a certificate: a positive finite real
+    whose regressor energy scale (about E{y^2} / epsilon) is finite, else a
+    ValueError naming epsilon.  As epsilon -> 0, delta tends to 8.83.
     """
 
     process: ArProcess
@@ -72,15 +72,16 @@ class BoundInputs:
     horizon: int
 
     def __post_init__(self):
-        eps = float(self.epsilon)
+        eps = _positive(self.epsilon, "epsilon")
         horizon = _integer(self.horizon, "horizon")
-        if not np.isfinite(eps) or eps < 0.0:
-            raise ValueError(f"epsilon must be a finite nonnegative real, got {eps!r}")
         if horizon <= self.process.order:
             raise ValueError("horizon must exceed the process order")
         _check_same_process(self.process, self.stats)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "horizon", horizon)
+        if not math.isfinite(regressor_energy_scale(self)):
+            raise ValueError(f"epsilon {eps!r} is so small that the regressor energy scale "
+                             "E{y^2} / epsilon overflows")
 
     @property
     def effective_samples(self) -> int:
@@ -101,11 +102,9 @@ def regressor_energy_scale(inputs: BoundInputs) -> float:
     beta = (n+1) N / (N-n) * [ E{y^2} / (eps s2) + 2 G (1 + eps^{-1/2}) / N^{1/4} ]
     with G the peak transfer gain; eps * beta bounds
     sum_i ||Y_i||^2 / (s2 (N-n)) except with probability exp(-eps sqrt(N)).
-    Decreasing in eps; +inf at the eps = 0 boundary.
+    Decreasing in eps, and finite for every epsilon :class:`BoundInputs` accepts.
     """
     eps = inputs.epsilon
-    if eps == 0.0:
-        return math.inf
     n, big_n = inputs.process.order, inputs.horizon
     lead = (n + 1) * big_n / (big_n - n)
     return lead * (

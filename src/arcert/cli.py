@@ -43,7 +43,7 @@ from .errors import (
     StabilityError,
 )
 from .montecarlo import CampaignConfig, EventCoverage, run_campaign
-from .process import ArProcess, build_companion, simulate_stationary
+from .process import ArProcess, _positive, build_companion, simulate_stationary
 from .stationary import stationary_stats
 
 #: Longest trajectory ``simulate`` accepts.  It holds the whole path in memory:
@@ -89,16 +89,13 @@ def _number(value, field: str, integer: bool = False):
     return value
 
 
-def _positive(value, field: str) -> float:
-    number = float(_number(value, field))
-    if not np.isfinite(number) or number <= 0.0:
-        raise ConfigError(f"field '{field}': must be a positive finite real")
-    return number
+def _positive_field(value, field: str) -> float:
+    return _positive(_number(value, field), f"field '{field}'", ConfigError)
 
 
 def _parse_process(config: dict) -> ArProcess:
     coeffs = _require(config, "coeffs")
-    noise_variance = _positive(_require(config, "noise_variance"), "noise_variance")
+    noise_variance = _positive_field(_require(config, "noise_variance"), "noise_variance")
     coeffs = [_number(c, "coeffs") for c in (coeffs if isinstance(coeffs, list) else [coeffs])]
     try:
         return ArProcess(coeffs=coeffs, noise_variance=noise_variance)
@@ -131,12 +128,12 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
     :func:`ceiling_rule_epsilon`; {"fraction_of_ceiling": f} uses f * ceiling.
     """
     if isinstance(spec, (int, float)):
-        return "fixed", _positive(spec, "epsilon")
+        return "fixed", _positive_field(spec, "epsilon")
     if spec == "ceiling-rule":
         value = ceiling_rule_epsilon(ceiling, horizon)
         return "ceiling-rule", (value if value > 0.0 else None)
     if isinstance(spec, dict) and set(spec) == {"fraction_of_ceiling"}:
-        fraction = _positive(spec["fraction_of_ceiling"], "epsilon.fraction_of_ceiling")
+        fraction = _positive_field(spec["fraction_of_ceiling"], "epsilon.fraction_of_ceiling")
         return f"fraction_of_ceiling:{fraction}", fraction * ceiling
     raise ConfigError("field 'epsilon': must be a number, 'ceiling-rule' or "
                       "{'fraction_of_ceiling': f}")
@@ -145,16 +142,16 @@ def resolve_epsilon(spec, ceiling: float, horizon: int) -> tuple[str, float | No
 def _resolve_direction(spec, order: int, fallback_label: str) -> tuple[str, np.ndarray]:
     """Turn a direction spec into a (label, unit vector) pair.
 
-    Accepts the shorthand "e<i>" for the i-th standard basis vector (1-based,
-    labelled without leading zeros), "uniform" for the normalised all-ones
-    vector, or an explicit vector, which is normalised to unit length and
-    labelled ``fallback_label``.
+    Accepts the shorthand "e<i>" for the i-th standard basis vector (i in
+    ASCII digits, 1-based, labelled without leading zeros), "uniform" for the
+    normalised all-ones vector, or an explicit vector, which is normalised to
+    unit length and labelled ``fallback_label``.
     """
     if isinstance(spec, str):
         token = spec.strip().lower()
         if token == "uniform":
             return "uniform", np.full(order, 1.0 / math.sqrt(order))
-        if token.startswith("e") and token[1:].isdigit():
+        if token.startswith("e") and token[1:].isascii() and token[1:].isdigit():
             idx = int(token[1:])
             if not 1 <= idx <= order:
                 raise ConfigError(f"direction '{spec}': index must be in 1..{order}")
@@ -275,10 +272,6 @@ def cmd_certify(args) -> int:
     if epsilon is not None:
         inputs = BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
         cert = covariance_certificate(inputs)
-        # JSON holds no inf: name the field whose value overflowed a number.
-        if not math.isfinite(cert.energy_scale):
-            raise ConfigError(f"field 'epsilon': {epsilon!r} is so small that the regressor "
-                              "energy scale E{y^2} / epsilon overflows")
         if cert.feasible:
             deviations = {label: deviation_radius(inputs, w) for label, w in directions}
 

@@ -13,9 +13,6 @@ from .errors import ConvergenceError
 #: Relative residual tolerance for Lyapunov solutions.
 LYAPUNOV_TOL = 1e-10
 
-#: Relative slack of the campaign's positive-semidefinite order test.
-PSD_ORDER_RTOL = 1e-8
-
 
 def _require_square(m: np.ndarray, name: str) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -56,11 +56,11 @@ from .certificates import (
     event_threshold,
 )
 from .errors import ConfigError, NumericalFailureError
-from .linalg import PSD_ORDER_RTOL
 from .process import (
     ArProcess,
     _frozen,
     _integer,
+    _positive,
     build_companion,
     simulate_batch,  # noqa: F401  (the benchmark's span tracer wraps it in this namespace)
     simulate_chunks,
@@ -78,6 +78,9 @@ BATCH = 256
 #: Largest accepted campaign.  ``run_campaign`` holds one (start, stop) pair
 #: and one future per batch: at this ceiling 39 063 of each, about 65 MB.
 MAX_TRIALS = 10 ** 7
+
+#: Relative slack of the sandwich event's positive-semidefinite order test.
+PSD_ORDER_RTOL = 1e-8
 
 #: Most worker threads a campaign accepts.  Every campaign runs on a pool of
 #: ``threads`` workers, which starts a thread per batch while none is idle,
@@ -113,9 +116,7 @@ class CampaignConfig:
             raise ConfigError("trials: at least 100 trials are required")
         if trials > MAX_TRIALS:
             raise ConfigError(f"trials: at most {MAX_TRIALS} trials are supported")
-        eps = float(self.epsilon)
-        if not np.isfinite(eps) or eps <= 0.0:
-            raise ConfigError("epsilon: must be a positive finite real")
+        eps = _positive(self.epsilon, "epsilon", ConfigError)
         if master_seed < 0:
             raise ConfigError("seed: must be a nonnegative integer")
         if not self.directions:

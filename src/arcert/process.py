@@ -69,6 +69,15 @@ def _integer(value, field: str, error: type[Exception] = ValueError) -> int:
     return int(value)
 
 
+def _positive(value, field: str, error: type[Exception] = ValueError) -> float:
+    """``value`` as a float; ``error`` naming ``field`` unless it is a positive
+    finite real (NaN, infinities, zero and -0.0 are refused)."""
+    number = float(value)
+    if not np.isfinite(number) or number <= 0.0:
+        raise error(f"{field}: must be a positive finite real, got {number!r}")
+    return number
+
+
 def _frozen(value) -> np.ndarray:
     """A read-only float copy of ``value``: the one way an array field is
     frozen, so no caller's array is aliased or written through."""
@@ -109,9 +118,7 @@ class ArProcess:
 
     def __post_init__(self):
         c = _frozen(np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-        sigma2 = float(self.noise_variance)
-        if not np.isfinite(sigma2) or sigma2 <= 0.0:
-            raise ValueError(f"noise_variance must be a positive finite real, got {sigma2!r}")
+        sigma2 = _positive(self.noise_variance, "noise_variance")
         if c.size > MAX_ORDER:
             raise ValueError(f"order {c.size} exceeds the maximum order {MAX_ORDER}")
         if not check_schur_stable(c):

@@ -39,8 +39,14 @@ from arcert import (
     covariance_certificate,
     max_feasible_epsilon,
 )
-from arcert.linalg import PSD_ORDER_RTOL, solve_companion_lyapunov, symmetric_sqrt
-from arcert.montecarlo import CoverageReport, EventCoverage, _frequency_row, event_threshold
+from arcert.linalg import solve_companion_lyapunov, symmetric_sqrt
+from arcert.montecarlo import (
+    PSD_ORDER_RTOL,
+    CoverageReport,
+    EventCoverage,
+    _frequency_row,
+    event_threshold,
+)
 from arcert.process import SeedLike
 
 # --- simulation -------------------------------------------------------------
@@ -121,7 +127,9 @@ def kronecker_lyapunov(a, q) -> np.ndarray:
 
 def lyapunov_mpmath(a, qs, dps: int = 50) -> list[np.ndarray]:
     """Solutions of X = A X A^T + Q, one per Q in ``qs``, from an LU solve at
-    ``dps`` decimal digits rounded to float64 at the end.
+    ``dps`` decimal digits, unrounded: each is an object array of ``mpf``.
+    Rounding them to float64 would move the reference by up to half an ulp,
+    so a correctly rounded result could read as a full ulp off.
 
     The unknowns are the entries X_ij, i <= j, of the symmetric solution, one
     equation each, so nothing here uses the companion or Toeplitz structure
@@ -142,9 +150,9 @@ def lyapunov_mpmath(a, qs, dps: int = 50) -> list[np.ndarray]:
                     system[r, index[min(k, l), max(k, l)]] -= mpmath.mpf(a_ik) * mpmath.mpf(a_jl)
         for q in qs:
             x = mpmath.lu_solve(system, mpmath.matrix([float(q[i][j]) for i, j in pairs]))
-            out = np.empty((m, m))
+            out = np.empty((m, m), dtype=object)
             for r, (i, j) in enumerate(pairs):
-                out[i, j] = out[j, i] = float(x[r])
+                out[i, j] = out[j, i] = x[r]
             solutions.append(out)
     return solutions
 

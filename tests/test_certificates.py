@@ -79,9 +79,14 @@ class TestBoundInputs:
         with pytest.raises(ValueError):
             make_inputs(ar1, ar1_stats, np.nan, 100)
 
-    def test_epsilon_zero_boundary_accepted(self, ar1, ar1_stats):
-        inputs = make_inputs(ar1, ar1_stats, 0.0, 100)
-        assert inputs.effective_samples == 99
+    # As epsilon -> 0, delta tends to 2 sqrt(2) + 6 = 8.83, so no certificate
+    # exists there; at 1e-320 E{y^2} / epsilon overflows.
+    @pytest.mark.parametrize("epsilon", [0.0, -0.0, -1.0, np.nan, np.inf, 1e-320],
+                             ids=["zero", "negative-zero", "negative", "nan", "inf",
+                                  "energy-scale-overflows"])
+    def test_epsilon_outside_domain_rejected(self, ar1, ar1_stats, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            make_inputs(ar1, ar1_stats, epsilon, 100)
 
     @pytest.mark.parametrize("coeffs", [[0.1]], ids=["other-coeffs"])
     def test_stats_of_another_process_rejected(self, coeffs):
@@ -167,8 +172,9 @@ class TestBoundaryFailureBound:
         )
 
     def test_vanishing_exponent_limit(self, ar1, ar1_stats):
-        inputs = make_inputs(ar1, ar1_stats, 0.0, 101)
-        assert boundary_term(inputs) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+        # At epsilon = 1e-300 the exponent rounds away: the epsilon -> 0 limit.
+        inputs = make_inputs(ar1, ar1_stats, 1e-300, 101)
+        assert boundary_term(inputs) == 2.0 * math.sqrt(2.0)
 
     def test_doubling_rows_squares_the_exponential(self, ar1, ar1_stats):
         lead = 2.0 * math.sqrt(2.0)
@@ -179,7 +185,8 @@ class TestBoundaryFailureBound:
 
 class TestNoiseEnergyFailureBound:
     def test_epsilon_zero(self, ar1, ar1_stats):
-        assert noise_energy_term(make_inputs(ar1, ar1_stats, 0.0, 50)) == 2.0
+        # The epsilon -> 0 limit, at 1e-300 where the exponent rounds away.
+        assert noise_energy_term(make_inputs(ar1, ar1_stats, 1e-300, 50)) == 2.0
 
     def test_direct_formula_evaluation(self, ar1, ar1_stats):
         inputs = make_inputs(ar1, ar1_stats, 3.0, 3)  # two effective rows
@@ -199,7 +206,7 @@ class TestNoiseEnergyFailureBound:
 
     def test_exponent_nonnegative_over_grid(self, ar1, ar1_stats):
         # 1 + eps/3 - sqrt(1 + 2 eps/3) >= 0, so the bound never exceeds 2.
-        for eps in np.linspace(0.0, 50.0, 200):
+        for eps in [1e-300, *np.linspace(0.0, 50.0, 200)[1:]]:
             assert noise_energy_term(make_inputs(ar1, ar1_stats, eps, 50)) <= 2.0 + 1e-15
 
 
@@ -268,9 +275,11 @@ class TestTotalFailureBound:
         assert cert.delta == pytest.approx(independent, rel=1e-15)
 
     def test_bounded_by_worst_case(self, ar1, ar1_stats):
-        for eps in [0.0, 1e-8, 0.5, 3.0]:
-            cert = covariance_certificate(make_inputs(ar1, ar1_stats, eps, 50))
-            assert cert.delta <= 2.0 * (math.sqrt(2.0) + 3.0) + 1e-12
+        # At epsilon = 1e-300 every exponent rounds away: delta is the worst case.
+        worst = ((2.0 * math.sqrt(2.0) + 2.0) + 2.0) + 2.0
+        deltas = [covariance_certificate(make_inputs(ar1, ar1_stats, eps, 50)).delta
+                  for eps in [1e-300, 1e-8, 0.5, 3.0]]
+        assert deltas[0] == worst and max(deltas) <= worst
 
     def test_decreasing_in_horizon(self, ar1, ar1_stats):
         values = [covariance_certificate(make_inputs(ar1, ar1_stats, 0.2, h)).delta
@@ -311,10 +320,11 @@ class TestTotalFailureBound:
 
 class TestCovarianceCertificate:
     def test_epsilon_zero_collapses_sandwich(self, ar1, ar1_stats):
-        cert = covariance_certificate(make_inputs(ar1, ar1_stats, 0.0, 101))
+        # The epsilon -> 0 limit, at 1e-300 where eps G rounds away against V.
+        cert = covariance_certificate(make_inputs(ar1, ar1_stats, 1e-300, 101))
         expected = 100 * ar1_stats.state_covariance_block
-        np.testing.assert_allclose(cert.lower, expected, rtol=1e-12)
-        np.testing.assert_allclose(cert.upper, expected, rtol=1e-12)
+        np.testing.assert_array_equal(cert.lower, expected)
+        np.testing.assert_array_equal(cert.upper, expected)
 
     def test_spread_identity(self, ar2, ar2_stats):
         eps, horizon = 0.2, 500

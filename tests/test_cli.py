@@ -818,6 +818,15 @@ BEYOND_FLOAT = [
     pytest.param("certify", "epsilon", 1e-320, id="epsilon-energy-scale-overflows"),
     pytest.param("certify", "epsilon", {"fraction_of_ceiling": 1e-320},
                  id="fraction-energy-scale-overflows"),
+    # The same epsilon rule for every command: a campaign is refused, not
+    # run with every row vacuous.
+    pytest.param("montecarlo", "epsilon", 1e-320, id="montecarlo-epsilon-energy-scale-overflows"),
+    pytest.param("montecarlo", "epsilon", {"fraction_of_ceiling": 1e-320},
+                 id="montecarlo-fraction-energy-scale-overflows"),
+    # Non-ASCII digits: a superscript two and an Arabic-Indic one.
+    *[pytest.param(command, "direction", spec, id=f"{command}-direction-{label}")
+      for command in ("certify", "montecarlo", "rate-sweep")
+      for label, spec in (("superscript-digit", "e\u00b2"), ("arabic-indic-digit", "e\u0661"))],
     pytest.param("certify", "noise_variance", 1e305, id="noise-variance-sandwich-overflows"),
     pytest.param("certify", "output_dir", ["out"], id="list-output-dir"),
     pytest.param("certify", "noise_variance", 0, id="zero-noise-variance"),
@@ -852,6 +861,11 @@ def test_malformed_field_named(tmp_path, capsys, command, field, value):
     pytest.param("montecarlo", dict(coeffs=[0.2, -0.3, 0.1], horizon=8, epsilon="ceiling-rule"),
                  "epsilon", "policy 'ceiling-rule' is infeasible at horizon 8",
                  id="montecarlo-ar3-ceiling-rule-infeasible"),
+    # 5e-324 times that ceiling underflows to an epsilon of 0.
+    *[pytest.param(command, dict(coeffs=[0.2, -0.3, 0.1],
+                                 epsilon={"fraction_of_ceiling": 5e-324}),
+                   "epsilon", "got 0.0", id=f"{command}-ar3-fraction-underflows-to-zero")
+      for command in ("certify", "montecarlo")],
 ])
 def test_malformed_field_named_for_process(tmp_path, capsys, command, overrides, field,
                                            message):

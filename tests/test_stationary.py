@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -177,7 +178,10 @@ class TestStationaryStats:
 
 
 def max_relative_error(x, exact):
-    return float(np.abs(x - exact).max() / np.abs(exact).max())
+    """max |x - exact| / max |exact| against the unrounded 50-digit ``exact``
+    (object arrays of mpf), formed at 50 digits before any float64 rounding."""
+    with mpmath.workdps(50):
+        return float(np.abs(x - exact).max() / np.abs(exact).max())
 
 
 class TestCompanionSolve:
@@ -205,6 +209,10 @@ class TestCompanionSolve:
 
     @settings(max_examples=15)
     @given(stable_ar_coeffs(max_modulus=0.99))
+    # The exact G[1, 1] lies 1.4e-19 below a float64 midpoint and the solve
+    # rounds it up: within an ulp of the exact value, but a full ulp from
+    # that value rounded to float64.
+    @example(coeffs=[-0.6205656942784868])
     def test_no_less_accurate_than_kronecker(self, coeffs):
         self.assert_no_worse(self.errors(coeffs))
 
