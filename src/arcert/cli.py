@@ -313,9 +313,7 @@ def cmd_montecarlo(args) -> int:
         raise ConfigError(f"field 'epsilon': policy '{policy}' is infeasible at horizon {horizon}")
 
     campaign = CampaignConfig(
-        process=process,
-        horizon=horizon,
-        epsilon=epsilon,
+        inputs=BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon),
         trials=trials,
         master_seed=seed,
         directions=tuple(directions),

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,13 +60,10 @@ from .process import (
     ArProcess,
     _frozen,
     _integer,
-    _positive,
-    build_companion,
     simulate_batch,  # noqa: F401  (the benchmark's span tracer wraps it in this namespace)
     simulate_chunks,
     substream,
 )
-from .stationary import stationary_stats
 
 #: Maximum tolerated fraction of trials lost to numerical failures.
 MAX_ERROR_FRACTION = 1e-3
@@ -93,30 +90,31 @@ MAX_THREADS = 64
 class CampaignConfig:
     """Validated inputs of one Monte Carlo campaign.
 
-    directions maps labels to unit vectors; trial i uses the RNG substream
-    derived from (master_seed, i).
+    ``inputs`` is the certificate under test: its process, stationary
+    statistics, epsilon and horizon, already checked by :class:`BoundInputs`.
+    Construction adds the campaign's own rules, a horizon of at least
+    2 n + 1 and a feasible epsilon among them, so a config that constructs
+    can run.  directions maps labels to unit vectors; trial i uses the RNG
+    substream derived from (master_seed, i).
     """
 
-    process: ArProcess
-    horizon: int
-    epsilon: float
+    inputs: BoundInputs
     trials: int
     master_seed: int
     directions: tuple[tuple[str, np.ndarray], ...]
     threads: int = 1
 
     def __post_init__(self):
-        n = self.process.order
-        horizon, trials, master_seed, threads = (
+        n = self.inputs.process.order
+        trials, master_seed, threads = (
             _integer(getattr(self, name), name, ConfigError)
-            for name in ("horizon", "trials", "master_seed", "threads"))
-        if horizon < 2 * n + 1:
+            for name in ("trials", "master_seed", "threads"))
+        if self.inputs.horizon < 2 * n + 1:
             raise ConfigError("horizon: must be at least 2 * order + 1 for a full-rank design")
         if trials < 100:
             raise ConfigError("trials: at least 100 trials are required")
         if trials > MAX_TRIALS:
             raise ConfigError(f"trials: at most {MAX_TRIALS} trials are supported")
-        eps = _positive(self.epsilon, "epsilon", ConfigError)
         if master_seed < 0:
             raise ConfigError("seed: must be a nonnegative integer")
         if not self.directions:
@@ -133,8 +131,9 @@ class CampaignConfig:
                 raise ConfigError(f"direction '{label}': {exc}") from exc
         if not 1 <= threads <= MAX_THREADS:
             raise ConfigError(f"threads: must be in 1..{MAX_THREADS}")
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "epsilon", eps)
+        if _lower_gap(self.inputs) is None:
+            raise ConfigError("epsilon: infeasible (the lower sandwich matrix is not positive "
+                              "definite); choose epsilon below the feasibility ceiling")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "master_seed", master_seed)
         object.__setattr__(self, "directions", tuple(resolved))
@@ -193,7 +192,7 @@ def _run_batch(config: CampaignConfig, inputs: BoundInputs, cert: CovarianceCert
     """
     process = inputs.process
     n = process.order
-    horizon = config.horizon
+    horizon = inputs.horizon
     rows = horizon - n
     coeffs = process.coeffs
     threshold = event_threshold(inputs)
@@ -335,26 +334,21 @@ def _frequency_row(name: str, failures: int | None, evaluated: int,
 def run_campaign(config: CampaignConfig) -> CoverageReport:
     """Run the full campaign and aggregate per-event coverage.
 
-    Deterministic given the master seed, and run at any feasible epsilon: a
-    row whose own bound is >= 1 reads "vacuous".  Trials that fail numerically
-    are counted and excluded from frequencies; the campaign raises
+    Deterministic given the master seed.  Every config has a feasible
+    epsilon; a row whose own bound is >= 1 reads "vacuous".  Trials that fail
+    numerically are counted and excluded from frequencies; the campaign raises
     NumericalFailureError if more than MAX_ERROR_FRACTION of trials error out.
     """
-    process = ArProcess(coeffs=config.process.coeffs)  # unit variance
-    stats = stationary_stats(build_companion(process), 1.0)
-    inputs = BoundInputs(process=process, stats=stats,
-                         epsilon=config.epsilon, horizon=config.horizon)
+    # The caller's statistics serve at unit variance: they carry no s2.
+    inputs = replace(config.inputs, process=ArProcess(coeffs=config.inputs.process.coeffs))
     cert = covariance_certificate(inputs)
     gap = _lower_gap(inputs)
-    if gap is None:
-        raise ConfigError("epsilon: infeasible (the lower sandwich matrix is not positive "
-                          "definite); choose epsilon below the feasibility ceiling")
 
     deviations = [(f"deviation:{label}", w, deviation_radius(inputs, w))
                   for label, w in config.directions]
     # lower = (N - n) W U diag(gap) U^T W^T with W the Gramian's Cholesky factor.
-    logdet_lower = float(process.order * math.log(inputs.effective_samples)
-                         + 2.0 * np.sum(np.log(np.diag(stats.whitened_spectrum[2])))
+    logdet_lower = float(inputs.process.order * math.log(inputs.effective_samples)
+                         + 2.0 * np.sum(np.log(np.diag(inputs.stats.whitened_spectrum[2])))
                          + np.sum(np.log(gap)))
 
     batches = [(lo, min(lo + BATCH, config.trials))
@@ -386,9 +380,9 @@ def run_campaign(config: CampaignConfig) -> CoverageReport:
     return CoverageReport(
         trials=config.trials,
         master_seed=config.master_seed,
-        horizon=config.horizon,
-        epsilon=config.epsilon,
-        process=config.process,
+        horizon=inputs.horizon,
+        epsilon=inputs.epsilon,
+        process=config.inputs.process,
         events=events,
         sandwich_chain_violations=counts["chain", "sandwich"],
         deviation_chain_violations={label: counts["chain", f"deviation:{label}"]

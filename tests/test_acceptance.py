@@ -47,14 +47,10 @@ def _campaign(coeffs, directions, master_seed):
     process = ArProcess(coeffs=coeffs, noise_variance=1.0)
     stats = stationary_stats(build_companion(process), 1.0)
     epsilon = 0.5 * max_feasible_epsilon(process, stats)
-    config = CampaignConfig(
-        process=process, horizon=HORIZON, epsilon=epsilon, trials=TRIALS,
-        master_seed=master_seed, directions=directions, threads=2,
-    )
-    cert = covariance_certificate(
-        BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=HORIZON)
-    )
-    return config, cert
+    inputs = BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=HORIZON)
+    config = CampaignConfig(inputs=inputs, trials=TRIALS, master_seed=master_seed,
+                            directions=directions, threads=2)
+    return config, covariance_certificate(inputs)
 
 
 @pytest.fixture(scope="session")
@@ -251,9 +247,10 @@ def test_criterion_9_byte_determinism(tmp_path):
 def test_smoke_campaign_runtime():
     # 100-trial campaign on the reference configuration, pinned with headroom.
     process = ArProcess(coeffs=[0.5], noise_variance=1.0)
+    stats = stationary_stats(build_companion(process), 1.0)
     config = CampaignConfig(
-        process=process, horizon=HORIZON, epsilon=0.5, trials=100,
-        master_seed=5, directions=(("e1", np.array([1.0])),),
+        inputs=BoundInputs(process=process, stats=stats, epsilon=0.5, horizon=HORIZON),
+        trials=100, master_seed=5, directions=(("e1", np.array([1.0])),),
     )
     started = time.perf_counter()
     run_campaign(config)

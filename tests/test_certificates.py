@@ -85,7 +85,10 @@ class TestBoundInputs:
                              ids=["zero", "negative-zero", "negative", "nan", "inf",
                                   "energy-scale-overflows"])
     def test_epsilon_outside_domain_rejected(self, ar1, ar1_stats, epsilon):
-        with pytest.raises(ValueError, match="epsilon"):
+        # Every command prints these as its config error, so each case checks its own.
+        message = ("epsilon 1e-320 is so small" if 0.0 < epsilon < np.inf
+                   else "epsilon: must be a positive finite real")
+        with pytest.raises(ValueError, match=message):
             make_inputs(ar1, ar1_stats, epsilon, 100)
 
     @pytest.mark.parametrize("coeffs", [[0.1]], ids=["other-coeffs"])
@@ -721,25 +724,26 @@ class TestOneFeasibilityPredicate:
     ceiling and at its neighbouring floats."""
 
     @staticmethod
-    def campaign_setup(process, epsilon):
-        """(passed, log det(lower) handed to the batches) of ``run_campaign``,
-        with the batches stubbed out."""
+    def campaign_setup(inputs):
+        """(passed, log det(lower) handed to the batches) of a campaign on
+        ``inputs``: its config's construction, then ``run_campaign`` with the
+        batches stubbed out."""
         seen = []
 
         def no_trials(config, inputs, cert, deviations, logdet_lower, start, stop):
             seen.append(logdet_lower)
             return Counter(evaluated=stop - start)
 
-        config = CampaignConfig(process=process, horizon=5000, epsilon=epsilon, trials=100,
-                                master_seed=0, directions=(("e1", np.eye(process.order)[0]),))
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             mp.setattr(montecarlo_module, "_run_batch", no_trials)
             warnings.simplefilter("ignore", RuntimeWarning)
             try:
-                run_campaign(config)
+                config = CampaignConfig(inputs=inputs, trials=100, master_seed=0, directions=(
+                    ("e1", np.eye(inputs.process.order)[0]),))
             except ConfigError as exc:
                 assert "epsilon: infeasible" in str(exc)
                 return False, None
+            run_campaign(config)
         return True, seen[0]
 
     @settings(max_examples=100)
@@ -761,7 +765,7 @@ class TestOneFeasibilityPredicate:
                 radius_returned = True
             except InfeasibleCertificateError:
                 radius_returned = False
-            passed, logdet_lower = self.campaign_setup(process, eps)
+            passed, logdet_lower = self.campaign_setup(inputs)
             assert cert.feasible == radius_returned == passed
             assert cert.feasible == (eps < ceiling)
             if eps == 0.5 * ceiling:

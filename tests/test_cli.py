@@ -35,6 +35,8 @@ from arcert import (
     stationary_stats,
 )
 import arcert.cli as cli_module
+import arcert.process as process_module
+import arcert.stationary as stationary_module
 from arcert.cli import _resolve_direction, main
 from conftest import CLUSTERED_POLES_AR8
 from test_stationary import PINNED_COEFFS
@@ -226,6 +228,26 @@ class TestMontecarlo:
         assert verdicts == {"boundary": "respected", "noise_energy": "respected",
                             "cross_term": "vacuous", "sandwich": "vacuous",
                             "self_normalized": "vacuous", "deviation:e1": "vacuous"}
+
+    def test_one_stationary_solve_per_command(self, tmp_path, monkeypatch):
+        # The campaign tests the statistics solved for the ceiling, so one
+        # stationary solve (one peak gain) serves the command.  The stability
+        # checks are the config's process, the one stationary_stats reads the
+        # companion into, and run_campaign's unit-variance process.
+        calls = {"check_schur_stable": 0, "peak_transfer_gain": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args: calls.__setitem__(name, calls[name] + 1)
+                                or original(*args))
+
+        counting(process_module, "check_schur_stable")
+        counting(stationary_module, "peak_transfer_gain")
+        cfg = write_config(tmp_path, **dict(AR1_MC, coeffs=[0.3, 0.4], noise_variance=1.7,
+                                            horizon=500, trials=100, direction="e1"))
+        assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"check_schur_stable": 3, "peak_transfer_gain": 1}
 
     def test_missing_trials_named(self, tmp_path, capsys):
         payload = dict(AR1_MC)
@@ -639,8 +661,9 @@ class TestCsvOutputs:
         assert run(["montecarlo", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         process = ArProcess(coeffs=[0.5], noise_variance=1.0)
         stats = stationary_stats(build_companion(process), 1.0)
+        epsilon = 0.5 * max_feasible_epsilon(process, stats)
         report = run_campaign(CampaignConfig(
-            process=process, horizon=3000, epsilon=0.5 * max_feasible_epsilon(process, stats),
+            inputs=BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=3000),
             trials=150, master_seed=99,
             directions=(("e1", np.array([1.0])), ("w2", np.array([1.0])))))
         assert_csv_cells(tmp_path / "out" / "coverage.csv", EventCoverage, report.events)
@@ -699,8 +722,9 @@ class TestJsonOutputs:
 
         process = ArProcess(coeffs=[0.5], noise_variance=1.0)
         stats = stationary_stats(build_companion(process), 1.0)
+        epsilon = 0.5 * max_feasible_epsilon(process, stats)
         report = run_campaign(CampaignConfig(
-            process=process, horizon=3000, epsilon=0.5 * max_feasible_epsilon(process, stats),
+            inputs=BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=3000),
             trials=150, master_seed=99, directions=(("e1", np.array([1.0])),)))
         assert payload["report"] == plain(report)
 

@@ -50,6 +50,12 @@ def ar1_setup(ar1, ar1_stats):
     return a, inputs, cert, dev
 
 
+def bound_inputs(process, epsilon, horizon) -> BoundInputs:
+    """The certificate inputs of (process, epsilon, horizon), which a campaign tests."""
+    stats = stationary_stats(build_companion(process), process.noise_variance)
+    return BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon)
+
+
 def zero_trajectory(order, horizon):
     return OraclePath(samples=np.zeros(horizon + order), noise=np.zeros(horizon),
                       order=order, horizon=horizon)
@@ -168,12 +174,12 @@ class TestTrialOutcome:
 class TestCampaignConfigValidation:
     def test_zero_trials_rejected(self, ar1):
         with pytest.raises(ConfigError):
-            CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=0,
+            CampaignConfig(inputs=bound_inputs(ar1, 0.5, 400), trials=0,
                            master_seed=1, directions=(("e1", np.array([1.0])),))
 
     def test_small_trial_counts_rejected(self, ar1):
         with pytest.raises(ConfigError):
-            CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=50,
+            CampaignConfig(inputs=bound_inputs(ar1, 0.5, 400), trials=50,
                            master_seed=1, directions=(("e1", np.array([1.0])),))
 
     @pytest.mark.parametrize("norm", [1.0 + 1e-10, np.nan])
@@ -181,26 +187,24 @@ class TestCampaignConfigValidation:
         # One unit-norm tolerance: a direction the config accepts is one the
         # deviation radius accepts.
         with pytest.raises(ConfigError, match="direction 'tilted'"):
-            CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=200,
+            CampaignConfig(inputs=bound_inputs(ar1, 0.5, 400), trials=200,
                            master_seed=1, directions=(("tilted", np.array([norm])),))
 
     @pytest.mark.parametrize("field, value, message", [
         ("horizon", 4, "horizon: must be at least 2 * order + 1"),
-        ("epsilon", 0.0, "epsilon: must be a positive finite real"),
-        ("epsilon", -1.0, "epsilon: must be a positive finite real"),
-        ("epsilon", np.nan, "epsilon: must be a positive finite real"),
-        ("epsilon", np.inf, "epsilon: must be a positive finite real"),
         ("master_seed", -1, "seed: must be a nonnegative integer"),
         ("directions", (), "direction: at least one direction is required"),
     ])
     def test_invalid_field_named(self, ar2, field, value, message):
-        base = dict(process=ar2, horizon=400, epsilon=0.25, trials=200, master_seed=1,
+        base = dict(inputs=bound_inputs(ar2, 0.25, 400), trials=200, master_seed=1,
                     directions=(("e1", np.array([1.0, 0.0])),))
+        if field == "horizon":  # BoundInputs accepts 4, which exceeds the order
+            field, value = "inputs", dataclasses.replace(base["inputs"], horizon=value)
         with pytest.raises(ConfigError, match=re.escape(message)):
             CampaignConfig(**{**base, field: value})
 
     def test_thread_ceiling(self, ar1):
-        base = dict(process=ar1, horizon=400, epsilon=0.5, trials=200, master_seed=1,
+        base = dict(inputs=bound_inputs(ar1, 0.5, 400), trials=200, master_seed=1,
                     directions=(("e1", np.array([1.0])),))
         assert CampaignConfig(**base, threads=montecarlo_module.MAX_THREADS).threads \
             == montecarlo_module.MAX_THREADS
@@ -209,38 +213,37 @@ class TestCampaignConfigValidation:
                 CampaignConfig(**base, threads=threads)
 
     @pytest.mark.parametrize("field, value", [
-        ("horizon", 5000.7), ("trials", 150.9), ("master_seed", 2.5), ("master_seed", True),
+        ("trials", 150.9), ("master_seed", 2.5), ("master_seed", True),
         ("threads", 1.9), ("threads", True), ("threads", "1"),
     ])
     def test_integer_fields_not_truncated(self, ar1, field, value):
-        base = dict(process=ar1, horizon=5000, epsilon=0.5, trials=150, master_seed=2,
+        base = dict(inputs=bound_inputs(ar1, 0.5, 5000), trials=150, master_seed=2,
                     directions=(("e1", np.array([1.0])),), threads=1)
         with pytest.raises(ConfigError, match=f"{field}: must be an integer"):
             CampaignConfig(**{**base, field: value})
 
     def test_numpy_integer_fields_accepted(self, ar1):
-        config = CampaignConfig(process=ar1, horizon=np.int64(5000), epsilon=0.5,
+        config = CampaignConfig(inputs=bound_inputs(ar1, 0.5, np.int64(5000)),
                                 trials=np.int32(150), master_seed=np.uint64(2),
                                 directions=(("e1", np.array([1.0])),), threads=np.int8(1))
-        values = (config.horizon, config.trials, config.master_seed, config.threads)
+        values = (config.inputs.horizon, config.trials, config.master_seed, config.threads)
         assert values == (5000, 150, 2, 1) and all(type(v) is int for v in values)
 
     def test_duplicate_labels_rejected(self, ar1):
         with pytest.raises(ConfigError):
-            CampaignConfig(process=ar1, horizon=400, epsilon=0.5, trials=200,
-                           master_seed=1,
+            CampaignConfig(inputs=bound_inputs(ar1, 0.5, 400), trials=200, master_seed=1,
                            directions=(("e1", np.array([1.0])), ("e1", np.array([1.0]))))
 
     def test_infeasible_epsilon_rejected(self, ar1):
-        config = CampaignConfig(process=ar1, horizon=400, epsilon=5.0, trials=200,
-                                master_seed=1, directions=(("e1", np.array([1.0])),))
-        with pytest.raises(ConfigError):
-            run_campaign(config)
+        # At construction, so a config that constructs can run.
+        with pytest.raises(ConfigError, match="epsilon: infeasible"):
+            CampaignConfig(inputs=bound_inputs(ar1, 5.0, 400), trials=200,
+                           master_seed=1, directions=(("e1", np.array([1.0])),))
 
     def test_vacuous_delta_runs(self, ar2):
         # Small horizon keeps delta above 1 even though epsilon is feasible:
         # the campaign runs and its rows report the vacuity.
-        config = CampaignConfig(process=ar2, horizon=50, epsilon=0.25, trials=100,
+        config = CampaignConfig(inputs=bound_inputs(ar2, 0.25, 50), trials=100,
                                 master_seed=1, directions=(("e1", np.array([1.0, 0.0])),))
         row = report_row(run_campaign(config), "sandwich")
         assert row.bound >= 1.0 and row.verdict == "vacuous"
@@ -249,17 +252,15 @@ class TestCampaignConfigValidation:
 def reference_failures(config: CampaignConfig) -> dict:
     """Failure counts of every event, re-run trial by trial through the
     single-trial reference checkers on the substreams the campaign uses."""
-    process = config.process
+    inputs = config.inputs
+    process = inputs.process
     a = build_companion(process)
-    stats = stationary_stats(a, process.noise_variance)
-    inputs = BoundInputs(process=process, stats=stats, epsilon=config.epsilon,
-                         horizon=config.horizon)
     cert = covariance_certificate(inputs)
     dev_certs = {label: deviation_radius(inputs, w)
                  for label, w in config.directions}
     fails = {}
     for i in range(config.trials):
-        traj = simulate_whole_horizon(process, config.horizon,
+        traj = simulate_whole_horizon(process, inputs.horizon,
                                       substream(config.master_seed, i))
         for event, held in evaluate_trial(process, a, inputs, cert, dev_certs,
                                           traj).items():
@@ -274,8 +275,7 @@ def report_failures(report: CoverageReport) -> dict:
 
 @pytest.fixture(scope="module")
 def small_config(ar1):
-    return CampaignConfig(process=ar1, horizon=3000, epsilon=0.5, trials=100,
-                          master_seed=314,
+    return CampaignConfig(inputs=bound_inputs(ar1, 0.5, 3000), trials=100, master_seed=314,
                           directions=(("e1", np.array([1.0])),))
 
 
@@ -294,9 +294,7 @@ class TestCampaign:
                                                    small_report):
         rerun = run_campaign(small_config)
         assert rerun == small_report
-        threaded = CampaignConfig(process=small_config.process, horizon=3000, epsilon=0.5,
-                                  trials=100, master_seed=314,
-                                  directions=small_config.directions, threads=2)
+        threaded = dataclasses.replace(small_config, threads=2)
         monkeypatch.setattr(montecarlo_module, "BATCH", 16)
         assert run_campaign(threaded) == small_report
 
@@ -339,7 +337,8 @@ class TestCampaign:
         exact = montecarlo_module.deviation_radius
         monkeypatch.setattr(montecarlo_module, "deviation_radius",
                             lambda *args: spoil(exact(*args)))
-        report = run_campaign(dataclasses.replace(small_config, horizon=5000))
+        report = run_campaign(dataclasses.replace(
+            small_config, inputs=dataclasses.replace(small_config.inputs, horizon=5000)))
         assert report_row(report, "sandwich").failures == 0
         assert report_row(report, "self_normalized").failures == 1
         assert report.sandwich_chain_violations == 0
@@ -367,7 +366,7 @@ class TestCampaign:
         # With epsilon close to the ceiling the lower matrix is nearly zero and
         # the upper one is wide: the sandwich holds on essentially every trial,
         # so the empirical event frequency respects 1 - delta with huge margin.
-        config = CampaignConfig(process=ar1, horizon=5000, epsilon=0.95, trials=200,
+        config = CampaignConfig(inputs=bound_inputs(ar1, 0.95, 5000), trials=200,
                                 master_seed=909, directions=(("e1", np.array([1.0])),))
         report = run_campaign(config)
         row = report_row(report, "sandwich")
@@ -378,7 +377,7 @@ class TestCampaign:
     def test_multiple_directions(self, monkeypatch, ar2):
         monkeypatch.setattr(montecarlo_module, "BATCH", 64)
         config = CampaignConfig(
-            process=ar2, horizon=600, epsilon=0.25, trials=100, master_seed=11,
+            inputs=bound_inputs(ar2, 0.25, 600), trials=100, master_seed=11,
             directions=(("e1", np.array([1.0, 0.0])), ("e2", np.array([0.0, 1.0])),
                         ("uniform", np.full(2, np.sqrt(0.5)))),
         )
@@ -394,10 +393,11 @@ AR3 = ArProcess(coeffs=[0.5, -0.3, 0.2], noise_variance=1.0)
 
 def half_ceiling_config(process, horizon, **kwargs) -> CampaignConfig:
     stats = stationary_stats(build_companion(process), process.noise_variance)
+    epsilon = 0.5 * max_feasible_epsilon(process, stats)
     n = process.order
     return CampaignConfig(
-        process=process, horizon=horizon,
-        epsilon=0.5 * max_feasible_epsilon(process, stats), trials=100, master_seed=2718,
+        inputs=BoundInputs(process=process, stats=stats, epsilon=epsilon, horizon=horizon),
+        trials=100, master_seed=2718,
         directions=(("e1", np.eye(n)[0]), ("uniform", np.full(n, n ** -0.5))),
         **kwargs,
     )
@@ -469,7 +469,7 @@ class TestStreamingKernel:
         # each, and its block of 32 trials' draws 0.25 MB.  Chunks of 4096
         # steps allocated afresh, with the noise copied into each window,
         # peak at 16 MiB and fail the bound.
-        config = CampaignConfig(process=ar1, horizon=200_000, epsilon=0.5, trials=100,
+        config = CampaignConfig(inputs=bound_inputs(ar1, 0.5, 200_000), trials=100,
                                 master_seed=5, directions=(("e1", np.array([1.0])),))
         tracemalloc.start()
         try:

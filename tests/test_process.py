@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import arcert.process as process_module
 from arcert import (
     ArProcess,
+    BoundInputs,
     CampaignConfig,
     ConvergenceError,
     CovarianceCertificate,
@@ -135,7 +136,8 @@ FROZEN_FIELDS = {
     **{f"StationaryStatistics.whitened_spectrum[{k}]": (
         BLOCK, lambda m, k=k: _stats(m, np.eye(2)).whitened_spectrum[k]) for k in range(3)},
     "CampaignConfig.directions": (UNIT, lambda w: CampaignConfig(
-        process=ArProcess(coeffs=COEFFS), horizon=100, epsilon=0.1, trials=100,
+        inputs=BoundInputs(process=ArProcess(coeffs=COEFFS), stats=_stats(np.eye(2), np.eye(2)),
+                           epsilon=0.1, horizon=100), trials=100,
         master_seed=0, directions=(("w", w),)).directions[0][1]),
 }
 
